@@ -113,7 +113,8 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    # serial by default: threaded restarts measured slower than serial ones
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--verbose", "-v", action="count", default=0)
     p.add_argument("--out", "--out-dir", dest="out", required=True,
                    help="output directory (created if missing)")

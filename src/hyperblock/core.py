@@ -234,8 +234,8 @@ def parse_hyperedge_file(path: str, num_nodes: Optional[int] = None) -> Hypergra
             ids = [int(f) for f in fields[1:]]
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-        if weight < 0:
-            raise ValueError(f"{path}:{lineno}: negative weight {weight}")
+        if weight <= 0:
+            raise ValueError(f"{path}:{lineno}: hyperedge weight must be positive, got {weight}")
         if min(ids) < 0:
             raise ValueError(f"{path}:{lineno}: negative node id")
         try:

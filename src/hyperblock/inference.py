@@ -9,9 +9,10 @@ highest final objective wins.
 
 from __future__ import annotations
 
+import copy
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -23,9 +24,11 @@ from .likelihood import (
     LatentState,
     LayerConstants,
     ThetaIncidence,
+    cross_rates,
+    inter_edge_arrays,
     layer_constants,
     pairwise_outer,
-    sample_negatives,
+    sample_negatives,  # noqa: F401  (kept importable from this module)
     surrogate_objective,
 )
 
@@ -166,12 +169,24 @@ def _guarded_ratio(num: np.ndarray, den: np.ndarray, what: str) -> np.ndarray:
     return out
 
 
+def _with_data(template: sparse.csr_matrix, data: np.ndarray) -> sparse.csr_matrix:
+    """A matrix sharing the template's sparsity structure, holding ``data``.
+
+    A shallow copy: the index arrays are shared and never written, so
+    concurrent restarts may refresh the same template.
+    """
+    out = copy.copy(template)
+    out.data = data
+    return out
+
+
 class EMEngine:
     """Vectorized sweep machinery bound to one multi-hypergraph.
 
-    Precomputes per-layer contribution-weighted incidences and penalty
-    constants (data-dependent only, shared across restarts); update methods
-    are pure functions of the passed-in state.
+    Precomputes, once and from the data alone, the per-layer
+    contribution-weighted incidences, the closed-form penalty constants and
+    the sparsity structure of every cross-ratio matrix; all restarts share
+    them.  Update methods are pure functions of the passed-in state.
     """
 
     def __init__(
@@ -179,7 +194,6 @@ class EMEngine:
         mh: MultiHypergraph,
         tables: Optional[Sequence[InternalDegreeTable]] = None,
         consts: Optional[Sequence[LayerConstants]] = None,
-        negative_seed: Union[int, Sequence[int]] = 0,
         m_override: Optional[int] = None,
     ):
         self.mh = mh
@@ -193,21 +207,19 @@ class EMEngine:
             self.consts = tuple(consts)
         else:
             self.consts = tuple(
-                layer_constants(
-                    layer,
-                    sample_negatives(layer, seed=[negative_seed, l]),
-                    m_override=m_override,
-                )
-                for l, layer in enumerate(mh.layers)
+                layer_constants(layer, m_override=m_override) for layer in mh.layers
             )
-        # stored inter-edges as flat arrays per set, plus which sets touch a layer
-        self._cross = []
+        # per inter-edge set: flat (rows, cols, weights) and the CSR pattern of
+        # its cross-ratio matrix (stored pairs are sorted, so CSR order is
+        # storage order); plus which sets touch a layer
+        self._cross_arrays = [inter_edge_arrays(s) for s in mh.inter_edges]
+        self._cross_patterns = []
         self._touching: list[list[tuple[int, bool]]] = [[] for _ in mh.layers]
-        for idx, s in enumerate(mh.inter_edges):
-            rows = np.array([i for i, _, _ in s.edges], dtype=int)
-            cols = np.array([j for _, j, _ in s.edges], dtype=int)
-            vals = np.array([w for _, _, w in s.edges], dtype=float)
-            self._cross.append((s, rows, cols, vals))
+        for idx, (s, (rows, cols, vals)) in enumerate(zip(mh.inter_edges, self._cross_arrays)):
+            shape = (mh.layers[s.layer_a].num_nodes, mh.layers[s.layer_b].num_nodes)
+            indptr = np.zeros(shape[0] + 1, dtype=int)
+            np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+            self._cross_patterns.append(sparse.csr_matrix((vals, cols, indptr), shape=shape))
             self._touching[s.layer_a].append((idx, False))
             self._touching[s.layer_b].append((idx, True))
 
@@ -217,7 +229,7 @@ class EMEngine:
         """(A_e / rate_e, per-edge membership sums) for observed hyperedges."""
         inc = self.incidences[l]
         s = inc.edge_sums(state.u[l])
-        rates = inc.edge_rates(state.u[l], state.w[l])
+        rates = inc.edge_rates(state.u[l], state.w[l], sums=s)
         weights = inc.weights
         if np.any((weights > 0) & (rates <= 0)):
             raise DegenerateStateError(f"zero rate on observed hyperedge in layer {l}")
@@ -227,27 +239,36 @@ class EMEngine:
 
     def _cross_ratio(self, state: LatentState, idx: int) -> sparse.csr_matrix:
         """Sparse S_ij / rate_ij over the stored inter-edges of one pair."""
-        s, rows, cols, vals = self._cross[idx]
+        s = self.mh.inter_edges[idx]
+        rows, cols, vals = self._cross_arrays[idx]
         ua, ub = state.u[s.layer_a], state.u[s.layer_b]
-        w = state.w_cross[(s.layer_a, s.layer_b)]
-        rates = ((ua[rows] @ w) * ub[cols]).sum(axis=1)
+        rates = cross_rates(ua, ub, state.w_cross[(s.layer_a, s.layer_b)], rows, cols)
         if np.any(rates <= 0):
             raise DegenerateStateError(
                 f"zero rate on observed inter-edge of pair ({s.layer_a}, {s.layer_b})"
             )
-        shape = (ua.shape[0], ub.shape[0])
-        return sparse.csr_matrix((vals / rates, (rows, cols)), shape=shape)
+        return _with_data(self._cross_patterns[idx], vals / rates)
 
     # -- update rules --------------------------------------------------------
 
-    def updated_u(self, state: LatentState, l: int) -> np.ndarray:
+    def updated_u(
+        self,
+        state: LatentState,
+        l: int,
+        ratios: Optional[Mapping[int, sparse.csr_matrix]] = None,
+    ) -> np.ndarray:
+        """Membership update of layer l.
+
+        ``ratios`` maps each inter-edge set index to its cross ratio at
+        ``state``; computed here when omitted.
+        """
         u, w = state.u[l], state.w[l]
         mult, edge_sums = self._edge_multipliers(state, l)
         inc = self.incidences[l]
 
-        weighted = inc.b.multiply(mult[None, :])
+        weighted = _with_data(inc.b, inc.b.data * mult[inc.b.indices])
         first = np.asarray(weighted @ edge_sums)
-        second = np.asarray(inc.b2.multiply(mult[None, :]).sum(axis=1)).ravel()[:, None] * u
+        second = (inc.b2 @ mult)[:, None] * u
         num = u * ((first - second) @ w)
 
         col_sums = u.sum(axis=0)
@@ -255,7 +276,7 @@ class EMEngine:
 
         for idx, transposed in self._touching[l]:
             s = self.mh.inter_edges[idx]
-            ratio = self._cross_ratio(state, idx)
+            ratio = ratios[idx] if ratios is not None else self._cross_ratio(state, idx)
             w_c = state.w_cross[(s.layer_a, s.layer_b)]
             if not transposed:
                 other = state.u[s.layer_b]
@@ -273,7 +294,7 @@ class EMEngine:
         inc = self.incidences[l]
 
         first = edge_sums.T @ (edge_sums * mult[:, None])
-        per_node = np.asarray(inc.b2.multiply(mult[None, :]).sum(axis=1)).ravel()
+        per_node = inc.b2 @ mult
         second = u.T @ (u * per_node[:, None])
         num = 0.5 * w * (first - second)
         den = self.consts[l].c_l * pairwise_outer(u)
@@ -282,8 +303,7 @@ class EMEngine:
 
     def updated_w_cross(self, state: LatentState, pair: tuple[int, int]) -> np.ndarray:
         idx = next(
-            i for i, (s, *_rest) in enumerate(self._cross)
-            if (s.layer_a, s.layer_b) == pair
+            i for i, s in enumerate(self.mh.inter_edges) if (s.layer_a, s.layer_b) == pair
         )
         s = self.mh.inter_edges[idx]
         ua, ub = state.u[s.layer_a], state.u[s.layer_b]
@@ -299,21 +319,24 @@ class EMEngine:
         """One EM sweep: u for all layers, then w, then cross affinities.
 
         Marginals are implicit: every update family re-evaluates the rates
-        of the state it starts from.
+        of the state it starts from.  The u updates of all layers start from
+        the same state, so each pair's cross ratio is computed once for them.
         """
-        new_u = tuple(self.updated_u(state, l) for l in range(self.mh.num_layers))
+        ratios = {idx: self._cross_ratio(state, idx) for idx in range(len(self.mh.inter_edges))}
+        new_u = tuple(self.updated_u(state, l, ratios) for l in range(self.mh.num_layers))
         state = LatentState(new_u, state.w, state.w_cross)
         new_w = tuple(self.updated_w(state, l) for l in range(self.mh.num_layers))
         state = LatentState(state.u, new_w, state.w_cross)
         new_cross = {
             (s.layer_a, s.layer_b): self.updated_w_cross(state, (s.layer_a, s.layer_b))
-            for s, *_rest in self._cross
+            for s in self.mh.inter_edges
         }
         return LatentState(state.u, state.w, new_cross)
 
     def objective(self, state: LatentState) -> float:
         return surrogate_objective(
-            self.mh, self.tables, state, self.consts, incidences=self.incidences
+            self.mh, self.tables, state, self.consts, incidences=self.incidences,
+            inter_arrays=self._cross_arrays,
         )
 
 
@@ -340,16 +363,16 @@ def _run_restart(engine: EMEngine, mh: MultiHypergraph, cfg: InferenceConfig, re
 def fit(mh: MultiHypergraph, cfg: InferenceConfig, threads: int = 1) -> FitResult:
     """Multi-restart EM fit; returns the restart with the best final objective.
 
-    Node contributions, negative samples and penalty constants are computed
-    once from the data (negative sampling uses ``cfg.seed``); restart r then
-    initializes from ``cfg.seed + r``.  Restarts that collapse to a
+    Node contributions and the closed-form penalty constants are computed
+    once from the data (no unobserved hyperedges are sampled); restart r
+    then initializes from ``cfg.seed + r``.  Restarts that collapse to a
     degenerate state are dropped; if all do, FitFailureError is raised.
     """
     cfg.validate(mh.num_layers)
     for l, layer in enumerate(mh.layers):
         if layer.num_hyperedges == 0:
             raise ValueError(f"layer {l} has no hyperedges")
-    engine = EMEngine(mh, negative_seed=cfg.seed, m_override=cfg.m_override)
+    engine = EMEngine(mh, m_override=cfg.m_override)
 
     def run(restart: int):
         try:

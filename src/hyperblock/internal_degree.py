@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
+from scipy import sparse
 
 from .core import Hyperedge, HypergraphLayer
 
@@ -112,24 +114,66 @@ def hyperedge_entropy(layer: HypergraphLayer, e: Hyperedge, normalized: bool = F
     return SubHyperedgeCounter(layer).entropy(e.nodes, normalized=normalized, base=base)
 
 
+# Edges per block of the containment product in theta_table.  The overlap
+# block holds one entry per (edge in block, edge sharing a node with it), so
+# the block size bounds the temporary around hub nodes.
+_BLOCK_EDGES = 4096
+
+
 @dataclass(frozen=True)
 class InternalDegreeTable:
-    """Per observed hyperedge, node contributions aligned with e.nodes."""
+    """Node contributions of every observed hyperedge, flattened edge by edge.
 
-    theta: tuple[np.ndarray, ...]
+    Hyperedge ``eid`` owns positions ``offsets[eid]:offsets[eid + 1]`` of
+    ``nodes`` (its node ids, ascending) and of ``values`` (their
+    contributions); all three arrays are read-only.
+    """
+
+    nodes: np.ndarray
+    offsets: np.ndarray
+    values: np.ndarray
 
     def for_edge(self, eid: int) -> np.ndarray:
-        return self.theta[eid]
+        return self.values[self.offsets[eid]:self.offsets[eid + 1]]
 
 
 def theta_table(layer: HypergraphLayer) -> InternalDegreeTable:
-    """Contributions for every observed hyperedge of the layer."""
-    counter = SubHyperedgeCounter(layer)
-    values = []
-    for e in layer.hyperedges:
-        th = counter.theta(e.nodes)
-        values.append(np.array([th[n] for n in e.nodes], dtype=float))
-    return InternalDegreeTable(tuple(values))
+    """Contributions for every observed hyperedge of the layer.
+
+    With B the binary edge-by-node incidence, the overlap |e & f| of every
+    pair of hyperedges is B B^T, f is a subset of e iff the overlap equals
+    |f|, and node i's containment count in e is (contain B)[e, i].  The
+    product runs over blocks of _BLOCK_EDGES edges.  Every observed edge
+    contains itself, so each count is positive and the counts of e are
+    exactly the entries of row e; theta = count * (|e| / total) matches
+    SubHyperedgeCounter.theta bit for bit.
+    """
+    m = layer.num_hyperedges
+    sizes = np.fromiter((e.size for e in layer.hyperedges), dtype=np.int64, count=m)
+    offsets = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    nodes = np.fromiter(
+        chain.from_iterable(e.nodes for e in layer.hyperedges), dtype=np.int64,
+        count=int(offsets[-1]),
+    )
+    members = sparse.csr_matrix(
+        (np.ones(nodes.size, dtype=np.int32), nodes, offsets), shape=(m, layer.num_nodes)
+    )
+    members_t = members.T.tocsr()
+    counts = np.empty(nodes.size, dtype=np.int64)
+    for start in range(0, m, _BLOCK_EDGES):
+        stop = min(start + _BLOCK_EDGES, m)
+        contain = members[start:stop] @ members_t
+        contain.data = (contain.data == sizes[contain.indices]).astype(np.int32)
+        contain.eliminate_zeros()
+        block = contain @ members
+        block.sort_indices()
+        counts[offsets[start]:offsets[stop]] = block.data
+    totals = np.add.reduceat(counts, offsets[:-1])
+    values = counts * np.repeat(sizes / totals, sizes)
+    for arr in (nodes, offsets, values):
+        arr.flags.writeable = False
+    return InternalDegreeTable(nodes, offsets, values)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,11 @@
 The rate of a hyperedge couples every node pair inside it through the
 memberships u, the symmetric affinity w and the per-edge node contributions;
 the rate of an inter-layer edge is the bilinear form u_i w_cross u_j.  The
-intractable sum over all candidate hyperedges is replaced by the observed
-set plus an equal-size sample of unobserved ones, which collapses into a
-single per-layer constant multiplying the global pairwise interaction sum.
+intractable sum over all candidate hyperedges collapses into a single
+per-layer constant c_l = m (1/q + 2/(n(n-1))) multiplying the global
+pairwise interaction sum; c_l is closed-form in the hyperedge count m, the
+pair count q and the node count n, so fitting draws no unobserved
+hyperedges.  ``sample_negatives`` serves the evaluation protocols only.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 from scipy import sparse
 
-from .core import Hyperedge, HypergraphLayer, MultiHypergraph
+from .core import Hyperedge, HypergraphLayer, InterEdgeSet, MultiHypergraph
 from .internal_degree import InternalDegreeTable
 
 __all__ = [
@@ -29,6 +31,8 @@ __all__ = [
     "lambda_ij",
     "sample_negatives",
     "layer_constants",
+    "inter_edge_arrays",
+    "cross_rates",
     "pairwise_outer",
     "pairwise_interaction_sum",
     "surrogate_objective",
@@ -68,9 +72,8 @@ class LatentState:
 
 @dataclass(frozen=True)
 class LayerConstants:
-    """Negative sample plus the closed-form penalty constant of one layer."""
+    """The closed-form penalty constant of one layer and its inputs."""
 
-    negatives: tuple[Hyperedge, ...]
     q_pairs: int
     m_count: int
     c_l: float
@@ -153,29 +156,19 @@ def sample_negatives(
     return negatives
 
 
-def layer_constants(
-    layer: HypergraphLayer,
-    negatives: Sequence[Hyperedge],
-    m_override: Optional[int] = None,
-) -> LayerConstants:
+def layer_constants(layer: HypergraphLayer, m_override: Optional[int] = None) -> LayerConstants:
     """Pair count, edge count and the positive penalty constant of a layer.
 
     The constant is m * (1/q + 2/(n(n-1))) and enters the objective with a
     minus sign; it depends on hyperedge counts and sizes, never on weights.
     """
-    if sorted(e.size for e in negatives) != sorted(layer.sizes()):
-        raise ValueError("negative sizes must match the observed size multiset")
-    observed = layer.node_sets()
-    for e in negatives:
-        if e.nodes in observed:
-            raise ValueError(f"negative {e.nodes} is an observed hyperedge")
     q = sum(s * (s - 1) // 2 for s in layer.sizes())
     if q == 0:
         raise ValueError("layer has no hyperedges")
     m = int(m_override) if m_override is not None else layer.num_hyperedges
     n = layer.num_nodes
     c_l = m * (1.0 / q + 2.0 / (n * (n - 1)))
-    return LayerConstants(tuple(negatives), q_pairs=q, m_count=m, c_l=c_l)
+    return LayerConstants(q_pairs=q, m_count=m, c_l=c_l)
 
 
 class ThetaIncidence:
@@ -186,14 +179,14 @@ class ThetaIncidence:
     """
 
     def __init__(self, layer: HypergraphLayer, table: InternalDegreeTable):
-        rows, cols, data = [], [], []
-        for eid, e in enumerate(layer.hyperedges):
-            th = table.for_edge(eid)
-            rows.extend(e.nodes)
-            cols.extend([eid] * e.size)
-            data.extend(th.tolist())
+        if table.offsets.size != layer.num_hyperedges + 1:
+            raise ValueError(
+                f"table covers {table.offsets.size - 1} hyperedges, "
+                f"layer has {layer.num_hyperedges}"
+            )
         shape = (layer.num_nodes, layer.num_hyperedges)
-        self.b = sparse.csr_matrix((data, (rows, cols)), shape=shape)
+        # the table is the incidence in column-major form
+        self.b = sparse.csc_matrix((table.values, table.nodes, table.offsets), shape=shape).tocsr()
         self.b2 = self.b.multiply(self.b).tocsr()
         self.weights = layer.weights()
 
@@ -201,12 +194,32 @@ class ThetaIncidence:
         """s_e = sum_{i in e} theta_ie u_i, one row per hyperedge."""
         return np.asarray(self.b.T @ u)
 
-    def edge_rates(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """All observed-hyperedge rates at once via the factored contraction."""
-        s = self.edge_sums(u)
+    def edge_rates(
+        self, u: np.ndarray, w: np.ndarray, sums: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """All observed-hyperedge rates at once via the factored contraction.
+
+        ``sums`` is ``edge_sums(u)`` when the caller already holds it.
+        """
+        s = self.edge_sums(u) if sums is None else sums
         first = ((s @ w) * s).sum(axis=1)
         second = np.asarray(self.b2.T @ ((u @ w) * u).sum(axis=1)).ravel()
         return 0.5 * (first - second)
+
+
+def inter_edge_arrays(s: InterEdgeSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(node in a, node in b, weight) of every stored inter-edge, as flat arrays."""
+    rows = np.array([i for i, _, _ in s.edges], dtype=int)
+    cols = np.array([j for _, j, _ in s.edges], dtype=int)
+    vals = np.array([w for _, _, w in s.edges], dtype=float)
+    return rows, cols, vals
+
+
+def cross_rates(
+    ua: np.ndarray, ub: np.ndarray, w_cross: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """Rates u_i w_cross u_j of the node pairs (rows[k], cols[k])."""
+    return ((ua[rows] @ w_cross) * ub[cols]).sum(axis=1)
 
 
 def pairwise_outer(u: np.ndarray) -> np.ndarray:
@@ -226,17 +239,22 @@ def surrogate_objective(
     state: LatentState,
     consts: Sequence[LayerConstants],
     incidences: Optional[Sequence[ThetaIncidence]] = None,
+    inter_arrays: Optional[Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]] = None,
 ) -> float:
     """Approximated log-likelihood at the closed-form variational optimum.
 
     Per layer: -c_l * (global pairwise interaction sum) plus the weighted
     log-rates of observed hyperedges.  Per layer pair: minus the total
     cross rate over all node pairs (a column-sum contraction) plus the
-    weighted log-rates of observed inter-edges.  Raises
-    DegenerateStateError when an observed interaction has zero rate.
+    weighted log-rates of observed inter-edges.  ``incidences`` and
+    ``inter_arrays`` (one ``inter_edge_arrays`` triple per inter-edge set)
+    are built from the data when omitted.  Raises DegenerateStateError when
+    an observed interaction has zero rate.
     """
     if incidences is None:
         incidences = [ThetaIncidence(layer, table) for layer, table in zip(mh.layers, tables)]
+    if inter_arrays is None:
+        inter_arrays = [inter_edge_arrays(s) for s in mh.inter_edges]
     total = 0.0
     for l, layer in enumerate(mh.layers):
         u, w = state.u[l], state.w[l]
@@ -247,16 +265,17 @@ def surrogate_objective(
         if np.any(rates[observed] <= 0):
             raise DegenerateStateError(f"zero rate on observed hyperedge in layer {l}")
         total += float(weights[observed] @ np.log(rates[observed]))
-    for s in mh.inter_edges:
+    for s, (rows, cols, vals) in zip(mh.inter_edges, inter_arrays):
         ua, ub = state.u[s.layer_a], state.u[s.layer_b]
         w_cross = state.w_cross[(s.layer_a, s.layer_b)]
         total -= float(ua.sum(axis=0) @ w_cross @ ub.sum(axis=0))
-        for i, j, weight in s.edges:
-            rate = float(ua[i] @ w_cross @ ub[j])
-            if rate <= 0:
-                raise DegenerateStateError(
-                    f"zero rate on observed inter-edge ({i}, {j}) of pair "
-                    f"({s.layer_a}, {s.layer_b})"
-                )
-            total += weight * np.log(rate)
+        rates = cross_rates(ua, ub, w_cross, rows, cols)
+        zero = np.flatnonzero(rates <= 0)
+        if zero.size:
+            k = zero[0]
+            raise DegenerateStateError(
+                f"zero rate on observed inter-edge ({rows[k]}, {cols[k]}) of pair "
+                f"({s.layer_a}, {s.layer_b})"
+            )
+        total += float(vals @ np.log(rates))
     return total

@@ -125,7 +125,7 @@ def test_em_objective_monotone_on_random_instances():
     for trial in range(20):
         mh = random_multi(rng, with_inter=(trial % 2 == 0))
         k = (int(rng.integers(1, 5)), int(rng.integers(1, 5)))
-        engine = EMEngine(mh, negative_seed=trial)
+        engine = EMEngine(mh)
         state = initialize(mh, InferenceConfig(k_per_layer=k), restart_seed=trial)
         prev = engine.objective(state)
         for _ in range(6):
@@ -143,7 +143,7 @@ def complete_pairwise(n):
 
 def complete_consts(n):
     m = n * (n - 1) // 2
-    return LayerConstants(negatives=(), q_pairs=m, m_count=m, c_l=2.0)
+    return LayerConstants(q_pairs=m, m_count=m, c_l=2.0)
 
 
 def test_analytic_fixed_points_survive_a_sweep():
@@ -187,7 +187,7 @@ def test_analytic_fixed_points_survive_a_sweep():
 def test_scalar_updates_match_hand_values():
     """Single-edge layouts whose updates land on 3/8, 1/4 and 1/6 exactly."""
     tiny = MultiHypergraph((HypergraphLayer(3, (make_hyperedge([0, 1]),)),))
-    engine = EMEngine(tiny, negative_seed=0)
+    engine = EMEngine(tiny)
     state = LatentState((np.ones((3, 1)),), (np.array([[1.0]]),), {})
     assert np.allclose(engine.updated_u(state, 0).ravel(), [0.375, 0.375, 0.0], atol=1e-12)
     assert engine.updated_w(state, 0)[0, 0] == pytest.approx(0.25, abs=1e-12)
@@ -195,7 +195,7 @@ def test_scalar_updates_match_hand_values():
     la = HypergraphLayer(2, (make_hyperedge([0, 1]),))
     lb = HypergraphLayer(3, (make_hyperedge([0, 1, 2]),))
     mh = MultiHypergraph((la, lb), (InterEdgeSet(0, 1, ((0, 0, 1.0),)),))
-    dummy = LayerConstants(negatives=(), q_pairs=1, m_count=1, c_l=1.0)
+    dummy = LayerConstants(q_pairs=1, m_count=1, c_l=1.0)
     engine = EMEngine(mh, consts=(dummy, dummy))
     for start in (0.3, 1.0, 5.0):
         state = LatentState(

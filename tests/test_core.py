@@ -119,6 +119,14 @@ def test_parse_hyperedge_file_errors(tmp_path):
         parse_hyperedge_file(str(p))
 
 
+def test_parse_hyperedge_file_rejects_non_positive_weights(tmp_path):
+    p = tmp_path / "zero.txt"
+    for line in ("0 1 2", "0.0 0 1", "-1 0 1"):
+        p.write_text(f"1.0 0 1\n{line}\n")
+        with pytest.raises(ValueError, match="zero.txt:2: hyperedge weight must be positive"):
+            parse_hyperedge_file(str(p))
+
+
 def test_parse_inter_edge_file_normalizes_layer_order(tmp_path):
     p = tmp_path / "inter.txt"
     p.write_text("1 0 4 5 2.0\n0 1 5 4 1.0\n")

@@ -59,7 +59,7 @@ def complete_consts(n):
     is m * (1/m + 2/(n(n-1))) = 2 exactly.
     """
     m = n * (n - 1) // 2
-    return LayerConstants(negatives=(), q_pairs=m, m_count=m, c_l=2.0)
+    return LayerConstants(q_pairs=m, m_count=m, c_l=2.0)
 
 
 # -- initialization ----------------------------------------------------------
@@ -143,7 +143,7 @@ def test_e_step_pair_example():
 
 def test_updated_u_scalar_example():
     mh = MultiHypergraph((tiny_layer(),))
-    engine = EMEngine(mh, negative_seed=0)
+    engine = EMEngine(mh)
     assert engine.consts[0].c_l == pytest.approx(4.0 / 3.0)
     state = LatentState((np.ones((3, 1)),), (np.array([[1.0]]),), {})
     new_u = engine.updated_u(state, 0)
@@ -152,7 +152,7 @@ def test_updated_u_scalar_example():
 
 def test_updated_w_scalar_example():
     mh = MultiHypergraph((tiny_layer(),))
-    engine = EMEngine(mh, negative_seed=0)
+    engine = EMEngine(mh)
     state = LatentState((np.ones((3, 1)),), (np.array([[1.0]]),), {})
     new_w = engine.updated_w(state, 0)
     assert new_w[0, 0] == pytest.approx(0.25, abs=1e-12)
@@ -165,7 +165,7 @@ def test_updated_w_cross_scalar_example():
     lb = HypergraphLayer(3, (make_hyperedge([0, 1, 2]),))
     inter = InterEdgeSet(0, 1, ((0, 0, 1.0),))
     mh = MultiHypergraph((la, lb), (inter,))
-    dummy = LayerConstants(negatives=(), q_pairs=1, m_count=1, c_l=1.0)
+    dummy = LayerConstants(q_pairs=1, m_count=1, c_l=1.0)
     engine = EMEngine(mh, consts=(dummy, dummy))
     for start in (0.3, 1.0, 5.0):
         state = LatentState(
@@ -187,7 +187,7 @@ def test_guarded_ratio():
 
 def test_zero_membership_row_is_absorbing():
     mh = MultiHypergraph((tiny_layer(),))
-    engine = EMEngine(mh, negative_seed=0)
+    engine = EMEngine(mh)
     u = np.array([[1.0], [1.0], [0.0]])
     state = LatentState((u,), (np.array([[1.0]]),), {})
     for _ in range(3):
@@ -203,7 +203,7 @@ def test_sweep_monotone_objective():
     for trial in range(6):
         mh = random_multi(rng, with_inter=(trial % 2 == 0))
         cfg = InferenceConfig(k_per_layer=(2, 2))
-        engine = EMEngine(mh, negative_seed=trial)
+        engine = EMEngine(mh)
         state = initialize(mh, cfg, restart_seed=trial)
         prev = engine.objective(state)
         for _ in range(30):
@@ -217,7 +217,7 @@ def test_sweep_preserves_validity():
     rng = np.random.default_rng(4)
     mh = random_multi(rng)
     cfg = InferenceConfig(k_per_layer=(3, 2))
-    engine = EMEngine(mh, negative_seed=1)
+    engine = EMEngine(mh)
     state = initialize(mh, cfg, restart_seed=0)
     for _ in range(5):
         state = engine.sweep(state)
@@ -282,7 +282,7 @@ def test_uncoupled_layers_decouple():
     rng = np.random.default_rng(5)
     mh = random_multi(rng, with_inter=False)
     cfg = InferenceConfig(k_per_layer=(2, 3))
-    joint = EMEngine(mh, negative_seed=2)
+    joint = EMEngine(mh)
     state = initialize(mh, cfg, restart_seed=9)
     singles = [
         EMEngine(MultiHypergraph((mh.layers[l],)), tables=(joint.tables[l],),
@@ -309,7 +309,7 @@ def test_sweep_node_permutation_equivariance():
     cfg = InferenceConfig(k_per_layer=(2,))
     mh_a = MultiHypergraph((base,))
     mh_b = MultiHypergraph((relabeled,))
-    engine_a = EMEngine(mh_a, negative_seed=3)
+    engine_a = EMEngine(mh_a)
     engine_b = EMEngine(mh_b, consts=(engine_a.consts[0],))  # constants are size-only
     state_a = initialize(mh_a, cfg, restart_seed=1)
     u_b = np.empty_like(state_a.u[0])
@@ -352,7 +352,7 @@ def test_fit_picks_best_restart():
     mh = random_multi(np.random.default_rng(9))
     cfg = InferenceConfig(k_per_layer=(2, 2), restarts=3, max_iters=20)
     result = fit(mh, cfg)
-    engine = EMEngine(mh, negative_seed=cfg.seed)
+    engine = EMEngine(mh)
     finals = [_run_restart(engine, mh, cfg, r)[1][-1][1] for r in range(3)]
     assert result.best_restart == int(np.argmax(finals))
     assert result.final_objective == pytest.approx(max(finals), rel=1e-12)
@@ -403,6 +403,16 @@ def test_fit_validates_config_and_data():
     empty = MultiHypergraph((HypergraphLayer(4, ()),))
     with pytest.raises(ValueError, match="no hyperedges"):
         fit(empty, InferenceConfig(k_per_layer=(1,)))
+
+
+def test_fit_on_complete_pairwise_layer():
+    # all 10 pairs of 5 nodes are observed, so no unobserved hyperedge exists;
+    # the penalty constant is closed-form and the fit needs none
+    mh = MultiHypergraph((complete_pairwise(5),))
+    result = fit(mh, InferenceConfig(k_per_layer=(2,), restarts=2, max_iters=20))
+    assert np.isfinite(result.final_objective)
+    result.state.validate()
+    assert EMEngine(mh).consts[0].c_l == pytest.approx(2.0, abs=1e-15)
 
 
 def test_assortative_fit_keeps_off_diagonal_zero():

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperblock.core import HypergraphLayer, make_hyperedge
 from hyperblock.internal_degree import (
+    _BLOCK_EDGES,
     SubHyperedgeCounter,
     compute_theta,
     count_sub_hyperedges,
@@ -84,6 +87,50 @@ def test_theta_sums_to_size():
         for eid, e in enumerate(layer.hyperedges):
             assert abs(table.for_edge(eid).sum() - e.size) < 1e-12
             assert np.all(table.for_edge(eid) > 0)
+
+
+def assert_table_matches_counter(layer):
+    """theta_table against the per-edge containment loop, value for value."""
+    table = theta_table(layer)
+    counter = SubHyperedgeCounter(layer)
+    assert table.offsets.size == layer.num_hyperedges + 1
+    for eid, e in enumerate(layer.hyperedges):
+        span = slice(table.offsets[eid], table.offsets[eid + 1])
+        assert tuple(table.nodes[span].tolist()) == e.nodes
+        theta = counter.theta(e.nodes)
+        assert np.array_equal(table.for_edge(eid), np.array([theta[n] for n in e.nodes]))
+
+
+@st.composite
+def layers(draw):
+    n = draw(st.integers(2, 10))
+    node_sets = draw(st.lists(
+        st.sets(st.integers(0, n - 1), min_size=2, max_size=min(8, n)), max_size=30
+    ))
+    return HypergraphLayer.from_hyperedges(n, [make_hyperedge(s) for s in node_sets])
+
+
+@settings(max_examples=200, deadline=None)
+@given(layers())
+def test_theta_table_matches_counter(layer):
+    assert_table_matches_counter(layer)
+
+
+def test_theta_table_empty_layer():
+    table = theta_table(HypergraphLayer(4, ()))
+    assert table.offsets.tolist() == [0]
+    assert table.nodes.size == table.values.size == 0
+
+
+def test_theta_table_across_blocks():
+    # windows of 2-4 consecutive nodes plus skip pairs: every window edge
+    # contains later-sorted edges, some of them in the next block
+    n = 1200
+    edges = [make_hyperedge(range(i, i + s)) for i in range(n - 3) for s in (2, 3, 4)]
+    edges += [make_hyperedge([i, i + 2]) for i in range(n - 2)]
+    layer = HypergraphLayer.from_hyperedges(n, edges)
+    assert layer.num_hyperedges > _BLOCK_EDGES
+    assert_table_matches_counter(layer)
 
 
 def test_entropy_values():

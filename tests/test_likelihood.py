@@ -135,14 +135,14 @@ def test_sample_negatives_tiny_space():
 
 def test_layer_constants_values():
     layer = HypergraphLayer(3, (make_hyperedge([0, 1]),))
-    consts = layer_constants(layer, sample_negatives(layer, seed=0))
+    consts = layer_constants(layer)
     assert consts.q_pairs == 1
     assert consts.m_count == 1
     assert consts.c_l == pytest.approx(4.0 / 3.0, abs=1e-15)
 
     # one size-6 hyperedge on 7 nodes: q = 15, c = 1/15 + 2/42 = 4/35
     big = HypergraphLayer(7, (make_hyperedge(range(6)),))
-    consts = layer_constants(big, sample_negatives(big, seed=1))
+    consts = layer_constants(big)
     assert consts.q_pairs == 15
     assert consts.c_l == pytest.approx(4.0 / 35.0, abs=1e-15)
 
@@ -154,21 +154,15 @@ def test_layer_constants_ignore_weights_and_allow_override():
     layer2 = HypergraphLayer.from_hyperedges(
         6, [make_hyperedge([0, 1], 2.0), make_hyperedge([2, 3, 4], 2.0)]
     )
-    negs = sample_negatives(layer1, seed=3)
-    assert layer_constants(layer1, negs).c_l == layer_constants(layer2, negs).c_l
-    doubled = layer_constants(layer1, negs, m_override=4)
-    assert doubled.c_l == pytest.approx(2 * layer_constants(layer1, negs).c_l)
+    assert layer_constants(layer1).c_l == layer_constants(layer2).c_l
+    doubled = layer_constants(layer1, m_override=4)
+    assert doubled.c_l == pytest.approx(2 * layer_constants(layer1).c_l)
 
 
 def test_layer_constants_validation():
-    layer = HypergraphLayer.from_hyperedges(6, [make_hyperedge([0, 1])])
-    with pytest.raises(ValueError, match="size multiset"):
-        layer_constants(layer, [make_hyperedge([0, 2, 3], 0.0)])
-    with pytest.raises(ValueError, match="observed"):
-        layer_constants(layer, [make_hyperedge([0, 1], 0.0)])
     empty = HypergraphLayer(4, ())
     with pytest.raises(ValueError, match="no hyperedges"):
-        layer_constants(empty, [])
+        layer_constants(empty)
 
 
 def test_latent_state_validation():
@@ -240,7 +234,7 @@ def scalar_objective(mh, state, consts):
 def test_surrogate_scalar_example():
     layer = HypergraphLayer(3, (make_hyperedge([0, 1]),))
     mh = MultiHypergraph((layer,))
-    consts = (layer_constants(layer, sample_negatives(layer, seed=0)),)
+    consts = (layer_constants(layer),)
     state = LatentState((np.ones((3, 1)),), (np.array([[1.0]]),), {})
     value = surrogate_objective(mh, (theta_table(layer),), state, consts)
     assert value == pytest.approx(-4.0, abs=1e-12)
@@ -267,7 +261,7 @@ def test_surrogate_matches_scalar_oracle():
         inter = InterEdgeSet(0, 1, tuple(sorted((i, j, 1.0) for i, j in pairs)))
         mh = MultiHypergraph((la, lb), (inter,))
         consts = tuple(
-            layer_constants(layer, sample_negatives(layer, seed=2)) for layer in mh.layers
+            layer_constants(layer) for layer in mh.layers
         )
         w1 = rng.random((k1, k1))
         w2 = rng.random((k2, k2))
@@ -285,7 +279,7 @@ def test_surrogate_matches_scalar_oracle():
 def test_surrogate_degenerate_state_errors():
     layer = HypergraphLayer(3, (make_hyperedge([0, 1]),))
     mh = MultiHypergraph((layer,))
-    consts = (layer_constants(layer, sample_negatives(layer, seed=0)),)
+    consts = (layer_constants(layer),)
     state = LatentState((np.zeros((3, 1)),), (np.array([[1.0]]),), {})
     with pytest.raises(DegenerateStateError):
         surrogate_objective(mh, (theta_table(layer),), state, consts)
