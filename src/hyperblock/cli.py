@@ -113,8 +113,6 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
-    # serial by default: threaded restarts measured slower than serial ones
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--verbose", "-v", action="count", default=0)
     p.add_argument("--out", "--out-dir", dest="out", required=True,
                    help="output directory (created if missing)")
@@ -128,7 +126,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _cmd_fit(args) -> int:
     mh, k_per_layer = load_manifest(args.manifest)
     cfg = _inference_config(args, k_per_layer)
-    result = fit(mh, cfg, threads=args.threads)
+    result = fit(mh, cfg)
     for it, obj in result.objective_trace:
         log.info("iteration %d objective %.10g", it, obj)
     out = args.out
@@ -153,8 +151,7 @@ def _cmd_fit(args) -> int:
     )
     _write_run_manifest(
         out, "fit",
-        {"manifest": os.path.abspath(args.manifest), "threads": args.threads,
-         **_config_params(cfg)},
+        {"manifest": os.path.abspath(args.manifest), **_config_params(cfg)},
     )
     return 0
 
@@ -202,8 +199,7 @@ def _cmd_predict_hyperedges(args) -> int:
     cfg = _inference_config(args, k_per_layer)
     max_sizes = range(2, args.max_size + 1) if args.max_size else None
     report = hyperedge_prediction_cv(
-        mh, cfg, folds=args.folds, seed=args.seed, max_sizes=max_sizes,
-        threads=args.threads,
+        mh, cfg, folds=args.folds, seed=args.seed, max_sizes=max_sizes
     )
     out = args.out
     os.makedirs(out, exist_ok=True)
@@ -220,7 +216,7 @@ def _cmd_predict_hyperedges(args) -> int:
     _write_run_manifest(
         out, "predict-hyperedges",
         {"manifest": os.path.abspath(args.manifest), "folds": args.folds,
-         "max_size": args.max_size, "threads": args.threads, **_config_params(cfg)},
+         "max_size": args.max_size, **_config_params(cfg)},
     )
     return 0
 
@@ -234,8 +230,7 @@ def _cmd_predict_interedges(args) -> int:
     reports = []
     for r in ratios:
         reports.append(inter_edge_prediction(
-            mh, cfg, removal_ratio=r, repeats=args.repeats, seed=args.seed,
-            threads=args.threads,
+            mh, cfg, removal_ratio=r, repeats=args.repeats, seed=args.seed
         ))
     with open(os.path.join(out, "sweep.csv"), "w", encoding="utf-8") as fh:
         fh.write("removal_ratio,auc_mean,auc_sd\n")
@@ -248,7 +243,7 @@ def _cmd_predict_interedges(args) -> int:
     _write_run_manifest(
         out, "predict-interedges",
         {"manifest": os.path.abspath(args.manifest), "removal_ratio": ratios,
-         "repeats": args.repeats, "threads": args.threads, **_config_params(cfg)},
+         "repeats": args.repeats, **_config_params(cfg)},
     )
     return 0
 

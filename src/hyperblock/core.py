@@ -40,7 +40,7 @@ class Hyperedge:
     """A weighted node set of size >= 2 within one layer.
 
     ``nodes`` is strictly increasing; ``weight`` is the (count-like)
-    observation weight, zero only for sampled negative hyperedges.
+    observation weight, always positive: every stored hyperedge is observed.
     """
 
     nodes: tuple[int, ...]
@@ -51,8 +51,8 @@ class Hyperedge:
             raise ValueError(f"hyperedge needs at least 2 nodes, got {self.nodes}")
         if any(b <= a for a, b in zip(self.nodes, self.nodes[1:])):
             raise ValueError(f"hyperedge nodes must be strictly increasing, got {self.nodes}")
-        if not (self.weight >= 0.0) or not np.isfinite(self.weight):
-            raise ValueError(f"hyperedge weight must be finite and >= 0, got {self.weight}")
+        if not (self.weight > 0.0) or not np.isfinite(self.weight):
+            raise ValueError(f"hyperedge weight must be finite and > 0, got {self.weight}")
 
     @property
     def size(self) -> int:

@@ -9,7 +9,6 @@ of inter-layer edges.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
@@ -245,7 +244,6 @@ def hyperedge_prediction_cv(
     folds: int = 5,
     seed: int = 0,
     max_sizes: Optional[Sequence[int]] = None,
-    threads: int = 1,
 ) -> HyperedgePredictionReport:
     """Held-out hyperedge AUC with one model fit per fold.
 
@@ -275,7 +273,8 @@ def hyperedge_prediction_cv(
 
     full_sets = [set(layer.node_sets()) for layer in mh.layers]
 
-    def run_fold(f: int):
+    fold_scores = []
+    for f in range(folds):
         train_layers = []
         test_edges = []
         for l, layer in enumerate(mh.layers):
@@ -302,15 +301,9 @@ def hyperedge_prediction_cv(
             counter = SubHyperedgeCounter(layer)
             u, w = result.state.u[l], result.state.w[l]
             pos = [(e.size, score_hyperedge(e, counter, u, w)) for e in positives]
-            neg = [(e.size, score_hyperedge(e, counter, u, w)) for e in negatives]
+            neg = [(len(e), score_hyperedge(e, counter, u, w)) for e in negatives]
             layer_scores.append((pos, neg))
-        return layer_scores
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            fold_scores = list(pool.map(run_fold, range(folds)))
-    else:
-        fold_scores = [run_fold(f) for f in range(folds)]
+        fold_scores.append(layer_scores)
 
     num_layers = mh.num_layers
     fold_auc = [[float("nan")] * folds for _ in range(num_layers)]
@@ -398,7 +391,6 @@ def inter_edge_prediction(
     removal_ratio: float = 0.0,
     repeats: int = 5,
     seed: int = 0,
-    threads: int = 1,
 ) -> InterEdgePredictionReport:
     """Held-out inter-layer edge AUC after removing a fraction of them.
 
@@ -422,7 +414,8 @@ def inter_edge_prediction(
         (s.layer_a, s.layer_b): {(i, j) for i, j, _ in s.edges} for s in mh.inter_edges
     }
 
-    def run_repeat(rep: int) -> float:
+    values = []
+    for rep in range(repeats):
         reduced = remove_inter_edges(mh, removal_ratio, seed=[seed, 307, rep])
         rng = np.random.default_rng([seed, 401, rep])
         train_sets = []
@@ -444,7 +437,7 @@ def inter_edge_prediction(
         train_mh = MultiHypergraph(mh.layers, tuple(train_sets))
         result = fit(train_mh, replace(cfg, seed=cfg.seed + rep))
         per_set = []
-        for (la, lb), test in [((a, b), t) for a, b, t in test_sets]:
+        for la, lb, test in test_sets:
             ua, ub = result.state.u[la], result.state.u[lb]
             w = result.state.w_cross[(la, lb)]
             pos = [lambda_ij(ua[i], ub[j], w) for i, j, _ in test]
@@ -454,13 +447,7 @@ def inter_edge_prediction(
             )
             neg = [lambda_ij(ua[i], ub[j], w) for i, j in negatives]
             per_set.append(auc(pos, neg))
-        return float(np.mean(per_set))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(run_repeat, range(repeats)))
-    else:
-        values = [run_repeat(rep) for rep in range(repeats)]
+        values.append(float(np.mean(per_set)))
     mean, sd = _mean_sd(values)
     return InterEdgePredictionReport(
         auc_per_repeat=tuple(values),
@@ -478,7 +465,6 @@ def select_k(
     k_grid: Sequence[int],
     folds: int = 5,
     seed: int = 0,
-    threads: int = 1,
 ):
     """Repeat hyperedge CV over a grid of community counts; best mean AUC wins.
 
@@ -489,8 +475,6 @@ def select_k(
     reports = {}
     for k in k_grid:
         cfg = replace(base_cfg, k_per_layer=[int(k)] * mh.num_layers)
-        reports[int(k)] = hyperedge_prediction_cv(
-            mh, cfg, folds=folds, seed=seed, threads=threads
-        )
+        reports[int(k)] = hyperedge_prediction_cv(mh, cfg, folds=folds, seed=seed)
     best = max(reports, key=lambda k: reports[k].auc_mean)
     return best, reports

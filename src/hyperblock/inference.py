@@ -10,8 +10,7 @@ highest final objective wins.
 from __future__ import annotations
 
 import copy
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -24,6 +23,7 @@ from .likelihood import (
     LatentState,
     LayerConstants,
     ThetaIncidence,
+    _factored_rate,
     cross_rates,
     inter_edge_arrays,
     layer_constants,
@@ -140,11 +140,7 @@ def e_step_hyperedge(e, theta, u: np.ndarray, w: np.ndarray):
     symmetrized community-pair marginal summing to 1).
     """
     nodes = e.nodes if isinstance(e, Hyperedge) else tuple(e)
-    from .likelihood import _theta_vector
-
-    x = _theta_vector(nodes, theta)[:, None] * u[list(nodes), :]
-    s = x.sum(axis=0)
-    lam = 0.5 * (s @ w @ s - ((x @ w) * x).sum())
+    x, s, lam = _factored_rate(nodes, theta, u, w)
     if lam <= 0:
         raise DegenerateStateError(f"zero rate for hyperedge {nodes}")
     p_node = x * ((s - x) @ w) / lam
@@ -172,8 +168,7 @@ def _guarded_ratio(num: np.ndarray, den: np.ndarray, what: str) -> np.ndarray:
 def _with_data(template: sparse.csr_matrix, data: np.ndarray) -> sparse.csr_matrix:
     """A matrix sharing the template's sparsity structure, holding ``data``.
 
-    A shallow copy: the index arrays are shared and never written, so
-    concurrent restarts may refresh the same template.
+    A shallow copy: the index arrays are shared and never written.
     """
     out = copy.copy(template)
     out.data = data
@@ -226,16 +221,13 @@ class EMEngine:
     # -- rate evaluation -----------------------------------------------------
 
     def _edge_multipliers(self, state: LatentState, l: int):
-        """(A_e / rate_e, per-edge membership sums) for observed hyperedges."""
+        """(A_e / rate_e, per-edge membership sums) for the layer's hyperedges."""
         inc = self.incidences[l]
         s = inc.edge_sums(state.u[l])
         rates = inc.edge_rates(state.u[l], state.w[l], sums=s)
-        weights = inc.weights
-        if np.any((weights > 0) & (rates <= 0)):
+        if np.any(rates <= 0):
             raise DegenerateStateError(f"zero rate on observed hyperedge in layer {l}")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mult = np.where(weights > 0, weights / rates, 0.0)
-        return mult, s
+        return inc.weights / rates, s
 
     def _cross_ratio(self, state: LatentState, idx: int) -> sparse.csr_matrix:
         """Sparse S_ij / rate_ij over the stored inter-edges of one pair."""
@@ -360,7 +352,7 @@ def _run_restart(engine: EMEngine, mh: MultiHypergraph, cfg: InferenceConfig, re
     return state, tuple(trace), converged
 
 
-def fit(mh: MultiHypergraph, cfg: InferenceConfig, threads: int = 1) -> FitResult:
+def fit(mh: MultiHypergraph, cfg: InferenceConfig) -> FitResult:
     """Multi-restart EM fit; returns the restart with the best final objective.
 
     Node contributions and the closed-form penalty constants are computed
@@ -373,27 +365,14 @@ def fit(mh: MultiHypergraph, cfg: InferenceConfig, threads: int = 1) -> FitResul
         if layer.num_hyperedges == 0:
             raise ValueError(f"layer {l} has no hyperedges")
     engine = EMEngine(mh, m_override=cfg.m_override)
-
-    def run(restart: int):
-        try:
-            return _run_restart(engine, mh, cfg, restart)
-        except (DegenerateStateError, NonFiniteUpdateError):
-            return None
-
-    if threads > 1 and cfg.restarts > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, range(cfg.restarts)))
-    else:
-        outcomes = [run(r) for r in range(cfg.restarts)]
-
     best = None
-    for r, outcome in enumerate(outcomes):
-        if outcome is None:
+    for restart in range(cfg.restarts):
+        try:
+            state, trace, converged = _run_restart(engine, mh, cfg, restart)
+        except (DegenerateStateError, NonFiniteUpdateError):
             continue
-        _, trace, _ = outcome
-        if best is None or trace[-1][1] > outcomes[best][1][-1][1]:
-            best = r
+        if best is None or trace[-1][1] > best.final_objective:
+            best = FitResult(state, trace, restart, converged)
     if best is None:
         raise FitFailureError("all restarts degenerate")
-    state, trace, converged = outcomes[best]
-    return FitResult(state=state, objective_trace=trace, best_restart=best, converged=converged)
+    return best

@@ -46,9 +46,6 @@ class SubHyperedgeCounter:
             for node in e.nodes:
                 self._incident[node].append(eid)
 
-    def incident_ids(self, node: int) -> list[int]:
-        return self._incident[node]
-
     def counts(self, nodes: tuple[int, ...]) -> dict[int, int]:
         """Containment count for every node of the query set (0 allowed)."""
         node_set = set(nodes)

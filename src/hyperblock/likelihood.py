@@ -95,18 +95,23 @@ def _theta_vector(nodes: Sequence[int], theta) -> np.ndarray:
     return arr
 
 
-def lambda_e(e: Union[Hyperedge, Sequence[int]], theta, u: np.ndarray, w: np.ndarray) -> float:
-    """Hyperedge rate: sum over node pairs of the contribution-weighted
+def _factored_rate(nodes: tuple[int, ...], theta, u: np.ndarray, w: np.ndarray):
+    """(x, s, rate) of one node set via the factored contraction.
 
-    bilinear form.  Computed through the factored contraction
-    0.5 * (s w s^T - sum_i x_i w x_i^T) with x_i the contribution-scaled
-    membership row and s their sum; valid because w is symmetric.
+    x_i is the contribution-scaled membership row of node i, s their sum,
+    and rate = 0.5 * (s w s^T - sum_i x_i w x_i^T); valid because w is
+    symmetric.
     """
-    nodes = e.nodes if isinstance(e, Hyperedge) else tuple(e)
     x = _theta_vector(nodes, theta)[:, None] * u[list(nodes), :]
     s = x.sum(axis=0)
-    self_terms = ((x @ w) * x).sum()
-    return float(0.5 * (s @ w @ s - self_terms))
+    return x, s, 0.5 * (s @ w @ s - ((x @ w) * x).sum())
+
+
+def lambda_e(e: Union[Hyperedge, Sequence[int]], theta, u: np.ndarray, w: np.ndarray) -> float:
+    """Hyperedge rate: sum over node pairs of the contribution-weighted
+    bilinear form, computed by ``_factored_rate``."""
+    nodes = e.nodes if isinstance(e, Hyperedge) else tuple(e)
+    return float(_factored_rate(nodes, theta, u, w)[2])
 
 
 def lambda_ij(u_i: np.ndarray, u_j: np.ndarray, w_cross: np.ndarray) -> float:
@@ -126,10 +131,10 @@ def sample_negatives(
     sizes: Optional[Sequence[int]] = None,
     forbidden: Optional[set[tuple[int, ...]]] = None,
     max_attempts: int = 1000,
-) -> list[Hyperedge]:
-    """Sample unobserved hyperedges matching the observed size multiset.
+) -> list[tuple[int, ...]]:
+    """Sample unobserved node sets matching the observed size multiset.
 
-    One zero-weight hyperedge per requested size, drawn uniformly over node
+    One sorted node tuple per requested size, drawn uniformly over node
     sets and rejected while observed (or in ``forbidden``) or already drawn.
     Deterministic given the seed.
     """
@@ -146,7 +151,7 @@ def sample_negatives(
             candidate = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
             if candidate not in taken:
                 taken.add(candidate)
-                negatives.append(Hyperedge(candidate, 0.0))
+                negatives.append(candidate)
                 break
         else:
             raise ValueError(
@@ -260,11 +265,9 @@ def surrogate_objective(
         u, w = state.u[l], state.w[l]
         total -= consts[l].c_l * pairwise_interaction_sum(u, w)
         rates = incidences[l].edge_rates(u, w)
-        weights = incidences[l].weights
-        observed = weights > 0
-        if np.any(rates[observed] <= 0):
+        if np.any(rates <= 0):
             raise DegenerateStateError(f"zero rate on observed hyperedge in layer {l}")
-        total += float(weights[observed] @ np.log(rates[observed]))
+        total += float(incidences[l].weights @ np.log(rates))
     for s, (rows, cols, vals) in zip(mh.inter_edges, inter_arrays):
         ua, ub = state.u[s.layer_a], state.u[s.layer_b]
         w_cross = state.w_cross[(s.layer_a, s.layer_b)]

@@ -37,7 +37,7 @@ def pipeline(tmp_path_factory):
     rc = main([
         "fit", "--manifest", os.path.join(synth_dir, "manifest.cfg"),
         "--restarts", "10", "--max-iters", "200", "--seed", "0",
-        "--threads", "1", "--out", fit_dir,
+        "--out", fit_dir,
     ])
     assert rc == 0
     return str(root), synth_dir, fit_dir
@@ -79,7 +79,7 @@ def test_fit_rerun_is_byte_identical(pipeline, tmp_path):
     rc = main([
         "fit", "--manifest", os.path.join(synth_dir, "manifest.cfg"),
         "--restarts", "10", "--max-iters", "200", "--seed", "0",
-        "--threads", "1", "--out", again,
+        "--out", again,
     ])
     assert rc == 0
     for name in ("u_layer0.csv", "u_layer1.csv", "w_layer0.csv", "w_cross_0_1.csv",
@@ -131,7 +131,7 @@ def test_predict_hyperedges_cli(pipeline, tmp_path):
     rc = main([
         "predict-hyperedges", "--manifest", os.path.join(synth_dir, "manifest.cfg"),
         "--folds", "2", "--restarts", "2", "--max-iters", "60", "--seed", "0",
-        "--threads", "1", "--out", out,
+        "--out", out,
     ])
     assert rc == 0
     summary = read_json(os.path.join(out, "summary.json"))
@@ -151,7 +151,7 @@ def test_predict_interedges_cli(pipeline, tmp_path):
     rc = main([
         "predict-interedges", "--manifest", os.path.join(synth_dir, "manifest.cfg"),
         "--removal-ratio", "0.0,0.3", "--repeats", "1", "--restarts", "2",
-        "--max-iters", "60", "--seed", "0", "--threads", "1", "--out", out,
+        "--max-iters", "60", "--seed", "0", "--out", out,
     ])
     assert rc == 0
     summary = read_json(os.path.join(out, "summary.json"))
@@ -216,6 +216,9 @@ def test_cli_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["synth", "--preset", "bogus", "--out", "d"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--manifest", "x.cfg", "--threads", "2", "--out", "d"])
+    assert exc.value.code == 2
     capsys.readouterr()
 
 
@@ -246,7 +249,7 @@ def test_assortative_single_community_warns(pipeline, tmp_path, caplog):
         rc = main([
             "fit", "--manifest", os.path.join(synth_dir, "manifest.cfg"),
             "--k", "1", "--assortative", "--restarts", "1", "--max-iters", "20",
-            "--threads", "1", "--out", out,
+            "--out", out,
         ])
     assert rc == 0
     assert any("K=1" in rec.message for rec in caplog.records)

@@ -40,6 +40,10 @@ def test_hyperedge_rejects_bad_input():
         make_hyperedge([1, 2], float("nan"))
     with pytest.raises(ValueError):
         Hyperedge((2, 1), 1.0)
+    with pytest.raises(ValueError):
+        make_hyperedge([1, 2], 0.0)
+    with pytest.raises(ValueError):
+        Hyperedge((0, 1), 0.0)
 
 
 def test_layer_requires_canonical_order():

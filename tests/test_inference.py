@@ -337,17 +337,6 @@ def test_fit_deterministic():
     assert a.best_restart == b.best_restart
 
 
-def test_fit_threads_match_serial():
-    mh = random_multi(np.random.default_rng(8))
-    cfg = InferenceConfig(k_per_layer=(2, 2), restarts=3, max_iters=20)
-    serial = fit(mh, cfg, threads=1)
-    threaded = fit(mh, cfg, threads=3)
-    assert serial.best_restart == threaded.best_restart
-    for l in range(2):
-        assert np.array_equal(serial.state.u[l], threaded.state.u[l])
-    assert serial.objective_trace == threaded.objective_trace
-
-
 def test_fit_picks_best_restart():
     mh = random_multi(np.random.default_rng(9))
     cfg = InferenceConfig(k_per_layer=(2, 2), restarts=3, max_iters=20)
@@ -386,6 +375,35 @@ def test_fit_all_restarts_degenerate(monkeypatch):
     mh = MultiHypergraph((tiny_layer(),))
     with pytest.raises(FitFailureError):
         fit(mh, InferenceConfig(k_per_layer=(1,), restarts=2, max_iters=5))
+
+
+def test_fit_skips_one_degenerate_restart(monkeypatch):
+    import hyperblock.inference as inf
+
+    real_initialize = inf.initialize
+
+    def second_dead(mh, cfg, restart_seed):
+        state = real_initialize(mh, cfg, restart_seed)
+        if restart_seed != cfg.seed + 1:
+            return state
+        return LatentState(tuple(np.zeros_like(u) for u in state.u), state.w, state.w_cross)
+
+    monkeypatch.setattr(inf, "initialize", second_dead)
+    # on this instance restart 1 would win undropped; restart 2 wins without it
+    mh = random_multi(np.random.default_rng(6))
+    cfg = InferenceConfig(k_per_layer=(2, 2), restarts=4, max_iters=20)
+    engine = EMEngine(mh)
+    with pytest.raises(DegenerateStateError):
+        _run_restart(engine, mh, cfg, 1)
+    survivors = {r: _run_restart(engine, mh, cfg, r) for r in (0, 2, 3)}
+    best = max(survivors, key=lambda r: survivors[r][1][-1][1])
+    result = fit(mh, cfg)
+    assert result.best_restart == best == 2
+    state, trace, converged = survivors[best]
+    assert result.objective_trace == trace
+    assert result.converged == converged
+    for l in range(2):
+        assert np.array_equal(result.state.u[l], state.u[l])
 
 
 def test_fit_validates_config_and_data():
