@@ -45,6 +45,7 @@ from .inference import (
     FitResult,
     InferenceConfig,
     NonFiniteUpdateError,
+    RestartOutcome,
     e_step_hyperedge,
     e_step_pair,
     fit,
@@ -99,6 +100,7 @@ __all__ = [
     "surrogate_objective",
     "InferenceConfig",
     "FitResult",
+    "RestartOutcome",
     "EMEngine",
     "FitFailureError",
     "NonFiniteUpdateError",

@@ -10,6 +10,7 @@ configuration next to its outputs so it can be reproduced exactly.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -147,6 +148,7 @@ def _cmd_fit(args) -> int:
             "best_restart": result.best_restart,
             "converged": result.converged,
             "iterations": result.iterations,
+            "restarts": [dataclasses.asdict(outcome) for outcome in result.restarts],
         },
     )
     _write_run_manifest(

@@ -102,11 +102,16 @@ class HypergraphLayer:
         edges: Iterable[Hyperedge],
         ground_truth: Optional[Mapping[int, int]] = None,
     ) -> "HypergraphLayer":
-        """Merge duplicate node sets by weight summation and canonicalize order."""
-        merged: dict[tuple[int, ...], float] = {}
+        """Merge duplicate node sets by weight summation and canonicalize order.
+
+        A node set that occurs once keeps its Hyperedge object; only merged
+        duplicates are built anew.
+        """
+        merged: dict[tuple[int, ...], Hyperedge] = {}
         for e in edges:
-            merged[e.nodes] = merged.get(e.nodes, 0.0) + e.weight
-        canon = tuple(Hyperedge(nodes, w) for nodes, w in sorted(merged.items()))
+            prior = merged.get(e.nodes)
+            merged[e.nodes] = e if prior is None else Hyperedge(e.nodes, prior.weight + e.weight)
+        canon = tuple(merged[nodes] for nodes in sorted(merged))
         return cls(num_nodes, canon, ground_truth)
 
     @property

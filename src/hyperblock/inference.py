@@ -4,13 +4,17 @@ Each sweep recomputes the closed-form variational marginals, then applies
 the multiplicative stationarity updates family by family: memberships u for
 every layer, then within-layer affinities w, then cross-layer affinities.
 Multiple random restarts guard against local optima; the restart with the
-highest final objective wins.
+highest final objective wins.  Restarts advance together: the engine's
+methods take a state stacked along a leading restart axis, so one sweep
+updates every live restart of a batch.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+import functools
+import logging
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -24,6 +28,8 @@ from .likelihood import (
     LayerConstants,
     ThetaIncidence,
     _factored_rate,
+    _failing_restarts,
+    _per_restart_product,
     cross_rates,
     inter_edge_arrays,
     layer_constants,
@@ -35,6 +41,7 @@ from .likelihood import (
 __all__ = [
     "InferenceConfig",
     "FitResult",
+    "RestartOutcome",
     "NonFiniteUpdateError",
     "FitFailureError",
     "EMEngine",
@@ -44,9 +51,25 @@ __all__ = [
     "fit",
 ]
 
+log = logging.getLogger("hyperblock")
+
+# A batch stacks as many restarts as keep R * sum_l (n_l + m_l) * K_l, the
+# entries of the per-restart u and edge-sum arrays, at most this large.
+# Below it a sweep is per-call overhead that stacking shares; above it the
+# sweep is compute-bound and stacking only adds memory.
+_BATCH_ENTRIES = 1 << 17
+
 
 class NonFiniteUpdateError(RuntimeError):
-    """A multiplicative update hit a zero denominator with positive numerator."""
+    """A multiplicative update hit a zero denominator with positive numerator.
+
+    ``restarts`` holds the positions, along the restart axis of a stacked
+    state, of every restart that failed the check.
+    """
+
+    def __init__(self, message: str, restarts: Sequence[int] = ()):
+        super().__init__(message)
+        self.restarts = tuple(int(r) for r in restarts)
 
 
 class FitFailureError(RuntimeError):
@@ -82,13 +105,33 @@ class InferenceConfig:
 
 
 @dataclass(frozen=True)
+class RestartOutcome:
+    """How one restart of a fit ended.
+
+    ``sweeps`` counts the sweeps it completed.  A restart that ran to the
+    end has its last traced objective as ``final_objective``; a dropped one
+    has None there and the error class that removed it as ``dropped``.
+    """
+
+    seed: int
+    final_objective: Optional[float]
+    sweeps: int
+    converged: bool
+    dropped: Optional[str] = None
+
+
+@dataclass(frozen=True)
 class FitResult:
-    """Converged latent state plus the objective trace of the winning restart."""
+    """Converged latent state plus the objective trace of the winning restart.
+
+    ``restarts`` holds one outcome per restart, in restart order.
+    """
 
     state: LatentState
     objective_trace: tuple[tuple[int, float], ...]
     best_restart: int
     converged: bool
+    restarts: tuple[RestartOutcome, ...]
 
     @property
     def final_objective(self) -> float:
@@ -158,8 +201,12 @@ def e_step_pair(u_i: np.ndarray, u_j: np.ndarray, w_cross: np.ndarray) -> np.nda
 
 
 def _guarded_ratio(num: np.ndarray, den: np.ndarray, what: str) -> np.ndarray:
-    if np.any((num > 0) & (den <= 0)):
-        raise NonFiniteUpdateError(f"zero denominator with positive numerator in {what}")
+    """num / den where num > 0, else 0; the leading axis indexes restarts."""
+    bad = (num > 0) & (den <= 0)
+    if bad.any():
+        raise NonFiniteUpdateError(
+            f"zero denominator with positive numerator in {what}", _failing_restarts(bad)
+        )
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(num > 0, num / den, 0.0)
     return out
@@ -175,13 +222,53 @@ def _with_data(template: sparse.csr_matrix, data: np.ndarray) -> sparse.csr_matr
     return out
 
 
+def _block_pattern(template: sparse.csr_matrix, copies: int) -> sparse.csr_matrix:
+    """Block-diagonal CSR holding ``copies`` copies of the template's pattern.
+
+    Rows keep the template's entry order, so a product with it sums each
+    row exactly as the template would.
+    """
+    nnz = template.nnz
+    shift = np.arange(copies)[:, None]
+    indptr = np.append((template.indptr[:-1] + nnz * shift).ravel(), copies * nnz)
+    indices = (template.indices + template.shape[1] * shift).ravel()
+    shape = (copies * template.shape[0], copies * template.shape[1])
+    return sparse.csr_matrix((np.zeros(copies * nnz), indices, indptr), shape=shape)
+
+
+def _block_product(mat: sparse.spmatrix, x: np.ndarray) -> np.ndarray:
+    """Block-diagonal ``mat`` applied to x of shape (R, n, k): (R, n', k)."""
+    return np.asarray(mat @ x.reshape(-1, x.shape[-1])).reshape(x.shape[0], -1, x.shape[-1])
+
+
+def _single_or_stacked(method):
+    """Let an engine method on stacked states also take one restart's state.
+
+    That state runs as a stack of one and the result is unstacked.
+    """
+
+    @functools.wraps(method)
+    def wrapper(self, state, *args, **kwargs):
+        if state.stacked:
+            return method(self, state, *args, **kwargs)
+        out = method(self, LatentState.stack([state]), *args, **kwargs)
+        return out.take(0) if isinstance(out, LatentState) else out[0]
+
+    return wrapper
+
+
 class EMEngine:
     """Vectorized sweep machinery bound to one multi-hypergraph.
 
     Precomputes, once and from the data alone, the per-layer
     contribution-weighted incidences, the closed-form penalty constants and
     the sparsity structure of every cross-ratio matrix; all restarts share
-    them.  Update methods are pure functions of the passed-in state.
+    them.  Update methods are pure functions of the passed-in state, which
+    is one restart's or a stack of R restarts (see ``LatentState``): a
+    stack advances as a whole, with each sparse product run once for all
+    restarts, and every restart gets bit for bit the values it would get
+    alone.  Products whose values differ per restart use R diagonal copies
+    of the frozen pattern, built once per R.
     """
 
     def __init__(
@@ -217,6 +304,17 @@ class EMEngine:
             self._cross_patterns.append(sparse.csr_matrix((vals, cols, indptr), shape=shape))
             self._touching[s.layer_a].append((idx, False))
             self._touching[s.layer_b].append((idx, True))
+        self._block_patterns: dict[tuple, sparse.csr_matrix] = {}
+
+    def _stacked_matrix(self, key, template: sparse.csr_matrix, data: np.ndarray):
+        """The template's pattern once per restart, holding ``data`` of shape (R, nnz)."""
+        copies = data.shape[0]
+        if copies == 1:
+            return _with_data(template, data[0])
+        pattern = self._block_patterns.get((key, copies))
+        if pattern is None:
+            pattern = self._block_patterns[(key, copies)] = _block_pattern(template, copies)
+        return _with_data(pattern, data.ravel())
 
     # -- rate evaluation -----------------------------------------------------
 
@@ -225,24 +323,30 @@ class EMEngine:
         inc = self.incidences[l]
         s = inc.edge_sums(state.u[l])
         rates = inc.edge_rates(state.u[l], state.w[l], sums=s)
-        if np.any(rates <= 0):
-            raise DegenerateStateError(f"zero rate on observed hyperedge in layer {l}")
+        zero = rates <= 0
+        if zero.any():
+            raise DegenerateStateError(
+                f"zero rate on observed hyperedge in layer {l}", _failing_restarts(zero)
+            )
         return inc.weights / rates, s
 
     def _cross_ratio(self, state: LatentState, idx: int) -> sparse.csr_matrix:
-        """Sparse S_ij / rate_ij over the stored inter-edges of one pair."""
+        """Sparse S_ij / rate_ij over the stored inter-edges of one pair, per restart."""
         s = self.mh.inter_edges[idx]
         rows, cols, vals = self._cross_arrays[idx]
         ua, ub = state.u[s.layer_a], state.u[s.layer_b]
         rates = cross_rates(ua, ub, state.w_cross[(s.layer_a, s.layer_b)], rows, cols)
-        if np.any(rates <= 0):
+        zero = rates <= 0
+        if zero.any():
             raise DegenerateStateError(
-                f"zero rate on observed inter-edge of pair ({s.layer_a}, {s.layer_b})"
+                f"zero rate on observed inter-edge of pair ({s.layer_a}, {s.layer_b})",
+                _failing_restarts(zero),
             )
-        return _with_data(self._cross_patterns[idx], vals / rates)
+        return self._stacked_matrix(("cross", idx), self._cross_patterns[idx], vals / rates)
 
     # -- update rules --------------------------------------------------------
 
+    @_single_or_stacked
     def updated_u(
         self,
         state: LatentState,
@@ -258,13 +362,13 @@ class EMEngine:
         mult, edge_sums = self._edge_multipliers(state, l)
         inc = self.incidences[l]
 
-        weighted = _with_data(inc.b, inc.b.data * mult[inc.b.indices])
-        first = np.asarray(weighted @ edge_sums)
-        second = (inc.b2 @ mult)[:, None] * u
+        weighted = self._stacked_matrix(("b", l), inc.b, inc.b.data * mult[:, inc.b.indices])
+        first = _block_product(weighted, edge_sums)
+        second = _per_restart_product(inc.b2, mult, 1)[..., None] * u
         num = u * ((first - second) @ w)
 
-        col_sums = u.sum(axis=0)
-        den = self.consts[l].c_l * ((col_sums @ w)[None, :] - u @ w)
+        col_sums = u.sum(axis=-2)
+        den = self.consts[l].c_l * ((col_sums[:, None, :] @ w) - u @ w)
 
         for idx, transposed in self._touching[l]:
             s = self.mh.inter_edges[idx]
@@ -272,27 +376,29 @@ class EMEngine:
             w_c = state.w_cross[(s.layer_a, s.layer_b)]
             if not transposed:
                 other = state.u[s.layer_b]
-                num += u * np.asarray(ratio @ (other @ w_c.T))
-                den = den + (w_c @ other.sum(axis=0))[None, :]
+                num += u * _block_product(ratio, other @ np.swapaxes(w_c, -1, -2))
+                den = den + (w_c @ other.sum(axis=-2)[:, :, None])[:, None, :, 0]
             else:
                 other = state.u[s.layer_a]
-                num += u * np.asarray(ratio.T @ (other @ w_c))
-                den = den + (other.sum(axis=0) @ w_c)[None, :]
+                num += u * _block_product(ratio.T, other @ w_c)
+                den = den + other.sum(axis=-2)[:, None, :] @ w_c
         return _guarded_ratio(num, den, f"u update of layer {l}")
 
+    @_single_or_stacked
     def updated_w(self, state: LatentState, l: int) -> np.ndarray:
         u, w = state.u[l], state.w[l]
         mult, edge_sums = self._edge_multipliers(state, l)
         inc = self.incidences[l]
 
-        first = edge_sums.T @ (edge_sums * mult[:, None])
-        per_node = inc.b2 @ mult
-        second = u.T @ (u * per_node[:, None])
+        first = np.swapaxes(edge_sums, -1, -2) @ (edge_sums * mult[..., None])
+        per_node = _per_restart_product(inc.b2, mult, 1)
+        second = np.swapaxes(u, -1, -2) @ (u * per_node[..., None])
         num = 0.5 * w * (first - second)
         den = self.consts[l].c_l * pairwise_outer(u)
         out = _guarded_ratio(num, den, f"w update of layer {l}")
-        return 0.5 * (out + out.T)
+        return 0.5 * (out + np.swapaxes(out, -1, -2))
 
+    @_single_or_stacked
     def updated_w_cross(self, state: LatentState, pair: tuple[int, int]) -> np.ndarray:
         idx = next(
             i for i, s in enumerate(self.mh.inter_edges) if (s.layer_a, s.layer_b) == pair
@@ -301,12 +407,13 @@ class EMEngine:
         ua, ub = state.u[s.layer_a], state.u[s.layer_b]
         w = state.w_cross[pair]
         ratio = self._cross_ratio(state, idx)
-        num = w * np.asarray(ua.T @ (ratio @ ub))
-        den = np.outer(ua.sum(axis=0), ub.sum(axis=0))
+        num = w * (np.swapaxes(ua, -1, -2) @ _block_product(ratio, ub))
+        den = ua.sum(axis=-2)[:, :, None] * ub.sum(axis=-2)[:, None, :]
         return _guarded_ratio(num, den, f"cross update of pair {pair}")
 
     # -- sweeps and objective ------------------------------------------------
 
+    @_single_or_stacked
     def sweep(self, state: LatentState) -> LatentState:
         """One EM sweep: u for all layers, then w, then cross affinities.
 
@@ -325,31 +432,106 @@ class EMEngine:
         }
         return LatentState(state.u, state.w, new_cross)
 
-    def objective(self, state: LatentState) -> float:
+    def objective(self, state: LatentState):
+        """Surrogate objective: a float for one restart, one value per restart
+        for a stack."""
         return surrogate_objective(
             self.mh, self.tables, state, self.consts, incidences=self.incidences,
             inter_arrays=self._cross_arrays,
         )
 
 
-def _run_restart(engine: EMEngine, mh: MultiHypergraph, cfg: InferenceConfig, restart: int):
-    state = initialize(mh, cfg, cfg.seed + restart)
-    trace = [(0, engine.objective(state))]
-    prev = trace[0][1]
-    below = 0
-    converged = False
-    for it in range(1, cfg.max_iters + 1):
-        state = engine.sweep(state)
-        if it % cfg.check_every == 0 or it == cfg.max_iters:
-            obj = engine.objective(state)
-            trace.append((it, obj))
-            rel = abs(obj - prev) / max(abs(prev), 1e-300)
-            below = below + 1 if rel < cfg.tol else 0
-            prev = obj
-            if below >= 2:
-                converged = True
+@dataclass
+class _Run:
+    """Progress of one restart: its trace so far and how it ended."""
+
+    restart: int
+    trace: list = field(default_factory=list)
+    sweeps: int = 0
+    below: int = 0
+    state: Optional[LatentState] = None
+    converged: bool = False
+    error: Optional[Exception] = None
+
+
+class _Batch:
+    """Live restarts advancing as one stacked state."""
+
+    def __init__(self, runs: list[_Run], stack: LatentState):
+        self.live = runs
+        self.stack = stack
+
+    def keep(self, positions: list[int]) -> None:
+        self.stack = self.stack.take(positions)
+        self.live = [self.live[i] for i in positions]
+
+    def call(self, method):
+        """``method(stack)``, or None once no restart is live.  A restart the
+        call fails on records the error and leaves the stack; the call is
+        repeated for the others, whose values are unchanged because
+        restarts never mix."""
+        while self.live:
+            try:
+                return method(self.stack)
+            except (DegenerateStateError, NonFiniteUpdateError) as exc:
+                if not exc.restarts:
+                    raise
+                for i in exc.restarts:
+                    self.live[i].error = exc
+                self.keep([i for i in range(len(self.live)) if i not in exc.restarts])
+        return None
+
+
+def _run_batch(engine: EMEngine, mh: MultiHypergraph, cfg: InferenceConfig, restarts):
+    """Run the given restarts together, sweep by sweep; one ``_Run`` each.
+
+    Sweep 0 is the initial state.  Convergence checks fall on the same
+    sweeps for every restart; a restart that converges leaves the stack
+    with its final state.
+    """
+    runs = [_Run(r) for r in restarts]
+    batch = _Batch(
+        list(runs), LatentState.stack([initialize(mh, cfg, cfg.seed + r) for r in restarts])
+    )
+    for it in range(cfg.max_iters + 1):
+        if it > 0:
+            swept = batch.call(engine.sweep)
+            if not batch.live:
                 break
-    return state, tuple(trace), converged
+            batch.stack = swept
+            for run in batch.live:
+                run.sweeps = it
+            if it % cfg.check_every and it != cfg.max_iters:
+                continue
+        objs = batch.call(engine.objective)
+        if not batch.live:
+            break
+        going = []
+        for i, (run, obj) in enumerate(zip(batch.live, objs.tolist())):
+            if run.trace:
+                prev = run.trace[-1][1]
+                rel = abs(obj - prev) / max(abs(prev), 1e-300)
+                run.below = run.below + 1 if rel < cfg.tol else 0
+            run.trace.append((it, obj))
+            if run.below >= 2:
+                run.converged = True
+                run.state = batch.stack.take(i).copy()
+            else:
+                going.append(i)
+        if len(going) < len(batch.live):
+            batch.keep(going)
+    for i, run in enumerate(batch.live):
+        run.state = batch.stack.take(i).copy()
+    return runs
+
+
+def _run_restart(engine: EMEngine, mh: MultiHypergraph, cfg: InferenceConfig, restart: int):
+    """One restart alone: (state, trace, converged); raises the error that
+    would drop it from a fit."""
+    (run,) = _run_batch(engine, mh, cfg, [restart])
+    if run.error is not None:
+        raise run.error
+    return run.state, tuple(run.trace), run.converged
 
 
 def fit(mh: MultiHypergraph, cfg: InferenceConfig) -> FitResult:
@@ -357,22 +539,43 @@ def fit(mh: MultiHypergraph, cfg: InferenceConfig) -> FitResult:
 
     Node contributions and the closed-form penalty constants are computed
     once from the data (no unobserved hyperedges are sampled); restart r
-    then initializes from ``cfg.seed + r``.  Restarts that collapse to a
-    degenerate state are dropped; if all do, FitFailureError is raised.
+    then initializes from ``cfg.seed + r``.  Restarts run in batches that
+    advance as one stacked state, one sweep for all of them: a batch holds
+    as many restarts as keep R * sum_l (n_l + m_l) * K_l within
+    ``_BATCH_ENTRIES``, so small instances run every restart together and
+    large ones one at a time.  Results are bit for bit those of running
+    each restart alone.  Restarts that collapse to a degenerate state are
+    dropped with a warning on the ``hyperblock`` logger; if all do,
+    FitFailureError is raised.  The first restart with the strictly highest
+    final objective wins.
     """
     cfg.validate(mh.num_layers)
     for l, layer in enumerate(mh.layers):
         if layer.num_hyperedges == 0:
             raise ValueError(f"layer {l} has no hyperedges")
     engine = EMEngine(mh, m_override=cfg.m_override)
+    per_restart = sum(
+        (layer.num_nodes + layer.num_hyperedges) * k
+        for layer, k in zip(mh.layers, cfg.k_per_layer)
+    )
+    size = max(1, _BATCH_ENTRIES // per_restart)
     best = None
-    for restart in range(cfg.restarts):
-        try:
-            state, trace, converged = _run_restart(engine, mh, cfg, restart)
-        except (DegenerateStateError, NonFiniteUpdateError):
-            continue
-        if best is None or trace[-1][1] > best.final_objective:
-            best = FitResult(state, trace, restart, converged)
+    outcomes = []
+    for start in range(0, cfg.restarts, size):
+        for run in _run_batch(engine, mh, cfg, range(start, min(start + size, cfg.restarts))):
+            seed = cfg.seed + run.restart
+            if run.error is not None:
+                log.warning(
+                    "restart %d (seed %d) dropped after %d sweeps: %s: %s",
+                    run.restart, seed, run.sweeps, type(run.error).__name__, run.error,
+                )
+                outcomes.append(RestartOutcome(
+                    seed, None, run.sweeps, False, type(run.error).__name__
+                ))
+                continue
+            outcomes.append(RestartOutcome(seed, run.trace[-1][1], run.sweeps, run.converged))
+            if best is None or run.trace[-1][1] > best.trace[-1][1]:
+                best = run
     if best is None:
         raise FitFailureError("all restarts degenerate")
-    return best
+    return FitResult(best.state, tuple(best.trace), best.restart, best.converged, tuple(outcomes))

@@ -42,16 +42,57 @@ W_SYMMETRY_TOL = 1e-12
 
 
 class DegenerateStateError(RuntimeError):
-    """A zero Poisson rate was assigned to an observed interaction."""
+    """A zero Poisson rate was assigned to an observed interaction.
+
+    ``restarts`` holds the positions, along the restart axis of a stacked
+    state, of every restart that failed the check.
+    """
+
+    def __init__(self, message: str, restarts: Sequence[int] = ()):
+        super().__init__(message)
+        self.restarts = tuple(int(r) for r in restarts)
+
+
+def _failing_restarts(bad: np.ndarray) -> np.ndarray:
+    """Positions along the leading (restart) axis where ``bad`` holds anywhere."""
+    return np.flatnonzero(bad.reshape(bad.shape[0], -1).any(axis=1))
 
 
 @dataclass(frozen=True)
 class LatentState:
-    """All latent variables: per-layer u and w, per-layer-pair w_cross."""
+    """All latent variables: per-layer u and w, per-layer-pair w_cross.
+
+    One restart holds u[l] of shape (n_l, K_l) and w[l] of (K_l, K_l); a
+    stacked state (see ``stack``) holds R restarts along a leading axis,
+    u[l] of shape (R, n_l, K_l) and w[l] of (R, K_l, K_l).
+    """
 
     u: tuple[np.ndarray, ...]
     w: tuple[np.ndarray, ...]
     w_cross: dict[tuple[int, int], np.ndarray]
+
+    @property
+    def stacked(self) -> bool:
+        return self.u[0].ndim == 3
+
+    @classmethod
+    def stack(cls, states: Sequence["LatentState"]) -> "LatentState":
+        """One stacked state holding the given single-restart states in order."""
+        first = states[0]
+        return cls(
+            tuple(np.stack([s.u[l] for s in states]) for l in range(len(first.u))),
+            tuple(np.stack([s.w[l] for s in states]) for l in range(len(first.w))),
+            {key: np.stack([s.w_cross[key] for s in states]) for key in first.w_cross},
+        )
+
+    def take(self, restarts) -> "LatentState":
+        """Restart(s) of a stacked state: an index gives one restart's state,
+        a list of positions a stacked state of those restarts."""
+        return LatentState(
+            tuple(m[restarts] for m in self.u),
+            tuple(m[restarts] for m in self.w),
+            {k: m[restarts] for k, m in self.w_cross.items()},
+        )
 
     def validate(self) -> None:
         for name, mats in (("u", self.u), ("w", self.w), ("w_cross", tuple(self.w_cross.values()))):
@@ -176,11 +217,28 @@ def layer_constants(layer: HypergraphLayer, m_override: Optional[int] = None) ->
     return LayerConstants(q_pairs=q, m_count=m, c_l=c_l)
 
 
+def _per_restart_product(mat: sparse.spmatrix, x: np.ndarray, core_ndim: int) -> np.ndarray:
+    """``mat @ x``, or ``mat @ x[r]`` for every r when x has a leading restart axis.
+
+    ``core_ndim`` is the rank of one restart's operand: 1 for a vector, 2
+    for a matrix.  All restarts go through one sparse product whose
+    columns are theirs side by side, so each restart gets exactly the sums
+    it would get alone.
+    """
+    if x.ndim == core_ndim:
+        return np.asarray(mat @ x)
+    moved = np.moveaxis(x, 0, -1)
+    out = np.asarray(mat @ moved.reshape(x.shape[1], -1))
+    return np.ascontiguousarray(np.moveaxis(out.reshape((-1,) + moved.shape[1:]), -1, 0))
+
+
 class ThetaIncidence:
     """Contribution-weighted sparse incidence (nodes x hyperedges) of a layer.
 
     Carries the machinery shared by rate evaluation and the EM updates:
-    ``b`` holds the per-(node, edge) contribution, ``b2`` its square.
+    ``b`` holds the per-(node, edge) contribution, ``b2`` its square, and
+    ``bt``/``b2t`` their transposes, all built once.  Rates accept one
+    restart's u, w or a stack of them along a leading axis.
     """
 
     def __init__(self, layer: HypergraphLayer, table: InternalDegreeTable):
@@ -193,11 +251,14 @@ class ThetaIncidence:
         # the table is the incidence in column-major form
         self.b = sparse.csc_matrix((table.values, table.nodes, table.offsets), shape=shape).tocsr()
         self.b2 = self.b.multiply(self.b).tocsr()
+        # transposed views, built once; their products sum each edge's nodes
+        # in ascending order
+        self.bt, self.b2t = self.b.T, self.b2.T
         self.weights = layer.weights()
 
     def edge_sums(self, u: np.ndarray) -> np.ndarray:
         """s_e = sum_{i in e} theta_ie u_i, one row per hyperedge."""
-        return np.asarray(self.b.T @ u)
+        return _per_restart_product(self.bt, u, 2)
 
     def edge_rates(
         self, u: np.ndarray, w: np.ndarray, sums: Optional[np.ndarray] = None
@@ -207,8 +268,8 @@ class ThetaIncidence:
         ``sums`` is ``edge_sums(u)`` when the caller already holds it.
         """
         s = self.edge_sums(u) if sums is None else sums
-        first = ((s @ w) * s).sum(axis=1)
-        second = np.asarray(self.b2.T @ ((u @ w) * u).sum(axis=1)).ravel()
+        first = ((s @ w) * s).sum(axis=-1)
+        second = _per_restart_product(self.b2t, ((u @ w) * u).sum(axis=-1), 1)
         return 0.5 * (first - second)
 
 
@@ -224,18 +285,26 @@ def cross_rates(
     ua: np.ndarray, ub: np.ndarray, w_cross: np.ndarray, rows: np.ndarray, cols: np.ndarray
 ) -> np.ndarray:
     """Rates u_i w_cross u_j of the node pairs (rows[k], cols[k])."""
-    return ((ua[rows] @ w_cross) * ub[cols]).sum(axis=1)
+    return ((ua[..., rows, :] @ w_cross) * ub[..., cols, :]).sum(axis=-1)
 
 
 def pairwise_outer(u: np.ndarray) -> np.ndarray:
-    """Symmetrized sum of u_i (x) u_j over all unordered node pairs."""
-    s = u.sum(axis=0)
-    return 0.5 * (np.outer(s, s) - u.T @ u)
+    """Symmetrized sum of u_i (x) u_j over all unordered node pairs (per
+    restart when u has a leading restart axis)."""
+    s = u.sum(axis=-2)
+    return 0.5 * (s[..., :, None] * s[..., None, :] - np.swapaxes(u, -1, -2) @ u)
 
 
-def pairwise_interaction_sum(u: np.ndarray, w: np.ndarray) -> float:
-    """sum_{i<j} u_i w u_j^T over all node pairs of a layer (w symmetric)."""
-    return float(np.sum(w * pairwise_outer(u)))
+def pairwise_interaction_sum(u: np.ndarray, w: np.ndarray):
+    """sum_{i<j} u_i w u_j^T over all node pairs of a layer (w symmetric);
+    one value per restart for stacked u, w."""
+    return np.sum(w * pairwise_outer(u), axis=(-2, -1))
+
+
+def _dot_last(a: np.ndarray, v: np.ndarray):
+    """a @ v as one dot product per restart row of a (a matrix-vector
+    product would sum in another order)."""
+    return (a[..., None, :] @ v[:, None])[..., 0, 0]
 
 
 def surrogate_objective(
@@ -245,7 +314,7 @@ def surrogate_objective(
     consts: Sequence[LayerConstants],
     incidences: Optional[Sequence[ThetaIncidence]] = None,
     inter_arrays: Optional[Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]] = None,
-) -> float:
+):
     """Approximated log-likelihood at the closed-form variational optimum.
 
     Per layer: -c_l * (global pairwise interaction sum) plus the weighted
@@ -253,32 +322,45 @@ def surrogate_objective(
     cross rate over all node pairs (a column-sum contraction) plus the
     weighted log-rates of observed inter-edges.  ``incidences`` and
     ``inter_arrays`` (one ``inter_edge_arrays`` triple per inter-edge set)
-    are built from the data when omitted.  Raises DegenerateStateError when
-    an observed interaction has zero rate.
+    are built from the data when omitted.  Returns a float for one
+    restart's state and one value per restart for a stacked state.
+    Raises DegenerateStateError, naming the failing restarts, when an
+    observed interaction has zero rate.
     """
+    if not state.stacked:
+        return float(
+            surrogate_objective(
+                mh, tables, LatentState.stack([state]), consts, incidences, inter_arrays
+            )[0]
+        )
     if incidences is None:
         incidences = [ThetaIncidence(layer, table) for layer, table in zip(mh.layers, tables)]
     if inter_arrays is None:
         inter_arrays = [inter_edge_arrays(s) for s in mh.inter_edges]
-    total = 0.0
+    total = np.zeros(state.u[0].shape[0])
     for l, layer in enumerate(mh.layers):
         u, w = state.u[l], state.w[l]
         total -= consts[l].c_l * pairwise_interaction_sum(u, w)
         rates = incidences[l].edge_rates(u, w)
-        if np.any(rates <= 0):
-            raise DegenerateStateError(f"zero rate on observed hyperedge in layer {l}")
-        total += float(incidences[l].weights @ np.log(rates))
+        zero = rates <= 0
+        if zero.any():
+            raise DegenerateStateError(
+                f"zero rate on observed hyperedge in layer {l}", _failing_restarts(zero)
+            )
+        total += _dot_last(np.log(rates), incidences[l].weights)
     for s, (rows, cols, vals) in zip(mh.inter_edges, inter_arrays):
         ua, ub = state.u[s.layer_a], state.u[s.layer_b]
         w_cross = state.w_cross[(s.layer_a, s.layer_b)]
-        total -= float(ua.sum(axis=0) @ w_cross @ ub.sum(axis=0))
+        total -= (ua.sum(axis=-2)[:, None, :] @ w_cross @ ub.sum(axis=-2)[:, :, None])[:, 0, 0]
         rates = cross_rates(ua, ub, w_cross, rows, cols)
-        zero = np.flatnonzero(rates <= 0)
-        if zero.size:
-            k = zero[0]
+        zero = rates <= 0
+        if zero.any():
+            failing = _failing_restarts(zero)
+            k = np.flatnonzero(zero[failing[0]])[0]
             raise DegenerateStateError(
                 f"zero rate on observed inter-edge ({rows[k]}, {cols[k]}) of pair "
-                f"({s.layer_a}, {s.layer_b})"
+                f"({s.layer_a}, {s.layer_b})",
+                failing,
             )
-        total += float(vals @ np.log(rates))
+        total += _dot_last(np.log(rates), vals)
     return total

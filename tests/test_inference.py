@@ -1,9 +1,12 @@
 """EM engine: initialization, marginals, update rules, sweeps and fit."""
 
+import logging
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyperblock.core import HypergraphLayer, InterEdgeSet, MultiHypergraph, make_hyperedge
 from hyperblock.inference import (
@@ -11,6 +14,7 @@ from hyperblock.inference import (
     FitFailureError,
     InferenceConfig,
     NonFiniteUpdateError,
+    RestartOutcome,
     _guarded_ratio,
     _run_restart,
     e_step_hyperedge,
@@ -377,7 +381,7 @@ def test_fit_all_restarts_degenerate(monkeypatch):
         fit(mh, InferenceConfig(k_per_layer=(1,), restarts=2, max_iters=5))
 
 
-def test_fit_skips_one_degenerate_restart(monkeypatch):
+def test_fit_skips_one_degenerate_restart(monkeypatch, caplog):
     import hyperblock.inference as inf
 
     real_initialize = inf.initialize
@@ -397,13 +401,112 @@ def test_fit_skips_one_degenerate_restart(monkeypatch):
         _run_restart(engine, mh, cfg, 1)
     survivors = {r: _run_restart(engine, mh, cfg, r) for r in (0, 2, 3)}
     best = max(survivors, key=lambda r: survivors[r][1][-1][1])
-    result = fit(mh, cfg)
+    with caplog.at_level(logging.WARNING, logger="hyperblock"):
+        result = fit(mh, cfg)
     assert result.best_restart == best == 2
     state, trace, converged = survivors[best]
     assert result.objective_trace == trace
     assert result.converged == converged
     for l in range(2):
         assert np.array_equal(result.state.u[l], state.u[l])
+    assert result.restarts[1] == RestartOutcome(
+        seed=cfg.seed + 1, final_objective=None, sweeps=0, converged=False,
+        dropped="DegenerateStateError",
+    )
+    for r, (_, trace, converged) in survivors.items():
+        assert result.restarts[r] == RestartOutcome(
+            seed=cfg.seed + r, final_objective=trace[-1][1], sweeps=trace[-1][0],
+            converged=converged, dropped=None,
+        )
+    dropped = [rec for rec in caplog.records if rec.name == "hyperblock"]
+    assert len(dropped) == 1
+    assert dropped[0].levelno == logging.WARNING
+    assert "restart 1 " in dropped[0].getMessage()
+
+
+def fit_both_ways(mh, cfg):
+    """fit with one restart per batch and with every restart in one batch."""
+    import hyperblock.inference as inf
+
+    results = []
+    for entries in (1, 10**12):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inf, "_BATCH_ENTRIES", entries)
+            try:
+                results.append(fit(mh, cfg))
+            except FitFailureError as exc:
+                results.append(exc)
+    return results
+
+
+def assert_same_fit(a, b):
+    assert a.objective_trace == b.objective_trace
+    assert (a.best_restart, a.converged, a.restarts) == (b.best_restart, b.converged, b.restarts)
+    for name in ("u", "w"):
+        for x, y in zip(getattr(a.state, name), getattr(b.state, name)):
+            assert x.tobytes() == y.tobytes()
+    assert a.state.w_cross.keys() == b.state.w_cross.keys()
+    for key in a.state.w_cross:
+        assert a.state.w_cross[key].tobytes() == b.state.w_cross[key].tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    instance=st.integers(0, 2**32 - 1),
+    num_layers=st.integers(1, 3),
+    with_inter=st.booleans(),
+    k=st.lists(st.integers(1, 3), min_size=3, max_size=3),
+    restarts=st.integers(1, 5),
+    dead=st.sets(st.integers(0, 4), max_size=2),
+    tol=st.sampled_from([1e-2, 1e-4, 1e-7]),
+    check_every=st.integers(1, 5),
+    assortative=st.booleans(),
+)
+@example(instance=12, num_layers=2, with_inter=True, k=[2, 3, 1], restarts=4, dead={1},
+         tol=1e-3, check_every=2, assortative=False)
+def test_fit_batches_match_one_restart_at_a_time(
+    instance, num_layers, with_inter, k, restarts, dead, tol, check_every, assortative
+):
+    # restarts in ``dead`` start all-zero and are dropped by the first check
+    import hyperblock.inference as inf
+
+    mh = random_multi(np.random.default_rng(instance), num_layers, with_inter)
+    cfg = InferenceConfig(
+        k_per_layer=k[:num_layers], restarts=restarts, max_iters=40, tol=tol,
+        check_every=check_every, assortative=assortative, seed=instance % 1000,
+    )
+
+    def some_dead(mh, cfg, restart_seed):
+        state = real_initialize(mh, cfg, restart_seed)
+        if restart_seed - cfg.seed not in dead:
+            return state
+        return LatentState(tuple(np.zeros_like(u) for u in state.u), state.w, state.w_cross)
+
+    real_initialize = inf.initialize
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inf, "initialize", some_dead)
+        one, together = fit_both_ways(mh, cfg)
+    if isinstance(one, FitFailureError):
+        assert isinstance(together, FitFailureError)
+        assert set(range(restarts)) <= dead
+        return
+    assert_same_fit(one, together)
+    assert [r.dropped is not None for r in one.restarts] == [
+        r in dead for r in range(restarts)
+    ]
+
+
+def test_fit_batch_keeps_restarts_that_converge_early():
+    # a loose tolerance: restarts converge at different sweeps and leave the
+    # stack one by one, while the rest keep sweeping
+    mh = random_multi(np.random.default_rng(12))
+    cfg = InferenceConfig(k_per_layer=(2, 3), restarts=4, max_iters=60, tol=1e-3,
+                          check_every=2)
+    one, together = fit_both_ways(mh, cfg)
+    assert_same_fit(one, together)
+    sweeps = [r.sweeps for r in together.restarts]
+    assert any(r.converged for r in together.restarts)
+    assert len(set(sweeps)) > 1
 
 
 def test_fit_validates_config_and_data():
