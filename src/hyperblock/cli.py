@@ -292,8 +292,8 @@ def _cmd_synth(args) -> int:
         source = parse_hyperedge_file(args.source, num_nodes=args.nodes or None)
         if not args.truth:
             raise ValueError("--truth is required for the views preset")
-        truth = parse_ground_truth_file(args.truth)
-        source = HypergraphLayer(source.num_nodes, source.hyperedges, truth)
+        truth = parse_ground_truth_file(args.truth, num_nodes=source.num_nodes)
+        source = source.with_ground_truth(truth)
         counts = _parse_int_list(args.inter_edges)
         cfg = SynthConfig(
             sample_fraction=args.sample_fraction,

@@ -3,13 +3,16 @@
 A multi-hypergraph is a list of hypergraph layers (each a node set plus
 weighted hyperedges) joined by sparse weighted edges between the node sets
 of layer pairs.  Node ids are layer-local 0-based integers; cross-layer
-identity exists only through the inter-edge sets.
+identity exists only through the inter-edge sets.  Layers and inter-edge
+sets hold their edges as flat read-only arrays, the form the fit reads.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -33,6 +36,10 @@ __all__ = [
 
 # Shortest decimal that round-trips an IEEE double.
 _FLOAT_FMT = "%.17g"
+
+# Node ids and layer indices read from files stay below this bound, so that
+# they and the node counts derived from them fit in int64.
+_MAX_ID = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -58,6 +65,13 @@ class Hyperedge:
     def size(self) -> int:
         return len(self.nodes)
 
+    @classmethod
+    def _unchecked(cls, nodes: tuple[int, ...], weight: float) -> "Hyperedge":
+        """A Hyperedge from values already validated (a layer's arrays)."""
+        e = cls.__new__(cls)
+        e.__dict__.update(nodes=nodes, weight=weight)
+        return e
+
 
 def make_hyperedge(nodes: Iterable[int], weight: float = 1.0) -> Hyperedge:
     """Build a Hyperedge from unordered node ids, validating uniqueness."""
@@ -67,33 +81,160 @@ def make_hyperedge(nodes: Iterable[int], weight: float = 1.0) -> Hyperedge:
     return Hyperedge(ordered, float(weight))
 
 
-@dataclass(frozen=True)
-class HypergraphLayer:
-    """One hypergraph: ``num_nodes`` nodes and a canonical hyperedge list.
+# ---------------------------------------------------------------------------
+# Flat edge arrays: edge k owns nodes[offsets[k]:offsets[k + 1]].
+# ---------------------------------------------------------------------------
 
-    Hyperedges are stored sorted lexicographically by node tuple with no
-    duplicate node sets (use :meth:`from_hyperedges` to merge raw input).
-    ``ground_truth`` optionally maps node id to a community label.
+
+def _offsets(sizes: np.ndarray) -> np.ndarray:
+    out = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=out[1:])
+    return out
+
+
+def _take_rows(nodes: np.ndarray, offsets: np.ndarray, rows: np.ndarray):
+    """(nodes, offsets) of the given rows, in the given order."""
+    sizes = np.diff(offsets)[rows]
+    new = _offsets(sizes)
+    idx = np.repeat(offsets[:-1][rows] - new[:-1], sizes) + np.arange(new[-1])
+    return nodes[idx], new
+
+
+def _split_rows(nodes: np.ndarray, offsets: np.ndarray) -> list[tuple[int, ...]]:
+    flat, bounds = nodes.tolist(), offsets.tolist()
+    return [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _row_order(nodes: np.ndarray, offsets: np.ndarray):
+    """Stable lexicographic order of the rows as node tuples, and a flag per
+    position of that order telling whether its row equals the one before.
+
+    Rows sharing their first c nodes form a group, one contiguous run of
+    the order.  Step c sorts the rows of each group by their node at
+    column c; a row of exactly c nodes takes -1 there, so it sorts before
+    its extensions, and then leaves the sort.  Step c touches only the rows
+    of at least c nodes, so the work follows the node entries, however
+    unequal the row sizes (padding every row to the longest would not).
+    """
+    sizes = np.diff(offsets)
+    order = np.arange(sizes.size)
+    starts = np.zeros(sizes.size, dtype=bool)  # position begins a group
+    starts[:1] = True
+    pos = order.copy()  # positions of the rows still being sorted
+    for c in range(int(sizes.max(initial=0))):
+        rows = order[pos]
+        live = sizes[rows] > c
+        key = np.full(pos.size, -1, dtype=np.int64)
+        key[live] = nodes[offsets[:-1][rows[live]] + c]
+        sub = np.lexsort((key, np.cumsum(starts[pos])))
+        order[pos] = rows[sub]
+        key = key[sub]
+        starts[pos[1:]] |= key[1:] != key[:-1]
+        pos = pos[live[sub]]
+    return order, ~starts
+
+
+def _merge_sorted(order: np.ndarray, same: np.ndarray, weights: np.ndarray):
+    """(first row of each distinct key along ``order``, summed weights).
+
+    Weights of equal keys add left to right in input order, as a running
+    sum would: ``order`` is stable and ``np.add.at`` applies its updates in
+    index order.
+    """
+    ranked = weights[order]
+    first = ~same
+    merged = ranked[first]
+    dup = np.flatnonzero(same)
+    np.add.at(merged, np.cumsum(first)[dup] - 1, ranked[dup])
+    return order[first], merged
+
+
+def _first_or_none(mask: np.ndarray) -> Optional[int]:
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for arr in arrays:
+        arr.flags.writeable = False
+
+
+class _Frozen:
+    """Attributes are set once, by the constructors (``_set``)."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _set(self, **attrs) -> None:
+        self.__dict__.update(attrs)
+
+
+class HypergraphLayer(_Frozen):
+    """One hypergraph: ``num_nodes`` nodes and its weighted hyperedges.
+
+    The hyperedges are flat read-only arrays, the layout of
+    ``InternalDegreeTable``: hyperedge ``eid`` owns positions
+    ``offsets[eid]:offsets[eid + 1]`` of ``nodes`` (its node ids, strictly
+    increasing) and has weight ``weights[eid] > 0``.  Hyperedges are
+    distinct node sets sorted lexicographically; ``from_hyperedges`` and
+    ``from_arrays`` merge raw input into that form.  ``hyperedges`` is a
+    tuple of ``Hyperedge`` objects built on first access, for API callers
+    and tests; nothing on the fit path reads it.  ``ground_truth``
+    optionally maps node id to a community label.
+
+    ``HypergraphLayer(num_nodes, hyperedges, ground_truth)`` takes
+    hyperedges already in canonical order.  Layers compare by value.
     """
 
-    num_nodes: int
-    hyperedges: tuple[Hyperedge, ...]
-    ground_truth: Optional[Mapping[int, int]] = None
+    def __init__(
+        self,
+        num_nodes: int,
+        hyperedges: Iterable[Hyperedge] = (),
+        ground_truth: Optional[Mapping[int, int]] = None,
+    ):
+        hyperedges = tuple(hyperedges)
+        nodes, offsets, weights = self._edge_arrays(num_nodes, hyperedges)
+        order, same = _row_order(nodes, offsets)
+        if same.any() or np.any(order != np.arange(order.size)):
+            raise ValueError("hyperedges must be sorted lexicographically and distinct")
+        self._init(num_nodes, nodes, offsets, weights, ground_truth)
+        self.__dict__["hyperedges"] = hyperedges
 
-    def __post_init__(self):
-        if self.num_nodes <= 0:
-            raise ValueError(f"num_nodes must be positive, got {self.num_nodes}")
-        prev = None
-        for e in self.hyperedges:
-            if e.nodes[-1] >= self.num_nodes or e.nodes[0] < 0:
-                raise ValueError(f"hyperedge {e.nodes} out of range for {self.num_nodes} nodes")
-            if prev is not None and e.nodes <= prev:
-                raise ValueError("hyperedges must be sorted lexicographically and distinct")
-            prev = e.nodes
-        if self.ground_truth is not None:
-            for node in self.ground_truth:
-                if not 0 <= node < self.num_nodes:
+    @staticmethod
+    def _edge_arrays(num_nodes: int, hyperedges: Sequence[Hyperedge]):
+        if num_nodes <= 0:
+            raise ValueError(f"num_nodes must be positive, got {num_nodes}")
+        m = len(hyperedges)
+        offsets = _offsets(np.fromiter((len(e.nodes) for e in hyperedges), np.int64, m))
+        nodes = np.fromiter(
+            chain.from_iterable(e.nodes for e in hyperedges), np.int64, int(offsets[-1])
+        )
+        weights = np.fromiter((e.weight for e in hyperedges), float, m)
+        bad = _first_or_none((nodes < 0) | (nodes >= num_nodes))
+        if bad is not None:
+            e = hyperedges[int(np.searchsorted(offsets, bad, side="right")) - 1]
+            raise ValueError(f"hyperedge {e.nodes} out of range for {num_nodes} nodes")
+        return nodes, offsets, weights
+
+    def _init(self, num_nodes, nodes, offsets, weights, ground_truth) -> None:
+        if num_nodes <= 0:
+            raise ValueError(f"num_nodes must be positive, got {num_nodes}")
+        if ground_truth is not None:
+            for node in ground_truth:
+                if not 0 <= node < num_nodes:
                     raise ValueError(f"ground-truth node {node} out of range")
+        _read_only(nodes, offsets, weights)
+        self._set(
+            num_nodes=num_nodes, nodes=nodes, offsets=offsets, weights=weights,
+            ground_truth=ground_truth,
+        )
+
+    @classmethod
+    def _from_canonical(cls, num_nodes, nodes, offsets, weights, ground_truth=None):
+        """A layer from arrays already in canonical form (not re-checked)."""
+        layer = cls.__new__(cls)
+        layer._init(num_nodes, nodes, offsets, weights, ground_truth)
+        return layer
 
     @classmethod
     def from_hyperedges(
@@ -102,74 +243,229 @@ class HypergraphLayer:
         edges: Iterable[Hyperedge],
         ground_truth: Optional[Mapping[int, int]] = None,
     ) -> "HypergraphLayer":
-        """Merge duplicate node sets by weight summation and canonicalize order.
+        """Merge duplicate node sets by weight summation and canonicalize order."""
+        nodes, offsets, weights = cls._edge_arrays(num_nodes, tuple(edges))
+        return cls._canonical(num_nodes, nodes, offsets, weights, ground_truth)
 
-        A node set that occurs once keeps its Hyperedge object; only merged
-        duplicates are built anew.
+    @classmethod
+    def from_arrays(
+        cls,
+        num_nodes: int,
+        nodes: np.ndarray,
+        offsets: np.ndarray,
+        weights: np.ndarray,
+        ground_truth: Optional[Mapping[int, int]] = None,
+    ) -> "HypergraphLayer":
+        """A layer from flat hyperedge arrays in any edge order.
+
+        Node ids must be strictly increasing within each hyperedge, in
+        [0, num_nodes), at least two per hyperedge; weights finite and
+        positive.  Duplicate node sets merge by weight summation, in input
+        order.
         """
-        merged: dict[tuple[int, ...], Hyperedge] = {}
-        for e in edges:
-            prior = merged.get(e.nodes)
-            merged[e.nodes] = e if prior is None else Hyperedge(e.nodes, prior.weight + e.weight)
-        canon = tuple(merged[nodes] for nodes in sorted(merged))
-        return cls(num_nodes, canon, ground_truth)
+        nodes = np.asarray(nodes, dtype=np.int64)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        weights = np.asarray(weights, dtype=float)
+        sizes = np.diff(offsets)
+        if offsets.size == 0 or offsets[0] != 0 or offsets[-1] != nodes.size:
+            raise ValueError("offsets must run from 0 to the number of node entries")
+        if weights.shape != sizes.shape:
+            raise ValueError(f"{weights.size} weights for {sizes.size} hyperedges")
+        if np.any(sizes < 2):
+            raise ValueError("every hyperedge needs at least 2 nodes")
+        if not np.all(np.isfinite(weights) & (weights > 0)):
+            raise ValueError("hyperedge weights must be finite and > 0")
+        if nodes.size and (nodes.min() < 0 or nodes.max() >= num_nodes):
+            raise ValueError(f"node ids out of range for {num_nodes} nodes")
+        rising = nodes[1:] > nodes[:-1]
+        rising[offsets[1:-1] - 1] = True  # an edge boundary needs no order
+        if not rising.all():
+            raise ValueError("node ids must be strictly increasing within each hyperedge")
+        return cls._canonical(num_nodes, nodes, offsets, weights, ground_truth)
+
+    @classmethod
+    def _canonical(cls, num_nodes, nodes, offsets, weights, ground_truth):
+        order, same = _row_order(nodes, offsets)
+        rows, merged = _merge_sorted(order, same, weights)
+        if not np.all(np.isfinite(merged)):
+            raise ValueError("merged hyperedge weight is not finite")
+        nodes, offsets = _take_rows(nodes, offsets, rows)
+        return cls._from_canonical(num_nodes, nodes, offsets, merged, ground_truth)
+
+    def with_ground_truth(self, ground_truth: Optional[Mapping[int, int]]) -> "HypergraphLayer":
+        """The same hyperedges (shared arrays) with another ground truth."""
+        return self._from_canonical(
+            self.num_nodes, self.nodes, self.offsets, self.weights, ground_truth
+        )
+
+    def subset(self, keep: np.ndarray) -> "HypergraphLayer":
+        """The hyperedges selected by a boolean mask, with the same nodes and
+        ground truth."""
+        rows = np.flatnonzero(np.asarray(keep, dtype=bool))
+        nodes, offsets = _take_rows(self.nodes, self.offsets, rows)
+        return self._from_canonical(
+            self.num_nodes, nodes, offsets, self.weights[rows], self.ground_truth
+        )
+
+    @cached_property
+    def hyperedges(self) -> tuple[Hyperedge, ...]:
+        # the arrays were validated when the layer was built
+        return tuple(map(Hyperedge._unchecked, self.node_tuples(), self.weights.tolist()))
 
     @property
     def num_hyperedges(self) -> int:
-        return len(self.hyperedges)
+        return self.offsets.size - 1
 
     def sizes(self) -> list[int]:
-        return [e.size for e in self.hyperedges]
+        return np.diff(self.offsets).tolist()
+
+    def node_tuples(self) -> list[tuple[int, ...]]:
+        """Node ids of every hyperedge, in canonical order."""
+        return _split_rows(self.nodes, self.offsets)
 
     def node_sets(self) -> set[tuple[int, ...]]:
-        return {e.nodes for e in self.hyperedges}
+        return set(self.node_tuples())
 
-    def weights(self) -> np.ndarray:
-        return np.array([e.weight for e in self.hyperedges], dtype=float)
+    def __eq__(self, other):
+        if not isinstance(other, HypergraphLayer):
+            return NotImplemented
+        return (
+            self.num_nodes == other.num_nodes
+            and np.array_equal(self.offsets, other.offsets)
+            and np.array_equal(self.nodes, other.nodes)
+            and np.array_equal(self.weights, other.weights)
+            and self.ground_truth == other.ground_truth
+        )
+
+    __hash__ = None
+
+    def __repr__(self):
+        truth = "" if self.ground_truth is None else ", with ground truth"
+        return (
+            f"HypergraphLayer(num_nodes={self.num_nodes}, "
+            f"num_hyperedges={self.num_hyperedges}{truth})"
+        )
 
 
-@dataclass(frozen=True)
-class InterEdgeSet:
+class InterEdgeSet(_Frozen):
     """Sparse weighted edges between the node sets of two layers.
 
-    ``layer_a < layer_b``; ``edges`` holds (node in a, node in b, weight > 0)
-    sorted by node pair, with absent pairs meaning weight 0.
+    ``layer_a < layer_b``; edge k joins node ``rows[k]`` of layer a to node
+    ``cols[k]`` of layer b with weight ``weights[k] > 0``.  The three arrays
+    are read-only and sorted by node pair, with no pair twice; absent pairs
+    mean weight 0.  ``edges`` is a tuple of (i, j, weight) triples built on
+    first access, for API callers and tests.  Sets compare by value.
     """
 
-    layer_a: int
-    layer_b: int
-    edges: tuple[tuple[int, int, float], ...]
+    def __init__(self, layer_a: int, layer_b: int, edges: Iterable[tuple[int, int, float]] = ()):
+        edges = tuple(edges)
+        m = len(edges)
+        rows = np.fromiter((e[0] for e in edges), np.int64, m)
+        cols = np.fromiter((e[1] for e in edges), np.int64, m)
+        weights = np.fromiter((e[2] for e in edges), float, m)
+        bad = _first_or_none((rows < 0) | (cols < 0))
+        if bad is not None:
+            raise ValueError(f"negative node index in inter-edge ({rows[bad]}, {cols[bad]})")
+        bad = _first_or_none(~(weights > 0.0) | ~np.isfinite(weights))
+        if bad is not None:
+            raise ValueError(f"stored inter-edge weight must be finite and > 0, got {weights[bad]}")
+        rising = (rows[1:] > rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))
+        if not rising.all():
+            raise ValueError("inter-edges must be sorted by node pair and distinct")
+        self._init(layer_a, layer_b, rows, cols, weights)
+        self.__dict__["edges"] = edges
 
-    def __post_init__(self):
-        if self.layer_a >= self.layer_b:
-            raise ValueError(f"need layer_a < layer_b, got ({self.layer_a}, {self.layer_b})")
-        prev = None
-        for i, j, w in self.edges:
-            if i < 0 or j < 0:
-                raise ValueError(f"negative node index in inter-edge ({i}, {j})")
-            if not (w > 0.0) or not np.isfinite(w):
-                raise ValueError(f"stored inter-edge weight must be finite and > 0, got {w}")
-            if prev is not None and (i, j) <= prev:
-                raise ValueError("inter-edges must be sorted by node pair and distinct")
-            prev = (i, j)
+    def _init(self, layer_a, layer_b, rows, cols, weights) -> None:
+        if layer_a >= layer_b:
+            raise ValueError(f"need layer_a < layer_b, got ({layer_a}, {layer_b})")
+        _read_only(rows, cols, weights)
+        self._set(layer_a=layer_a, layer_b=layer_b, rows=rows, cols=cols, weights=weights)
+
+    @classmethod
+    def _from_canonical(cls, layer_a, layer_b, rows, cols, weights):
+        s = cls.__new__(cls)
+        s._init(layer_a, layer_b, rows, cols, weights)
+        return s
 
     @classmethod
     def from_entries(
         cls, layer_a: int, layer_b: int, entries: Iterable[tuple[int, int, float]]
     ) -> "InterEdgeSet":
         """Merge duplicate pairs by weight summation; drop zero-total pairs."""
-        merged: dict[tuple[int, int], float] = {}
-        for i, j, w in entries:
-            merged[(i, j)] = merged.get((i, j), 0.0) + w
-        canon = tuple((i, j, w) for (i, j), w in sorted(merged.items()) if w > 0.0)
-        return cls(layer_a, layer_b, canon)
+        entries = list(entries)
+        return cls.from_arrays(
+            layer_a, layer_b,
+            np.array([e[0] for e in entries], dtype=np.int64),
+            np.array([e[1] for e in entries], dtype=np.int64),
+            np.array([e[2] for e in entries], dtype=float),
+        )
+
+    @classmethod
+    def from_arrays(
+        cls, layer_a: int, layer_b: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray
+    ) -> "InterEdgeSet":
+        """Edges from flat arrays in any order.
+
+        Indices must be non-negative and weights finite and >= 0; duplicate
+        pairs merge by weight summation in input order, and pairs whose
+        total is zero are dropped.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        weights = np.asarray(weights, dtype=float)
+        if not rows.shape == cols.shape == weights.shape:
+            raise ValueError("rows, cols and weights must have one entry per edge")
+        if rows.size and min(rows.min(), cols.min()) < 0:
+            raise ValueError("negative node index in inter-edges")
+        if not np.all(np.isfinite(weights) & (weights >= 0)):
+            raise ValueError("inter-edge weights must be finite and >= 0")
+        order = np.lexsort((cols, rows))
+        r, c = rows[order], cols[order]
+        same = np.zeros(order.size, dtype=bool)
+        same[1:] = (r[1:] == r[:-1]) & (c[1:] == c[:-1])
+        first, merged = _merge_sorted(order, same, weights)
+        if not np.all(np.isfinite(merged)):
+            raise ValueError("merged inter-edge weight is not finite")
+        kept = merged > 0.0
+        return cls._from_canonical(
+            layer_a, layer_b, rows[first][kept], cols[first][kept], merged[kept]
+        )
+
+    def subset(self, keep: np.ndarray) -> "InterEdgeSet":
+        """The edges selected by a boolean mask."""
+        keep = np.asarray(keep, dtype=bool)
+        return self._from_canonical(
+            self.layer_a, self.layer_b, self.rows[keep], self.cols[keep], self.weights[keep]
+        )
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        return tuple(zip(self.rows.tolist(), self.cols.tolist(), self.weights.tolist()))
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return self.rows.size
 
     def total_weight(self) -> float:
-        return float(sum(w for _, _, w in self.edges))
+        return float(sum(self.weights.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, InterEdgeSet):
+            return NotImplemented
+        return (
+            (self.layer_a, self.layer_b) == (other.layer_a, other.layer_b)
+            and np.array_equal(self.rows, other.rows)
+            and np.array_equal(self.cols, other.cols)
+            and np.array_equal(self.weights, other.weights)
+        )
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (
+            f"InterEdgeSet(layer_a={self.layer_a}, layer_b={self.layer_b}, "
+            f"num_edges={self.num_edges})"
+        )
 
 
 @dataclass(frozen=True)
@@ -192,9 +488,11 @@ class MultiHypergraph:
             seen_pairs.add(pair)
             na = self.layers[s.layer_a].num_nodes
             nb = self.layers[s.layer_b].num_nodes
-            for i, j, _ in s.edges:
-                if i >= na or j >= nb:
-                    raise ValueError(f"inter-edge ({i}, {j}) out of range for pair {pair}")
+            k = _first_or_none((s.rows >= na) | (s.cols >= nb))
+            if k is not None:
+                raise ValueError(
+                    f"inter-edge ({s.rows[k]}, {s.cols[k]}) out of range for pair {pair}"
+                )
 
     @property
     def num_layers(self) -> int:
@@ -209,8 +507,85 @@ class MultiHypergraph:
 
 # ---------------------------------------------------------------------------
 # Text-file ingestion.  All formats are whitespace-separated UTF-8 with
-# '#' comment lines.
+# '#' comment lines, and a malformed line raises ``file:line: message``.
+# The hyperedge and inter-edge parsers tokenise the whole file at once with
+# numpy and check every format rule on arrays; when a check fails, or the
+# file holds anything the array path does not read (a non-ASCII character,
+# a signed or over-long integer), a per-line scan reads the file instead
+# and raises the first bad line's error.  Ground-truth files, one short
+# line per node, are read by the per-line scan alone.
 # ---------------------------------------------------------------------------
+
+# ASCII whitespace as str.split() sees it: \t \n \v \f \r, \x1c-\x1f, space.
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+_MAX_DIGITS = 18
+_POW10 = 10 ** np.arange(_MAX_DIGITS + 1, dtype=np.int64)
+
+
+class _Tokens:
+    """The data lines of an ASCII text file, tokenised at once.
+
+    Data line k holds tokens ``first[k]:first[k + 1]``; token t is
+    ``text[start[t]:end[t]]``.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        space = np.ones(self.buf.size + 2, dtype=bool)
+        space[1:-1] = _SPACE[self.buf]
+        change = np.flatnonzero(space[1:] != space[:-1])
+        start, end = change[::2], change[1::2]
+        line = np.searchsorted(np.flatnonzero(self.buf == 10), start)
+        head = np.flatnonzero(np.diff(line, prepend=-1))
+        counts = np.diff(np.append(head, start.size))
+        data = self.buf[start[head]] != ord("#")
+        keep = np.repeat(data, counts)
+        self.start, self.end = start[keep], end[keep]
+        self.first = _offsets(counts[data])
+
+    def counts(self) -> np.ndarray:
+        return np.diff(self.first)
+
+    def column(self, c: int) -> np.ndarray:
+        """Token indices of field c of every data line."""
+        return self.first[:-1] + c
+
+    def digits(self, tokens: np.ndarray):
+        """(value, plain) per token: plain tokens are at most 18 decimal
+        digits, and only their values are meaningful."""
+        s, e = self.start[tokens], self.end[tokens]
+        length = e - s
+        if length.size == 0:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
+        at = _offsets(length)[:-1]
+        pos = np.arange(int(length.sum())) + np.repeat(s - at, length)
+        digit = self.buf[pos].astype(np.int64) - ord("0")
+        plain = ~np.logical_or.reduceat((digit < 0) | (digit > 9), at) & (length <= _MAX_DIGITS)
+        place = np.minimum(np.repeat(e, length) - 1 - pos, _MAX_DIGITS)
+        return np.add.reduceat(digit * _POW10[place], at), plain
+
+    def ints(self, tokens: np.ndarray) -> Optional[np.ndarray]:
+        """Token values when every token is plain, else None."""
+        values, plain = self.digits(tokens)
+        return values if plain.all() else None
+
+    def floats(self, tokens: np.ndarray) -> np.ndarray:
+        """Token values as ``float()`` reads them; raises ValueError like it."""
+        values, plain = self.digits(tokens)
+        out = values.astype(float)
+        for t in np.flatnonzero(~plain).tolist():
+            k = int(tokens[t])
+            out[t] = float(self.text[self.start[k]:self.end[k]])
+        return out
+
+
+def _tokens(path: str) -> Optional[_Tokens]:
+    """The file's tokens, or None when it is not ASCII."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    return _Tokens(text) if text.isascii() else None
 
 
 def _data_lines(path: str):
@@ -225,9 +600,44 @@ def _data_lines(path: str):
 def parse_hyperedge_file(path: str, num_nodes: Optional[int] = None) -> HypergraphLayer:
     """Read a hyperedge list: one ``weight id id ...`` line per hyperedge.
 
-    Duplicate node sets are merged by weight summation.  When ``num_nodes``
-    is omitted it is inferred as 1 + the largest node id.
+    Node ids may come in any order within a line.  Duplicate node sets are
+    merged by weight summation, in file order.  When ``num_nodes`` is
+    omitted it is inferred as 1 + the largest node id.  The file is read
+    straight into the layer's flat arrays; a malformed line raises
+    ValueError naming ``file:line``.
     """
+    tokens = _tokens(path)
+    layer = None if tokens is None else _hyperedges_from_tokens(tokens, num_nodes)
+    return layer if layer is not None else _scan_hyperedge_file(path, num_nodes)
+
+
+def _hyperedges_from_tokens(tokens: _Tokens, num_nodes: Optional[int]):
+    """The layer, or None when some line needs the per-line scan."""
+    sizes = tokens.counts() - 1
+    if sizes.size == 0 or np.any(sizes < 2):
+        return None
+    weight_at = tokens.column(0)
+    try:
+        weights = tokens.floats(weight_at)
+    except ValueError:
+        return None
+    id_at = np.ones(tokens.start.size, dtype=bool)
+    id_at[weight_at] = False
+    ids = tokens.ints(np.flatnonzero(id_at))
+    if ids is None:
+        return None
+    ids = ids[np.lexsort((ids, np.repeat(np.arange(sizes.size), sizes)))]
+    if num_nodes is None:
+        num_nodes = int(ids.max()) + 1
+    try:
+        return HypergraphLayer.from_arrays(num_nodes, ids, _offsets(sizes), weights)
+    except ValueError:
+        return None
+
+
+def _scan_hyperedge_file(path: str, num_nodes: Optional[int]) -> HypergraphLayer:
+    """Line-by-line reading of a hyperedge file: the first bad line raises
+    its error, and a good file gives the same layer as the array path."""
     edges = []
     max_id = -1
     for lineno, line in _data_lines(path):
@@ -247,23 +657,75 @@ def parse_hyperedge_file(path: str, num_nodes: Optional[int] = None) -> Hypergra
             edges.append(make_hyperedge(ids, weight))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-        max_id = max(max_id, *ids)
+        top = max(ids)
+        if num_nodes is not None and top >= num_nodes:
+            raise ValueError(f"{path}:{lineno}: node id {top} >= declared num_nodes {num_nodes}")
+        if top >= _MAX_ID:
+            raise ValueError(f"{path}:{lineno}: node id {top} too large")
+        max_id = max(max_id, top)
     if num_nodes is None:
         if max_id < 0:
             raise ValueError(f"{path}: empty hyperedge file and no num_nodes given")
         num_nodes = max_id + 1
-    elif max_id >= num_nodes:
-        raise ValueError(f"{path}: node id {max_id} >= declared num_nodes {num_nodes}")
     return HypergraphLayer.from_hyperedges(num_nodes, edges)
 
 
-def parse_inter_edge_file(path: str) -> list[InterEdgeSet]:
+def parse_inter_edge_file(
+    path: str, layer_sizes: Optional[Sequence[int]] = None
+) -> list[InterEdgeSet]:
     """Read inter-layer edges: one ``layer_a layer_b i j weight`` line each.
 
     Pairs are normalized to layer_a < layer_b (swapping i and j) and grouped
-    per layer pair; duplicates merge by weight summation.
+    per layer pair; duplicates merge by weight summation in file order, and
+    pairs whose total weight is zero are dropped.  Weights must be finite
+    and >= 0.  With ``layer_sizes`` (node count per layer) every layer index
+    and node id is checked against it.  A malformed line raises ValueError
+    naming ``file:line``.
     """
-    grouped: dict[tuple[int, int], list[tuple[int, int, float]]] = {}
+    tokens = _tokens(path)
+    fields = None if tokens is None else _inter_fields_from_tokens(tokens, layer_sizes)
+    if fields is None:
+        fields = _scan_inter_edge_file(path, layer_sizes)
+    la, lb, i, j, w = fields
+    out = []
+    for a in np.unique(la).tolist():
+        for b in np.unique(lb[la == a]).tolist():
+            mask = (la == a) & (lb == b)
+            out.append(InterEdgeSet.from_arrays(a, b, i[mask], j[mask], w[mask]))
+    return out
+
+
+def _inter_fields_from_tokens(tokens: _Tokens, layer_sizes):
+    """Normalized (layer_a, layer_b, i, j, weight) arrays in file order, or
+    None when some line needs the per-line scan."""
+    if np.any(tokens.counts() != 5):
+        return None
+    ints = tokens.ints(np.stack([tokens.column(c) for c in range(4)]).ravel())
+    if ints is None:
+        return None
+    la, lb, i, j = ints.reshape(4, -1)
+    try:
+        w = tokens.floats(tokens.column(4))
+    except ValueError:
+        return None
+    if np.any(la == lb) or not np.all(np.isfinite(w) & (w >= 0)):
+        return None
+    swap = la > lb
+    la, lb = np.where(swap, lb, la), np.where(swap, la, lb)
+    i, j = np.where(swap, j, i), np.where(swap, i, j)
+    if layer_sizes is not None:
+        sizes = np.asarray(layer_sizes, dtype=np.int64)
+        if lb.size and lb.max() >= sizes.size:
+            return None
+        if np.any(i >= sizes[la]) or np.any(j >= sizes[lb]):
+            return None
+    return la, lb, i, j, w
+
+
+def _scan_inter_edge_file(path: str, layer_sizes):
+    """Line-by-line reading of an inter-edge file: the first bad line raises
+    its error, and a good file gives the array path's fields."""
+    rows = []
     for lineno, line in _data_lines(path):
         fields = line.split()
         if len(fields) != 5:
@@ -277,19 +739,37 @@ def parse_inter_edge_file(path: str) -> list[InterEdgeSet]:
             raise ValueError(f"{path}:{lineno}: self-pair layer {la}")
         if w < 0:
             raise ValueError(f"{path}:{lineno}: negative weight {w}")
+        if not np.isfinite(w):
+            raise ValueError(f"{path}:{lineno}: inter-edge weight must be finite, got {w}")
         if min(la, lb, i, j) < 0:
             raise ValueError(f"{path}:{lineno}: negative index")
         if la > lb:
             la, lb, i, j = lb, la, j, i
-        grouped.setdefault((la, lb), []).append((i, j, w))
-    return [
-        InterEdgeSet.from_entries(la, lb, entries)
-        for (la, lb), entries in sorted(grouped.items())
-    ]
+        if layer_sizes is not None:
+            if lb >= len(layer_sizes):
+                raise ValueError(
+                    f"{path}:{lineno}: inter-edge names missing layer {lb} "
+                    f"(there are {len(layer_sizes)} layers)"
+                )
+            if i >= layer_sizes[la] or j >= layer_sizes[lb]:
+                raise ValueError(
+                    f"{path}:{lineno}: inter-edge ({i}, {j}) out of range for pair ({la}, {lb})"
+                )
+        if max(lb, i, j) >= _MAX_ID:
+            raise ValueError(f"{path}:{lineno}: index {max(lb, i, j)} too large")
+        rows.append((la, lb, i, j, w))
+    columns = list(zip(*rows)) or [(), (), (), (), ()]
+    return tuple(
+        np.array(col, dtype=float if c == 4 else np.int64) for c, col in enumerate(columns)
+    )
 
 
-def parse_ground_truth_file(path: str) -> dict[int, int]:
-    """Read ``node_id community_id`` lines into a node -> label map."""
+def parse_ground_truth_file(path: str, num_nodes: Optional[int] = None) -> dict[int, int]:
+    """Read ``node_id community_id`` lines into a node -> label map.
+
+    With ``num_nodes`` every node id must lie in [0, num_nodes).  A
+    malformed line raises ValueError naming ``file:line``.
+    """
     truth: dict[int, int] = {}
     for lineno, line in _data_lines(path):
         fields = line.split()
@@ -301,20 +781,24 @@ def parse_ground_truth_file(path: str) -> dict[int, int]:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
         if node in truth:
             raise ValueError(f"{path}:{lineno}: duplicate node {node}")
+        if num_nodes is not None and not 0 <= node < num_nodes:
+            raise ValueError(
+                f"{path}:{lineno}: ground-truth node {node} out of range for {num_nodes} nodes"
+            )
         truth[node] = label
     return truth
 
 
 def write_hyperedge_file(path: str, layer: HypergraphLayer) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for e in layer.hyperedges:
-            fh.write(_FLOAT_FMT % e.weight + " " + " ".join(map(str, e.nodes)) + "\n")
+        for nodes, weight in zip(layer.node_tuples(), layer.weights.tolist()):
+            fh.write(_FLOAT_FMT % weight + " " + " ".join(map(str, nodes)) + "\n")
 
 
 def write_inter_edge_file(path: str, sets: Sequence[InterEdgeSet]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for s in sets:
-            for i, j, w in s.edges:
+            for i, j, w in zip(s.rows.tolist(), s.cols.tolist(), s.weights.tolist()):
                 fh.write(f"{s.layer_a} {s.layer_b} {i} {j} " + _FLOAT_FMT % w + "\n")
 
 
@@ -399,8 +883,8 @@ def load_manifest(path: str) -> tuple[MultiHypergraph, list[int]]:
         )
         truth_path = entries.get(f"layer.{i}.truth")
         if truth_path is not None:
-            truth = parse_ground_truth_file(resolve(truth_path))
-            layer = HypergraphLayer(layer.num_nodes, layer.hyperedges, truth)
+            truth = parse_ground_truth_file(resolve(truth_path), num_nodes=layer.num_nodes)
+            layer = layer.with_ground_truth(truth)
         layers.append(layer)
         k_key = f"layer.{i}.k"
         if k_key not in entries:
@@ -409,5 +893,7 @@ def load_manifest(path: str) -> tuple[MultiHypergraph, list[int]]:
 
     inter: tuple[InterEdgeSet, ...] = ()
     if "inter.edges" in entries:
-        inter = tuple(parse_inter_edge_file(resolve(entries["inter.edges"])))
+        inter = tuple(parse_inter_edge_file(
+            resolve(entries["inter.edges"]), layer_sizes=[layer.num_nodes for layer in layers]
+        ))
     return MultiHypergraph(tuple(layers), inter), k_per_layer

@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import HypergraphLayer, InterEdgeSet, MultiHypergraph
+from .core import HypergraphLayer, MultiHypergraph
 from .inference import InferenceConfig, FitResult, fit
 from .internal_degree import SubHyperedgeCounter
 from .likelihood import lambda_e, lambda_ij, mu, sample_negatives
@@ -271,27 +271,25 @@ def hyperedge_prediction_cv(
         max_sizes = range(2, top + 1)
     size_grid = sorted(set(int(d) for d in max_sizes))
 
-    full_sets = [set(layer.node_sets()) for layer in mh.layers]
+    edges = [layer.node_tuples() for layer in mh.layers]
+    full_sets = [set(nodes) for nodes in edges]
 
     fold_scores = []
     for f in range(folds):
         train_layers = []
         test_edges = []
         for l, layer in enumerate(mh.layers):
-            keep = [e for e, a in zip(layer.hyperedges, assignments[l]) if a != f]
-            held = [e for e, a in zip(layer.hyperedges, assignments[l]) if a == f]
-            if not keep:
+            held = assignments[l] == f
+            if held.all():
                 raise ValueError(f"fold {f} empties layer {l}")
-            train_layers.append(
-                HypergraphLayer(layer.num_nodes, tuple(keep), layer.ground_truth)
-            )
-            test_edges.append(held)
+            train_layers.append(layer.subset(~held))
+            test_edges.append([edges[l][k] for k in np.flatnonzero(held).tolist()])
         train = MultiHypergraph(tuple(train_layers), mh.inter_edges)
         result = fit(train, replace(cfg, seed=cfg.seed + f))
         layer_scores = []
         for l, layer in enumerate(train.layers):
             positives = test_edges[l]
-            sizes = [e.size for e in positives]
+            sizes = [len(e) for e in positives]
             negatives = sample_negatives(
                 layer,
                 seed=[seed, 211, f, l],
@@ -300,7 +298,7 @@ def hyperedge_prediction_cv(
             )
             counter = SubHyperedgeCounter(layer)
             u, w = result.state.u[l], result.state.w[l]
-            pos = [(e.size, score_hyperedge(e, counter, u, w)) for e in positives]
+            pos = [(len(e), score_hyperedge(e, counter, u, w)) for e in positives]
             neg = [(len(e), score_hyperedge(e, counter, u, w)) for e in negatives]
             layer_scores.append((pos, neg))
         fold_scores.append(layer_scores)
@@ -411,7 +409,8 @@ def inter_edge_prediction(
     cfg.validate(mh.num_layers)
 
     observed_full = {
-        (s.layer_a, s.layer_b): {(i, j) for i, j, _ in s.edges} for s in mh.inter_edges
+        (s.layer_a, s.layer_b): set(zip(s.rows.tolist(), s.cols.tolist()))
+        for s in mh.inter_edges
     }
 
     values = []
@@ -421,26 +420,24 @@ def inter_edge_prediction(
         train_sets = []
         test_sets = []
         for s in reduced.inter_edges:
-            edges = list(s.edges)
-            n_test = len(edges) // 5
+            n_test = s.num_edges // 5
             if n_test == 0:
                 raise ValueError(
                     f"inter-edge set ({s.layer_a}, {s.layer_b}) too small to split "
                     f"after removing {removal_ratio:.0%}"
                 )
-            order = rng.permutation(len(edges))
-            test_idx = set(order[:n_test].tolist())
-            train = [e for k, e in enumerate(edges) if k not in test_idx]
-            test = [edges[k] for k in sorted(test_idx)]
-            train_sets.append(InterEdgeSet(s.layer_a, s.layer_b, tuple(sorted(train))))
-            test_sets.append((s.layer_a, s.layer_b, test))
+            held = np.zeros(s.num_edges, dtype=bool)
+            held[rng.permutation(s.num_edges)[:n_test]] = True
+            train_sets.append(s.subset(~held))
+            test = zip(s.rows[held].tolist(), s.cols[held].tolist())
+            test_sets.append((s.layer_a, s.layer_b, list(test)))
         train_mh = MultiHypergraph(mh.layers, tuple(train_sets))
         result = fit(train_mh, replace(cfg, seed=cfg.seed + rep))
         per_set = []
         for la, lb, test in test_sets:
             ua, ub = result.state.u[la], result.state.u[lb]
             w = result.state.w_cross[(la, lb)]
-            pos = [lambda_ij(ua[i], ub[j], w) for i, j, _ in test]
+            pos = [lambda_ij(ua[i], ub[j], w) for i, j in test]
             shape = (mh.layers[la].num_nodes, mh.layers[lb].num_nodes)
             negatives = _sample_cross_negatives(
                 shape, len(pos), observed_full[(la, lb)], rng

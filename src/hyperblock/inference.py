@@ -244,14 +244,15 @@ def _block_product(mat: sparse.spmatrix, x: np.ndarray) -> np.ndarray:
 def _single_or_stacked(method):
     """Let an engine method on stacked states also take one restart's state.
 
-    That state runs as a stack of one and the result is unstacked.
+    That state runs as a stack of one (a view, not a copy) and the result
+    is unstacked.
     """
 
     @functools.wraps(method)
     def wrapper(self, state, *args, **kwargs):
         if state.stacked:
             return method(self, state, *args, **kwargs)
-        out = method(self, LatentState.stack([state]), *args, **kwargs)
+        out = method(self, state.as_stack(), *args, **kwargs)
         return out.take(0) if isinstance(out, LatentState) else out[0]
 
     return wrapper

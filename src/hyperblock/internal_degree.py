@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 from scipy import sparse
@@ -41,10 +40,15 @@ class SubHyperedgeCounter:
 
     def __init__(self, layer: HypergraphLayer):
         self.layer = layer
-        self._incident: list[list[int]] = [[] for _ in range(layer.num_nodes)]
-        for eid, e in enumerate(layer.hyperedges):
-            for node in e.nodes:
-                self._incident[node].append(eid)
+        self._edges = layer.node_tuples()
+        # ids of the edges holding each node, ascending: a stable sort of the
+        # incidence entries by node keeps them in edge order
+        order = np.argsort(layer.nodes, kind="stable")
+        edge_ids = np.repeat(np.arange(layer.num_hyperedges), np.diff(layer.offsets))[order]
+        ends = np.cumsum(np.bincount(layer.nodes, minlength=layer.num_nodes))
+        self._incident: list[list[int]] = [
+            ids.tolist() for ids in np.split(edge_ids, ends[:-1])
+        ]
 
     def counts(self, nodes: tuple[int, ...]) -> dict[int, int]:
         """Containment count for every node of the query set (0 allowed)."""
@@ -56,7 +60,7 @@ class SubHyperedgeCounter:
             if node < self.layer.num_nodes:
                 candidates.update(self._incident[node])
         for eid in candidates:
-            sub = self.layer.hyperedges[eid].nodes
+            sub = self._edges[eid]
             if len(sub) <= size and node_set.issuperset(sub):
                 for node in sub:
                     counts[node] += 1
@@ -87,13 +91,15 @@ class SubHyperedgeCounter:
             return h / math.log(len(nodes))
         return h / math.log(base)
 
-    def contained_in_larger(self, e: Hyperedge) -> bool:
-        """True when e is a strict subset of some observed hyperedge."""
-        node = min(e.nodes, key=lambda n: len(self._incident[n]))
-        e_set = set(e.nodes)
+    def contained_in_larger(self, e) -> bool:
+        """True when e (a Hyperedge or node tuple) is a strict subset of some
+        observed hyperedge."""
+        nodes = e.nodes if isinstance(e, Hyperedge) else tuple(e)
+        node = min(nodes, key=lambda n: len(self._incident[n]))
+        e_set = set(nodes)
         for eid in self._incident[node]:
-            other = self.layer.hyperedges[eid].nodes
-            if len(other) > e.size and set(other).issuperset(e_set):
+            other = self._edges[eid]
+            if len(other) > len(nodes) and set(other).issuperset(e_set):
                 return True
         return False
 
@@ -146,13 +152,8 @@ def theta_table(layer: HypergraphLayer) -> InternalDegreeTable:
     SubHyperedgeCounter.theta bit for bit.
     """
     m = layer.num_hyperedges
-    sizes = np.fromiter((e.size for e in layer.hyperedges), dtype=np.int64, count=m)
-    offsets = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    nodes = np.fromiter(
-        chain.from_iterable(e.nodes for e in layer.hyperedges), dtype=np.int64,
-        count=int(offsets[-1]),
-    )
+    nodes, offsets = layer.nodes, layer.offsets
+    sizes = np.diff(offsets)
     members = sparse.csr_matrix(
         (np.ones(nodes.size, dtype=np.int32), nodes, offsets), shape=(m, layer.num_nodes)
     )
@@ -168,8 +169,7 @@ def theta_table(layer: HypergraphLayer) -> InternalDegreeTable:
         counts[offsets[start]:offsets[stop]] = block.data
     totals = np.add.reduceat(counts, offsets[:-1])
     values = counts * np.repeat(sizes / totals, sizes)
-    for arr in (nodes, offsets, values):
-        arr.flags.writeable = False
+    values.flags.writeable = False
     return InternalDegreeTable(nodes, offsets, values)
 
 
@@ -199,13 +199,14 @@ def entropy_report(layer: HypergraphLayer, threshold: float, normalized: bool = 
     larger observed hyperedge.
     """
     counter = SubHyperedgeCounter(layer)
+    edges = layer.node_tuples()
     entropies = []
-    for e in layer.hyperedges:
-        if e.size >= 3:
-            entropies.append(counter.entropy(e.nodes, normalized=normalized, base=base))
+    for nodes in edges:
+        if len(nodes) >= 3:
+            entropies.append(counter.entropy(nodes, normalized=normalized, base=base))
     values = np.array(entropies, dtype=float)
 
-    size2 = [e for e in layer.hyperedges if e.size == 2]
+    size2 = [nodes for nodes in edges if len(nodes) == 2]
     contained = sum(1 for e in size2 if counter.contained_in_larger(e))
 
     if values.size:

@@ -85,6 +85,14 @@ class LatentState:
             {key: np.stack([s.w_cross[key] for s in states]) for key in first.w_cross},
         )
 
+    def as_stack(self) -> "LatentState":
+        """This restart's state as a stack of one, viewing its arrays."""
+        return LatentState(
+            tuple(m[None] for m in self.u),
+            tuple(m[None] for m in self.w),
+            {k: m[None] for k, m in self.w_cross.items()},
+        )
+
     def take(self, restarts) -> "LatentState":
         """Restart(s) of a stacked state: an index gives one restart's state,
         a list of positions a stacked state of those restarts."""
@@ -208,7 +216,8 @@ def layer_constants(layer: HypergraphLayer, m_override: Optional[int] = None) ->
     The constant is m * (1/q + 2/(n(n-1))) and enters the objective with a
     minus sign; it depends on hyperedge counts and sizes, never on weights.
     """
-    q = sum(s * (s - 1) // 2 for s in layer.sizes())
+    sizes = np.diff(layer.offsets)
+    q = int((sizes * (sizes - 1) // 2).sum())
     if q == 0:
         raise ValueError("layer has no hyperedges")
     m = int(m_override) if m_override is not None else layer.num_hyperedges
@@ -254,7 +263,7 @@ class ThetaIncidence:
         # transposed views, built once; their products sum each edge's nodes
         # in ascending order
         self.bt, self.b2t = self.b.T, self.b2.T
-        self.weights = layer.weights()
+        self.weights = layer.weights
 
     def edge_sums(self, u: np.ndarray) -> np.ndarray:
         """s_e = sum_{i in e} theta_ie u_i, one row per hyperedge."""
@@ -274,11 +283,9 @@ class ThetaIncidence:
 
 
 def inter_edge_arrays(s: InterEdgeSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(node in a, node in b, weight) of every stored inter-edge, as flat arrays."""
-    rows = np.array([i for i, _, _ in s.edges], dtype=int)
-    cols = np.array([j for _, j, _ in s.edges], dtype=int)
-    vals = np.array([w for _, _, w in s.edges], dtype=float)
-    return rows, cols, vals
+    """(node in a, node in b, weight) of every stored inter-edge: the set's
+    own read-only arrays."""
+    return s.rows, s.cols, s.weights
 
 
 def cross_rates(
@@ -329,9 +336,7 @@ def surrogate_objective(
     """
     if not state.stacked:
         return float(
-            surrogate_objective(
-                mh, tables, LatentState.stack([state]), consts, incidences, inter_arrays
-            )[0]
+            surrogate_objective(mh, tables, state.as_stack(), consts, incidences, inter_arrays)[0]
         )
     if incidences is None:
         incidences = [ThetaIncidence(layer, table) for layer, table in zip(mh.layers, tables)]

@@ -8,6 +8,7 @@ on small node sets.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -15,7 +16,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Hyperedge, HypergraphLayer, InterEdgeSet, MultiHypergraph
+from .core import HypergraphLayer, InterEdgeSet, MultiHypergraph
 from .likelihood import LatentState, mu
 
 __all__ = [
@@ -166,9 +167,9 @@ def build_views(source: HypergraphLayer, cfg: SynthConfig) -> MultiHypergraph:
     layers = []
     for l in range(cfg.num_layers):
         m = _ceil(cfg.fraction_for(l) * source.num_hyperedges)
-        idx = np.sort(rng.choice(source.num_hyperedges, size=m, replace=False))
-        edges = tuple(source.hyperedges[i] for i in idx)
-        layers.append(HypergraphLayer(source.num_nodes, edges, source.ground_truth))
+        keep = np.zeros(source.num_hyperedges, dtype=bool)
+        keep[rng.choice(source.num_hyperedges, size=m, replace=False)] = True
+        layers.append(source.subset(keep))
 
     inter = []
     for p, (a, b) in enumerate(cfg.resolved_pairs()):
@@ -187,11 +188,12 @@ def remove_inter_edges(mh: MultiHypergraph, ratio: float, seed=0) -> MultiHyperg
     rng = np.random.default_rng(seed)
     new_sets = []
     for s in mh.inter_edges:
-        n = len(s.edges)
+        n = s.num_edges
         k = min(_ceil(ratio * n), n)
-        dropped = set(rng.choice(n, size=k, replace=False).tolist()) if k else set()
-        kept = tuple(e for idx, e in enumerate(s.edges) if idx not in dropped)
-        new_sets.append(InterEdgeSet(s.layer_a, s.layer_b, kept))
+        keep = np.ones(n, dtype=bool)
+        if k:
+            keep[rng.choice(n, size=k, replace=False)] = False
+        new_sets.append(s.subset(keep))
     return MultiHypergraph(mh.layers, tuple(new_sets))
 
 
@@ -208,9 +210,9 @@ def _poisson_layer(
     and has no meaning before data exists).
     """
     n = u.shape[0]
-    edges = []
+    nodes, sizes, weights = [], [], []
     for size in range(2, max_size + 1):
-        combos = np.array(list(combinations(range(n), size)), dtype=int)
+        combos = _combinations(n, size)
         if combos.size == 0:
             continue
         sub = u[combos]                       # (C, size, K)
@@ -219,11 +221,24 @@ def _poisson_layer(
         term2 = np.einsum("csk,kq,csq->c", sub, w, sub)
         rates = 0.5 * (term1 - term2) / mu(size)
         draws = rng.poisson(np.clip(rates, 0.0, None))
-        for combo, a in zip(combos, draws):
-            if a > 0:
-                edges.append(Hyperedge(tuple(int(v) for v in combo), float(a)))
-    edges.sort(key=lambda e: e.nodes)
-    return HypergraphLayer(n, tuple(edges), ground_truth)
+        hit = draws > 0
+        nodes.append(combos[hit].ravel())
+        sizes.append(np.full(int(hit.sum()), size))
+        weights.append(draws[hit].astype(float))
+    if not nodes:
+        return HypergraphLayer(n, (), ground_truth)
+    offsets = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
+    return HypergraphLayer.from_arrays(
+        n, np.concatenate(nodes), offsets, np.concatenate(weights), ground_truth
+    )
+
+
+@functools.lru_cache(maxsize=8)
+def _combinations(n: int, size: int) -> np.ndarray:
+    """Every size-subset of range(n) as a row, in lexicographic order (read-only)."""
+    combos = np.array(list(combinations(range(n), size)), dtype=int).reshape(-1, size)
+    combos.flags.writeable = False
+    return combos
 
 
 def sample_from_model(
@@ -257,10 +272,7 @@ def sample_from_model(
         lam = state.u[a] @ w_c @ state.u[b].T
         counts = rng.poisson(np.clip(lam, 0.0, None))
         ii, jj = np.nonzero(counts)
-        entries = tuple(
-            (int(i), int(j), float(counts[i, j])) for i, j in zip(ii, jj)
-        )
-        inter.append(InterEdgeSet(a, b, entries))
+        inter.append(InterEdgeSet.from_arrays(a, b, ii, jj, counts[ii, jj].astype(float)))
     return MultiHypergraph(layers, tuple(inter))
 
 

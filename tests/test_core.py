@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from hyperblock import core
 from hyperblock.core import (
     Hyperedge,
     HypergraphLayer,
@@ -20,6 +23,9 @@ from hyperblock.core import (
     write_inter_edge_file,
     write_matrix,
 )
+from hyperblock.evaluation import hyperedge_prediction_cv
+from hyperblock.inference import InferenceConfig, fit
+from hyperblock.synth import planted_partition
 
 
 def test_make_hyperedge_sorts_nodes():
@@ -149,6 +155,8 @@ def test_parse_ground_truth(tmp_path):
     p = tmp_path / "truth.txt"
     p.write_text("0 1\n1 1\n2 0\n")
     assert parse_ground_truth_file(str(p)) == {0: 1, 1: 1, 2: 0}
+    p.write_text("0 -1\n1 2\n")
+    assert parse_ground_truth_file(str(p)) == {0: -1, 1: 2}
     p.write_text("0 1\n0 2\n")
     with pytest.raises(ValueError, match="duplicate node"):
         parse_ground_truth_file(str(p))
@@ -241,3 +249,314 @@ def test_manifest_requires_k(tmp_path):
     man.write_text("layer.0.edges = e0.txt\n")
     with pytest.raises(ValueError, match="layer.0.k"):
         load_manifest(str(man))
+
+
+# -- file:line errors ---------------------------------------------------------
+
+
+def test_parse_hyperedge_file_names_the_line_of_an_undeclared_node(tmp_path):
+    p = tmp_path / "bad.txt"
+    p.write_text("1.0 0 1\n# comment\n1.0 2 7 0\n1.0 0 9\n")
+    with pytest.raises(ValueError, match="bad.txt:3: node id 7 >= declared num_nodes 3"):
+        parse_hyperedge_file(str(p), num_nodes=3)
+
+
+def test_parse_inter_edge_file_rejects_nan_weight(tmp_path):
+    p = tmp_path / "inter.txt"
+    p.write_text("0 1 0 0 1\n0 1 0 1 nan\n")
+    with pytest.raises(ValueError, match="inter.txt:2: inter-edge weight must be finite, got nan"):
+        parse_inter_edge_file(str(p))
+
+
+def test_parse_inter_edge_file_rejects_infinite_weight(tmp_path):
+    p = tmp_path / "inter.txt"
+    p.write_text("0 1 0 0 1\n\n1 0 2 3 inf\n")
+    with pytest.raises(ValueError, match="inter.txt:3: inter-edge weight must be finite, got inf"):
+        parse_inter_edge_file(str(p))
+
+
+def write_manifest(tmp_path, truth="0 0\n1 1\n", inter="0 1 0 1 1\n"):
+    (tmp_path / "e0.txt").write_text("1 0 1\n1 1 2\n")
+    (tmp_path / "e1.txt").write_text("1 0 1\n")
+    (tmp_path / "t0.txt").write_text(truth)
+    (tmp_path / "inter.txt").write_text(inter)
+    man = tmp_path / "m.cfg"
+    man.write_text(
+        "layer.0.edges = e0.txt\nlayer.0.truth = t0.txt\nlayer.0.k = 2\n"
+        "layer.1.edges = e1.txt\nlayer.1.k = 2\ninter.edges = inter.txt\n"
+    )
+    return str(man)
+
+
+def test_load_manifest_names_the_line_of_an_out_of_range_truth_node(tmp_path):
+    man = write_manifest(tmp_path, truth="0 0\n1 1\n5 0\n")
+    with pytest.raises(ValueError, match="t0.txt:3: ground-truth node 5 out of range for 3 nodes"):
+        load_manifest(man)
+
+
+def test_load_manifest_names_the_line_of_an_out_of_range_inter_edge(tmp_path):
+    man = write_manifest(tmp_path, inter="0 1 0 1 1\n# swapped to pair (0, 1)\n1 0 1 7 1\n")
+    with pytest.raises(
+        ValueError, match=r"inter.txt:3: inter-edge \(7, 1\) out of range for pair \(0, 1\)"
+    ):
+        load_manifest(man)
+
+
+def test_load_manifest_names_the_line_of_a_missing_layer(tmp_path):
+    man = write_manifest(tmp_path, inter="0 1 0 1 1\n0 2 0 0 1\n")
+    with pytest.raises(ValueError, match="inter.txt:2: inter-edge names missing layer 2"):
+        load_manifest(man)
+
+
+# -- array-backed layers and inter-edge sets ----------------------------------
+
+
+def test_layer_holds_read_only_arrays_and_a_hyperedge_view():
+    layer = HypergraphLayer.from_arrays(
+        5, np.array([3, 4, 0, 1, 2, 0, 1, 2]), np.array([0, 2, 5, 8]), np.array([1.0, 2.0, 0.5])
+    )
+    assert layer.nodes.tolist() == [0, 1, 2, 3, 4]
+    assert layer.offsets.tolist() == [0, 3, 5]
+    assert layer.weights.tolist() == [2.5, 1.0]
+    for arr in (layer.nodes, layer.offsets, layer.weights):
+        assert not arr.flags.writeable
+    assert layer.hyperedges == (Hyperedge((0, 1, 2), 2.5), Hyperedge((3, 4), 1.0))
+    assert layer == HypergraphLayer(5, layer.hyperedges)
+    assert layer.sizes() == [3, 2] and layer.node_sets() == {(0, 1, 2), (3, 4)}
+    with pytest.raises(AttributeError):
+        layer.num_nodes = 6
+    assert layer.subset(np.array([False, True])) == HypergraphLayer(5, (Hyperedge((3, 4)),))
+    labelled = layer.with_ground_truth({0: 1})
+    assert labelled.ground_truth == {0: 1} and labelled.nodes is layer.nodes
+    assert labelled != layer
+
+
+@pytest.mark.parametrize("nodes, offsets, weights", [
+    ([0, 1], [0, 1, 2], [1.0, 1.0]),          # a one-node hyperedge
+    ([1, 0], [0, 2], [1.0]),                  # ids not increasing
+    ([0, 0], [0, 2], [1.0]),                  # a repeated id
+    ([0, 5], [0, 2], [1.0]),                  # id out of range
+    ([0, 1], [0, 2], [0.0]),                  # zero weight
+    ([0, 1], [0, 2], [np.nan]),               # non-finite weight
+    ([0, 1], [0, 2], [1.0, 1.0]),             # weights per edge
+])
+def test_layer_from_arrays_rejects_bad_input(nodes, offsets, weights):
+    with pytest.raises(ValueError):
+        HypergraphLayer.from_arrays(3, np.array(nodes), np.array(offsets), np.array(weights))
+
+
+def test_layer_sorts_edges_of_any_sizes_as_tuples():
+    # prefixes of one another, one edge far longer than the rest, repeats
+    rng = np.random.default_rng(7)
+    rows = [(0, 1), tuple(range(40)), (0, 1, 2), (0, 2), (1, 2), (0, 1)]
+    rows += [tuple(sorted(rng.choice(40, int(rng.integers(2, 5)), replace=False).tolist()))
+             for _ in range(200)]
+    rows = [rows[k] for k in rng.permutation(2 * len(rows)) % len(rows)]
+    weights = rng.random(len(rows)) + 0.1
+    merged = {}
+    for row, w in zip(rows, weights.tolist()):
+        merged[row] = merged[row] + w if row in merged else w
+    layer = HypergraphLayer.from_arrays(
+        40, np.concatenate(rows), core._offsets(np.array([len(r) for r in rows])), weights
+    )
+    assert layer.node_tuples() == sorted(merged)
+    assert layer.weights.tolist() == [merged[row] for row in sorted(merged)]
+
+
+def test_inter_edge_set_holds_read_only_arrays():
+    s = InterEdgeSet.from_arrays(0, 1, [2, 0, 2], [1, 3, 1], [0.5, 1.0, 0.25])
+    assert (s.rows.tolist(), s.cols.tolist(), s.weights.tolist()) == ([0, 2], [3, 1], [1.0, 0.75])
+    assert not s.rows.flags.writeable
+    assert s.edges == ((0, 3, 1.0), (2, 1, 0.75))
+    assert s == InterEdgeSet(0, 1, s.edges)
+    assert s.subset(np.array([False, True])).edges == ((2, 1, 0.75),)
+    with pytest.raises(ValueError):
+        InterEdgeSet.from_arrays(0, 1, [0], [0], [np.nan])
+
+
+# -- parser properties --------------------------------------------------------
+
+NOISE_LINES = ["", "   ", "# a comment", "  # 1 2 3", "\t"]
+FILE_SETTINGS = settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+def weight_text():
+    """A positive weight as a file may hold it: an integer or a float."""
+    return st.one_of(
+        st.integers(1, 10**6).map(str),
+        st.floats(1e-6, 1e6).map(repr),
+        st.sampled_from(["1.0", "2.5e0", "007"]),
+    )
+
+
+def with_noise(draw, lines):
+    """The data lines with comment and blank lines between them, joined by
+    one newline convention."""
+    out = []
+    for line in lines:
+        out += draw(st.lists(st.sampled_from(NOISE_LINES), max_size=2)) + [line]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(out) + draw(st.sampled_from(["", newline]))
+
+
+@st.composite
+def hyperedge_files(draw):
+    """(num_nodes, file text, the layer it holds by a dict merge in file order)."""
+    n = draw(st.integers(2, 9))
+    rows = draw(st.lists(
+        st.tuples(st.lists(st.integers(0, n - 1), min_size=2, max_size=5, unique=True),
+                  weight_text()),
+        min_size=1, max_size=25,
+    ))
+    merged = {}
+    for ids, weight in rows:
+        key = tuple(sorted(ids))
+        merged[key] = merged[key] + float(weight) if key in merged else float(weight)
+    text = with_noise(draw, [" ".join([w, *map(str, ids)]) for ids, w in rows])
+    layer = HypergraphLayer(n, tuple(Hyperedge(k, merged[k]) for k in sorted(merged)))
+    return n, text, layer
+
+
+@FILE_SETTINGS
+@given(hyperedge_files())
+def test_hyperedge_file_parses_to_the_merged_layer(tmp_path, case):
+    n, text, expected = case
+    p = tmp_path / "edges.txt"
+    p.write_bytes(text.encode())
+    assert parse_hyperedge_file(str(p), num_nodes=n) == expected
+    assert core._scan_hyperedge_file(str(p), n) == expected
+    write_hyperedge_file(str(p), expected)
+    assert parse_hyperedge_file(str(p), num_nodes=n) == expected
+
+
+@st.composite
+def inter_edge_files(draw):
+    """(layer sizes, file text, the sets it holds by a dict merge in file order)."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=2, max_size=3))
+    grouped = {}
+    lines = []
+    for _ in range(draw(st.integers(0, 25))):
+        la, lb = draw(st.permutations(range(len(sizes))))[:2]
+        i = draw(st.integers(0, sizes[la] - 1))
+        j = draw(st.integers(0, sizes[lb] - 1))
+        w = draw(st.one_of(weight_text(), st.just("0")))
+        lines.append(f"{la} {lb} {i} {j} {w}")
+        if la > lb:
+            la, lb, i, j = lb, la, j, i
+        pair = grouped.setdefault((la, lb), {})
+        pair[(i, j)] = pair.get((i, j), 0.0) + float(w)
+    sets = [
+        InterEdgeSet(la, lb, tuple((i, j, w) for (i, j), w in sorted(pairs.items()) if w > 0))
+        for (la, lb), pairs in sorted(grouped.items())
+    ]
+    return sizes, with_noise(draw, lines), sets
+
+
+@FILE_SETTINGS
+@given(inter_edge_files())
+def test_inter_edge_file_parses_to_the_merged_sets(tmp_path, case):
+    sizes, text, expected = case
+    p = tmp_path / "inter.txt"
+    p.write_bytes(text.encode())
+    assert parse_inter_edge_file(str(p), layer_sizes=sizes) == expected
+    write_inter_edge_file(str(p), expected)
+    assert parse_inter_edge_file(str(p)) == [s for s in expected if s.num_edges]
+
+
+def scan_error(scan, *args):
+    with pytest.raises(ValueError) as info:
+        scan(*args)
+    return str(info.value)
+
+
+BAD_HYPEREDGE_LINES = [
+    "1.0 0", "x 0 1", "1.0 0 y", "1 0 1.5", "0 0 1", "-1 0 1", "nan 0 1", "inf 0 1",
+    "1e999 0 1", "1 -1 0", "1 0 0", "1 2 {n}", "1 0 99999999999999999999",
+]
+
+
+@FILE_SETTINGS
+@given(hyperedge_files(), st.sampled_from(BAD_HYPEREDGE_LINES), st.data())
+def test_hyperedge_file_errors_match_the_line_scan(tmp_path, case, bad, data):
+    n, text, _ = case
+    lines = text.split("\n")
+    at = data.draw(st.integers(0, len(lines)))
+    lines.insert(at, bad.format(n=n))
+    p = tmp_path / "edges.txt"
+    p.write_bytes("\n".join(lines).encode())
+    message = scan_error(core._scan_hyperedge_file, str(p), n)
+    assert f"edges.txt:{at + 1}: " in message
+    with pytest.raises(ValueError) as info:
+        parse_hyperedge_file(str(p), num_nodes=n)
+    assert str(info.value) == message
+
+
+BAD_INTER_LINES = [
+    "0 1 0", "0 1 0 0 1 1", "a 1 0 0 1", "0 1 0 0 w", "0 0 1 0 1", "0 1 0 0 -1",
+    "0 1 0 0 nan", "1 0 0 0 inf", "0 1 -1 0 1", "0 9 0 0 1", "1 0 0 {n0} 1",
+    "0 1 {n0} 0 1",
+]
+
+
+@FILE_SETTINGS
+@given(inter_edge_files(), st.sampled_from(BAD_INTER_LINES), st.data())
+def test_inter_edge_file_errors_match_the_line_scan(tmp_path, case, bad, data):
+    sizes, text, _ = case
+    lines = text.split("\n")
+    at = data.draw(st.integers(0, len(lines)))
+    lines.insert(at, bad.format(n0=sizes[0]))
+    p = tmp_path / "inter.txt"
+    p.write_bytes("\n".join(lines).encode())
+    message = scan_error(core._scan_inter_edge_file, str(p), sizes)
+    assert f"inter.txt:{at + 1}: " in message
+    with pytest.raises(ValueError) as info:
+        parse_inter_edge_file(str(p), layer_sizes=sizes)
+    assert str(info.value) == message
+
+
+def test_files_the_array_path_does_not_read_still_parse(tmp_path):
+    p = tmp_path / "edges.txt"
+    p.write_text("# café\n+2 +1 0\n1 0 2\n", encoding="utf-8")
+    assert parse_hyperedge_file(str(p)) == HypergraphLayer(
+        3, (Hyperedge((0, 1), 2.0), Hyperedge((0, 2), 1.0))
+    )
+
+
+def test_loading_and_fitting_build_no_hyperedge_objects(tmp_path, monkeypatch):
+    mh = planted_partition(
+        num_nodes=30, num_communities=2, num_layers=2, c_in=0.5, c_out=0.05,
+        max_size=3, inter_edge_count=40, seed=1,
+    )
+    lines = []
+    for l, layer in enumerate(mh.layers):
+        write_hyperedge_file(str(tmp_path / f"e{l}.txt"), layer)
+        write_ground_truth_file(str(tmp_path / f"t{l}.txt"), layer.ground_truth)
+        lines += [f"layer.{l}.edges = e{l}.txt", f"layer.{l}.truth = t{l}.txt", f"layer.{l}.k = 2"]
+    write_inter_edge_file(str(tmp_path / "inter.txt"), mh.inter_edges)
+    man = tmp_path / "m.cfg"
+    man.write_text("\n".join(lines + ["inter.edges = inter.txt"]) + "\n")
+
+    built = []
+    checked, unchecked = Hyperedge.__post_init__, Hyperedge._unchecked
+    monkeypatch.setattr(Hyperedge, "__post_init__", lambda e: built.append(e) or checked(e))
+    monkeypatch.setattr(
+        Hyperedge, "_unchecked", lambda *args: built.append(args) or unchecked(*args)
+    )
+    mh, ks = load_manifest(str(man))
+    cfg = InferenceConfig(k_per_layer=ks, restarts=2, max_iters=10, seed=0)
+    fit(mh, cfg)
+    hyperedge_prediction_cv(mh, cfg, folds=3, seed=0)
+    assert built == []
+
+
+def test_duplicate_weights_add_in_file_order(tmp_path):
+    # (1 + 1) + 1e16 keeps both ones; adding either one to 1e16 first loses it
+    total = (1.0 + 1.0) + 1e16
+    p = tmp_path / "edges.txt"
+    p.write_text("1 0 1\n1 0 2\n1 1 0\n1e16 0 1\n")
+    assert parse_hyperedge_file(str(p)).weights.tolist() == [total, 1.0]
+    q = tmp_path / "inter.txt"
+    q.write_text("0 1 0 1 1\n1 0 1 0 1\n0 1 0 1 1e16\n")
+    assert parse_inter_edge_file(str(q))[0].weights.tolist() == [total]
