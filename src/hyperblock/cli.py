@@ -14,9 +14,11 @@ import dataclasses
 import json
 import logging
 import os
+import platform
 import sys
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .core import (
@@ -51,10 +53,25 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """Interpreter and library versions, and the BLAS thread settings (null
+    when unset)."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        **{name: os.environ.get(name) for name in _THREAD_VARIABLES},
+    }
+
+
 def _write_run_manifest(out_dir: str, command: str, params: dict) -> None:
     _write_json(
         os.path.join(out_dir, "run_manifest.json"),
-        {"tool": "hyperblock", "version": __version__, "command": command, "params": params},
+        {"tool": "hyperblock", "version": __version__, "command": command, "params": params,
+         "environment": _environment()},
     )
 
 

@@ -15,7 +15,7 @@ import copy
 import functools
 import logging
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -26,11 +26,11 @@ from .likelihood import (
     DegenerateStateError,
     LatentState,
     LayerConstants,
+    RateCarry,
     ThetaIncidence,
     _factored_rate,
     _failing_restarts,
     _per_restart_product,
-    cross_rates,
     inter_edge_arrays,
     layer_constants,
     pairwise_outer,
@@ -319,11 +319,11 @@ class EMEngine:
 
     # -- rate evaluation -----------------------------------------------------
 
-    def _edge_multipliers(self, state: LatentState, l: int):
+    def _edge_multipliers(self, state: LatentState, l: int, carry: RateCarry):
         """(A_e / rate_e, per-edge membership sums) for the layer's hyperedges."""
         inc = self.incidences[l]
-        s = inc.edge_sums(state.u[l])
-        rates = inc.edge_rates(state.u[l], state.w[l], sums=s)
+        s = carry.edge_sums(inc, l, state.u[l])
+        rates = carry.edge_rates(inc, l, state.u[l], state.w[l])
         zero = rates <= 0
         if zero.any():
             raise DegenerateStateError(
@@ -331,12 +331,14 @@ class EMEngine:
             )
         return inc.weights / rates, s
 
-    def _cross_ratio(self, state: LatentState, idx: int) -> sparse.csr_matrix:
+    def _cross_ratio(self, state: LatentState, idx: int, carry: RateCarry) -> sparse.csr_matrix:
         """Sparse S_ij / rate_ij over the stored inter-edges of one pair, per restart."""
         s = self.mh.inter_edges[idx]
         rows, cols, vals = self._cross_arrays[idx]
         ua, ub = state.u[s.layer_a], state.u[s.layer_b]
-        rates = cross_rates(ua, ub, state.w_cross[(s.layer_a, s.layer_b)], rows, cols)
+        rates = carry.cross_rates(
+            idx, ua, ub, state.w_cross[(s.layer_a, s.layer_b)], rows, cols
+        )
         zero = rates <= 0
         if zero.any():
             raise DegenerateStateError(
@@ -349,18 +351,16 @@ class EMEngine:
 
     @_single_or_stacked
     def updated_u(
-        self,
-        state: LatentState,
-        l: int,
-        ratios: Optional[Mapping[int, sparse.csr_matrix]] = None,
+        self, state: LatentState, l: int, carry: Optional[RateCarry] = None
     ) -> np.ndarray:
         """Membership update of layer l.
 
-        ``ratios`` maps each inter-edge set index to its cross ratio at
-        ``state``; computed here when omitted.
+        ``carry`` holds rate quantities already computed at ``state`` (see
+        ``RateCarry``); the ones computed here are added to it.
         """
+        carry = RateCarry() if carry is None else carry
         u, w = state.u[l], state.w[l]
-        mult, edge_sums = self._edge_multipliers(state, l)
+        mult, edge_sums = self._edge_multipliers(state, l, carry)
         inc = self.incidences[l]
 
         weighted = self._stacked_matrix(("b", l), inc.b, inc.b.data * mult[:, inc.b.indices])
@@ -373,7 +373,7 @@ class EMEngine:
 
         for idx, transposed in self._touching[l]:
             s = self.mh.inter_edges[idx]
-            ratio = ratios[idx] if ratios is not None else self._cross_ratio(state, idx)
+            ratio = self._cross_ratio(state, idx, carry)
             w_c = state.w_cross[(s.layer_a, s.layer_b)]
             if not transposed:
                 other = state.u[s.layer_b]
@@ -386,9 +386,12 @@ class EMEngine:
         return _guarded_ratio(num, den, f"u update of layer {l}")
 
     @_single_or_stacked
-    def updated_w(self, state: LatentState, l: int) -> np.ndarray:
+    def updated_w(
+        self, state: LatentState, l: int, carry: Optional[RateCarry] = None
+    ) -> np.ndarray:
+        """Affinity update of layer l; ``carry`` as for ``updated_u``."""
         u, w = state.u[l], state.w[l]
-        mult, edge_sums = self._edge_multipliers(state, l)
+        mult, edge_sums = self._edge_multipliers(state, l, RateCarry() if carry is None else carry)
         inc = self.incidences[l]
 
         first = np.swapaxes(edge_sums, -1, -2) @ (edge_sums * mult[..., None])
@@ -402,12 +405,15 @@ class EMEngine:
     @_single_or_stacked
     def updated_w_cross(self, state: LatentState, pair: tuple[int, int]) -> np.ndarray:
         idx = next(
-            i for i, s in enumerate(self.mh.inter_edges) if (s.layer_a, s.layer_b) == pair
+            (i for i, s in enumerate(self.mh.inter_edges) if (s.layer_a, s.layer_b) == pair),
+            None,
         )
+        if idx is None:
+            raise ValueError(f"no inter-edge set joins layer pair {pair}")
         s = self.mh.inter_edges[idx]
         ua, ub = state.u[s.layer_a], state.u[s.layer_b]
         w = state.w_cross[pair]
-        ratio = self._cross_ratio(state, idx)
+        ratio = self._cross_ratio(state, idx, RateCarry())
         num = w * (np.swapaxes(ua, -1, -2) @ _block_product(ratio, ub))
         den = ua.sum(axis=-2)[:, :, None] * ub.sum(axis=-2)[:, None, :]
         return _guarded_ratio(num, den, f"cross update of pair {pair}")
@@ -415,30 +421,40 @@ class EMEngine:
     # -- sweeps and objective ------------------------------------------------
 
     @_single_or_stacked
-    def sweep(self, state: LatentState) -> LatentState:
+    def sweep(self, state: LatentState, carry: Optional[RateCarry] = None) -> LatentState:
         """One EM sweep: u for all layers, then w, then cross affinities.
 
-        Marginals are implicit: every update family re-evaluates the rates
-        of the state it starts from.  The u updates of all layers start from
-        the same state, so each pair's cross ratio is computed once for them.
+        Marginals are implicit: every update family evaluates the rates of
+        the state it starts from, each rate once.  The u updates of all
+        layers start from ``state`` and share its cross rates, read from
+        ``carry`` when it holds them.  The w updates start from the new u,
+        so their edge sums are those of the returned state: a given carry
+        is refilled with them, and with nothing else, for the next call.
         """
-        ratios = {idx: self._cross_ratio(state, idx) for idx in range(len(self.mh.inter_edges))}
-        new_u = tuple(self.updated_u(state, l, ratios) for l in range(self.mh.num_layers))
+        known = RateCarry() if carry is None else carry
+        for idx in range(len(self.mh.inter_edges)):
+            self._cross_ratio(state, idx, known)
+        new_u = tuple(self.updated_u(state, l, known) for l in range(self.mh.num_layers))
         state = LatentState(new_u, state.w, state.w_cross)
-        new_w = tuple(self.updated_w(state, l) for l in range(self.mh.num_layers))
+        at_new_u = RateCarry()
+        new_w = tuple(self.updated_w(state, l, at_new_u) for l in range(self.mh.num_layers))
         state = LatentState(state.u, new_w, state.w_cross)
         new_cross = {
             (s.layer_a, s.layer_b): self.updated_w_cross(state, (s.layer_a, s.layer_b))
             for s in self.mh.inter_edges
         }
+        if carry is not None:
+            carry.sums, carry.rates, carry.cross = at_new_u.sums, {}, {}
         return LatentState(state.u, state.w, new_cross)
 
-    def objective(self, state: LatentState):
+    def objective(self, state: LatentState, carry: Optional[RateCarry] = None):
         """Surrogate objective: a float for one restart, one value per restart
-        for a stack."""
+        for a stack.  ``carry`` holds rate quantities already computed at
+        ``state``; the rates computed here are added to it, so the next
+        sweep from ``state`` reuses them."""
         return surrogate_objective(
             self.mh, self.tables, state, self.consts, incidences=self.incidences,
-            inter_arrays=self._cross_arrays,
+            inter_arrays=self._cross_arrays, carry=carry,
         )
 
 
@@ -461,19 +477,22 @@ class _Batch:
     def __init__(self, runs: list[_Run], stack: LatentState):
         self.live = runs
         self.stack = stack
+        self.carry = RateCarry()
 
     def keep(self, positions: list[int]) -> None:
         self.stack = self.stack.take(positions)
+        self.carry = self.carry.take(positions)
         self.live = [self.live[i] for i in positions]
 
     def call(self, method):
-        """``method(stack)``, or None once no restart is live.  A restart the
-        call fails on records the error and leaves the stack; the call is
-        repeated for the others, whose values are unchanged because
-        restarts never mix."""
+        """``method(stack, carry)``, or None once no restart is live.  A
+        restart the call fails on records the error and leaves the stack;
+        the call is repeated for the others, whose values are unchanged
+        because restarts never mix.  A failed call leaves the carry holding
+        quantities of the stack it was given."""
         while self.live:
             try:
-                return method(self.stack)
+                return method(self.stack, self.carry)
             except (DegenerateStateError, NonFiniteUpdateError) as exc:
                 if not exc.restarts:
                     raise

@@ -12,7 +12,7 @@ hyperedges.  ``sample_negatives`` serves the evaluation protocols only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -25,6 +25,7 @@ __all__ = [
     "DegenerateStateError",
     "LatentState",
     "LayerConstants",
+    "RateCarry",
     "ThetaIncidence",
     "mu",
     "lambda_e",
@@ -107,8 +108,12 @@ class LatentState:
             for m in mats:
                 if not np.all(np.isfinite(m)) or np.any(m < 0):
                     raise ValueError(f"{name} entries must be finite and non-negative")
+        # the last two axes are one restart's matrix, stacked or not
         for l, w in enumerate(self.w):
-            if w.shape[0] != w.shape[1] or np.max(np.abs(w - w.T), initial=0.0) > W_SYMMETRY_TOL:
+            transposed = np.swapaxes(w, -1, -2)
+            if w.shape != transposed.shape or (
+                np.max(np.abs(w - transposed), initial=0.0) > W_SYMMETRY_TOL
+            ):
                 raise ValueError(f"w[{l}] must be symmetric")
 
     def copy(self) -> "LatentState":
@@ -282,6 +287,46 @@ class ThetaIncidence:
         return 0.5 * (first - second)
 
 
+@dataclass
+class RateCarry:
+    """Rate quantities already computed for one stacked state.
+
+    ``sums[l]`` holds layer l's edge sums, ``rates[l]`` its hyperedge rates
+    and ``cross[i]`` the rates of the stored pairs of inter-edge set i, each
+    with a leading restart axis; a missing key is not computed yet.  A
+    carry describes one state: the methods below compute what is missing
+    at the state they are given and keep it, so the caller passes a carry
+    only with the state it was filled for.  ``EMEngine.sweep`` refills it
+    for the state it returns.
+    """
+
+    sums: dict = field(default_factory=dict)
+    rates: dict = field(default_factory=dict)
+    cross: dict = field(default_factory=dict)
+
+    def take(self, restarts) -> "RateCarry":
+        """The carry of the given restart positions of the state."""
+        return RateCarry(*(
+            {key: m[restarts] for key, m in part.items()}
+            for part in (self.sums, self.rates, self.cross)
+        ))
+
+    def edge_sums(self, inc: "ThetaIncidence", l: int, u: np.ndarray) -> np.ndarray:
+        if l not in self.sums:
+            self.sums[l] = inc.edge_sums(u)
+        return self.sums[l]
+
+    def edge_rates(self, inc: "ThetaIncidence", l: int, u: np.ndarray, w: np.ndarray):
+        if l not in self.rates:
+            self.rates[l] = inc.edge_rates(u, w, sums=self.edge_sums(inc, l, u))
+        return self.rates[l]
+
+    def cross_rates(self, idx: int, ua, ub, w_cross, rows, cols) -> np.ndarray:
+        if idx not in self.cross:
+            self.cross[idx] = cross_rates(ua, ub, w_cross, rows, cols)
+        return self.cross[idx]
+
+
 def inter_edge_arrays(s: InterEdgeSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(node in a, node in b, weight) of every stored inter-edge: the set's
     own read-only arrays."""
@@ -321,6 +366,7 @@ def surrogate_objective(
     consts: Sequence[LayerConstants],
     incidences: Optional[Sequence[ThetaIncidence]] = None,
     inter_arrays: Optional[Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]] = None,
+    carry: Optional[RateCarry] = None,
 ):
     """Approximated log-likelihood at the closed-form variational optimum.
 
@@ -329,35 +375,41 @@ def surrogate_objective(
     cross rate over all node pairs (a column-sum contraction) plus the
     weighted log-rates of observed inter-edges.  ``incidences`` and
     ``inter_arrays`` (one ``inter_edge_arrays`` triple per inter-edge set)
-    are built from the data when omitted.  Returns a float for one
-    restart's state and one value per restart for a stacked state.
+    are built from the data when omitted.  ``carry`` holds rate quantities
+    already computed at ``state``; the rates computed here are added to it.
+    Returns a float for one restart's state and one value per restart for a
+    stacked state.
     Raises DegenerateStateError, naming the failing restarts, when an
     observed interaction has zero rate.
     """
     if not state.stacked:
         return float(
-            surrogate_objective(mh, tables, state.as_stack(), consts, incidences, inter_arrays)[0]
+            surrogate_objective(
+                mh, tables, state.as_stack(), consts, incidences, inter_arrays, carry
+            )[0]
         )
     if incidences is None:
         incidences = [ThetaIncidence(layer, table) for layer, table in zip(mh.layers, tables)]
     if inter_arrays is None:
         inter_arrays = [inter_edge_arrays(s) for s in mh.inter_edges]
+    if carry is None:
+        carry = RateCarry()
     total = np.zeros(state.u[0].shape[0])
     for l, layer in enumerate(mh.layers):
         u, w = state.u[l], state.w[l]
         total -= consts[l].c_l * pairwise_interaction_sum(u, w)
-        rates = incidences[l].edge_rates(u, w)
+        rates = carry.edge_rates(incidences[l], l, u, w)
         zero = rates <= 0
         if zero.any():
             raise DegenerateStateError(
                 f"zero rate on observed hyperedge in layer {l}", _failing_restarts(zero)
             )
         total += _dot_last(np.log(rates), incidences[l].weights)
-    for s, (rows, cols, vals) in zip(mh.inter_edges, inter_arrays):
+    for idx, (s, (rows, cols, vals)) in enumerate(zip(mh.inter_edges, inter_arrays)):
         ua, ub = state.u[s.layer_a], state.u[s.layer_b]
         w_cross = state.w_cross[(s.layer_a, s.layer_b)]
         total -= (ua.sum(axis=-2)[:, None, :] @ w_cross @ ub.sum(axis=-2)[:, :, None])[:, 0, 0]
-        rates = cross_rates(ua, ub, w_cross, rows, cols)
+        rates = carry.cross_rates(idx, ua, ub, w_cross, rows, cols)
         zero = rates <= 0
         if zero.any():
             failing = _failing_restarts(zero)

@@ -2,11 +2,13 @@
 
 import json
 import os
+import platform
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from hyperblock.cli import main
 from hyperblock.core import (
@@ -56,6 +58,12 @@ def test_synth_outputs(pipeline):
     manifest = read_json(os.path.join(synth_dir, "run_manifest.json"))
     assert manifest["command"] == "synth"
     assert manifest["tool"] == "hyperblock"
+    env = manifest["environment"]
+    assert env["numpy"] == np.__version__
+    assert env["python"] == platform.python_version()
+    assert env["scipy"] == scipy.__version__
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert env[name] == os.environ.get(name)
 
 
 def test_fit_outputs(pipeline):

@@ -22,7 +22,7 @@ from hyperblock.inference import (
     fit,
     initialize,
 )
-from hyperblock.likelihood import DegenerateStateError, LatentState, LayerConstants
+from hyperblock.likelihood import DegenerateStateError, LatentState, LayerConstants, RateCarry
 
 
 def tiny_layer():
@@ -422,6 +422,59 @@ def test_fit_skips_one_degenerate_restart(monkeypatch, caplog):
     assert len(dropped) == 1
     assert dropped[0].levelno == logging.WARNING
     assert "restart 1 " in dropped[0].getMessage()
+
+
+def test_updated_w_cross_names_a_pair_without_inter_edges():
+    mh = random_multi(np.random.default_rng(2))
+    engine = EMEngine(mh)
+    state = initialize(mh, InferenceConfig(k_per_layer=(2, 2)), 0)
+    with pytest.raises(ValueError, match=r"\(1, 0\)"):
+        engine.updated_w_cross(state, (1, 0))
+
+
+def assert_same_state(a, b):
+    for x, y in zip(a.u + a.w, b.u + b.w):
+        assert x.tobytes() == y.tobytes()
+    assert a.w_cross.keys() == b.w_cross.keys()
+    for key in a.w_cross:
+        assert a.w_cross[key].tobytes() == b.w_cross[key].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    instance=st.integers(0, 2**32 - 1),
+    num_layers=st.integers(1, 3),
+    with_inter=st.booleans(),
+    k=st.lists(st.integers(1, 3), min_size=3, max_size=3),
+    restarts=st.integers(1, 3),
+    checks=st.lists(st.booleans(), min_size=1, max_size=8),
+    drop=st.one_of(st.none(), st.tuples(st.integers(0, 7), st.integers(0, 2))),
+)
+def test_carry_matches_calls_without_it(instance, num_layers, with_inter, k, restarts,
+                                        checks, drop):
+    # sweep i is preceded by an objective when checks[i]; at sweep drop[0] the
+    # restart at drop[1] leaves the stack and the carry is subset with it
+    mh = random_multi(np.random.default_rng(instance), num_layers, with_inter)
+    cfg = InferenceConfig(k_per_layer=k[:num_layers])
+    engine = EMEngine(mh)
+    plain = LatentState.stack([initialize(mh, cfg, instance % 1000 + r) for r in range(restarts)])
+    carried, carry = plain, RateCarry()
+    prev = None
+    for i, check in enumerate(checks):
+        if drop is not None and drop[0] == i and plain.u[0].shape[0] > 1:
+            keep = [r for r in range(plain.u[0].shape[0]) if r != drop[1] % restarts]
+            plain, carried, carry = plain.take(keep), carried.take(keep), carry.take(keep)
+            prev = None if prev is None else prev[keep]
+        if check:
+            obj = engine.objective(plain)
+            assert obj.tobytes() == engine.objective(carried, carry).tobytes()
+            if prev is not None:
+                assert np.all(obj >= prev - 1e-8 * np.abs(prev))
+            prev = obj
+        plain, carried = engine.sweep(plain), engine.sweep(carried, carry)
+        assert_same_state(plain, carried)
+        carried.validate()
+    assert engine.objective(plain).tobytes() == engine.objective(carried, carry).tobytes()
 
 
 def fit_both_ways(mh, cfg):

@@ -11,6 +11,8 @@ from hyperblock.likelihood import (
     DegenerateStateError,
     LatentState,
     ThetaIncidence,
+    _factored_rate,
+    cross_rates,
     lambda_e,
     lambda_ij,
     layer_constants,
@@ -174,6 +176,53 @@ def test_latent_state_validation():
         LatentState((np.ones((2, 2)),), (np.array([[1.0, 0.5], [0.1, 1.0]]),), {}).validate()
     with pytest.raises(ValueError):
         LatentState((np.full((2, 2), np.nan),), (np.eye(2),), {}).validate()
+
+
+def test_latent_state_validation_on_stacks():
+    rng = np.random.default_rng(3)
+
+    def symmetric_stack(r, k):
+        w = rng.random((r, k, k))
+        return w + np.swapaxes(w, -1, -2)
+
+    # R != K and R == K: the last two axes are the matrices
+    for r, k in ((3, 2), (2, 2), (1, 4)):
+        LatentState((rng.random((r, 5, k)),), (symmetric_stack(r, k),), {}).validate()
+    w = symmetric_stack(3, 3)
+    w[1, 0, 2] += 0.25
+    with pytest.raises(ValueError, match="symmetric"):
+        LatentState((rng.random((3, 5, 3)),), (w,), {}).validate()
+    with pytest.raises(ValueError, match="symmetric"):
+        LatentState((rng.random((2, 5, 3)),), (rng.random((2, 3, 2)),), {}).validate()
+
+
+def test_stacked_rates_match_per_edge_oracles():
+    rng = np.random.default_rng(17)
+    n, restarts = 11, 3
+    edges = {
+        tuple(sorted(rng.choice(n, size=int(size), replace=False).tolist()))
+        for size in rng.integers(2, 6, size=25)
+    }
+    layer = HypergraphLayer.from_hyperedges(n, [make_hyperedge(e) for e in sorted(edges)])
+    inc = ThetaIncidence(layer, theta_table(layer))
+    u = rng.random((restarts, n, 3))
+    w = rng.random((restarts, 3, 3))
+    w = w + np.swapaxes(w, -1, -2)
+    rates = inc.edge_rates(u, w)
+    for eid, e in enumerate(layer.hyperedges):
+        theta = compute_theta(layer, e)
+        for r in range(restarts):
+            expected = _factored_rate(e.nodes, theta, u[r], w[r])[2]
+            assert abs(rates[r, eid] - expected) <= 1e-12 * abs(expected)
+
+    ub = rng.random((restarts, 7, 2))
+    w_cross = rng.random((restarts, 3, 2))
+    rows, cols = rng.integers(n, size=40), rng.integers(7, size=40)
+    cross = cross_rates(u, ub, w_cross, rows, cols)
+    for k, (i, j) in enumerate(zip(rows, cols)):
+        for r in range(restarts):
+            expected = lambda_ij(u[r, i], ub[r, j], w_cross[r])
+            assert abs(cross[r, k] - expected) <= 1e-12 * abs(expected)
 
 
 def test_incidence_rates_match_per_edge_lambda():
