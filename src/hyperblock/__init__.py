@@ -32,6 +32,7 @@ from .likelihood import (
     DegenerateStateError,
     LatentState,
     LayerConstants,
+    RateCarry,
     lambda_e,
     lambda_ij,
     layer_constants,
@@ -92,6 +93,7 @@ __all__ = [
     "DegenerateStateError",
     "LatentState",
     "LayerConstants",
+    "RateCarry",
     "mu",
     "lambda_e",
     "lambda_ij",

@@ -390,8 +390,9 @@ class EMEngine:
         self, state: LatentState, l: int, carry: Optional[RateCarry] = None
     ) -> np.ndarray:
         """Affinity update of layer l; ``carry`` as for ``updated_u``."""
+        carry = RateCarry() if carry is None else carry
         u, w = state.u[l], state.w[l]
-        mult, edge_sums = self._edge_multipliers(state, l, RateCarry() if carry is None else carry)
+        mult, edge_sums = self._edge_multipliers(state, l, carry)
         inc = self.incidences[l]
 
         first = np.swapaxes(edge_sums, -1, -2) @ (edge_sums * mult[..., None])
@@ -432,6 +433,7 @@ class EMEngine:
         is refilled with them, and with nothing else, for the next call.
         """
         known = RateCarry() if carry is None else carry
+        # every u update reads these: a zero cross rate fails the sweep first
         for idx in range(len(self.mh.inter_edges)):
             self._cross_ratio(state, idx, known)
         new_u = tuple(self.updated_u(state, l, known) for l in range(self.mh.num_layers))

@@ -317,12 +317,12 @@ class RateCarry:
             for part in (self.sums, self.rates, self.cross)
         ))
 
-    def edge_sums(self, inc: "ThetaIncidence", l: int, u: np.ndarray) -> np.ndarray:
+    def edge_sums(self, inc: ThetaIncidence, l: int, u: np.ndarray) -> np.ndarray:
         if l not in self.sums:
             self.sums[l] = inc.edge_sums(u)
         return self.sums[l]
 
-    def edge_rates(self, inc: "ThetaIncidence", l: int, u: np.ndarray, w: np.ndarray):
+    def edge_rates(self, inc: ThetaIncidence, l: int, u: np.ndarray, w: np.ndarray):
         if l not in self.rates:
             self.rates[l] = inc.edge_rates(u, w, sums=self.edge_sums(inc, l, u))
         return self.rates[l]

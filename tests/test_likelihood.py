@@ -11,7 +11,6 @@ from hyperblock.likelihood import (
     DegenerateStateError,
     LatentState,
     ThetaIncidence,
-    _factored_rate,
     cross_rates,
     lambda_e,
     lambda_ij,
@@ -176,19 +175,13 @@ def test_latent_state_validation():
         LatentState((np.ones((2, 2)),), (np.array([[1.0, 0.5], [0.1, 1.0]]),), {}).validate()
     with pytest.raises(ValueError):
         LatentState((np.full((2, 2), np.nan),), (np.eye(2),), {}).validate()
-
-
-def test_latent_state_validation_on_stacks():
+    # stacks: the last two axes are one restart's matrix, for R != K and R == K
     rng = np.random.default_rng(3)
-
-    def symmetric_stack(r, k):
-        w = rng.random((r, k, k))
-        return w + np.swapaxes(w, -1, -2)
-
-    # R != K and R == K: the last two axes are the matrices
     for r, k in ((3, 2), (2, 2), (1, 4)):
-        LatentState((rng.random((r, 5, k)),), (symmetric_stack(r, k),), {}).validate()
-    w = symmetric_stack(3, 3)
+        w = rng.random((r, k, k))
+        LatentState((rng.random((r, 5, k)),), (w + np.swapaxes(w, -1, -2),), {}).validate()
+    w = rng.random((3, 3, 3))
+    w = w + np.swapaxes(w, -1, -2)
     w[1, 0, 2] += 0.25
     with pytest.raises(ValueError, match="symmetric"):
         LatentState((rng.random((3, 5, 3)),), (w,), {}).validate()
@@ -196,7 +189,8 @@ def test_latent_state_validation_on_stacks():
         LatentState((rng.random((2, 5, 3)),), (rng.random((2, 3, 2)),), {}).validate()
 
 
-def test_stacked_rates_match_per_edge_oracles():
+def test_incidence_rates_match_per_edge_lambda():
+    # one restart and a stack of three, against the per-edge oracles
     rng = np.random.default_rng(17)
     n, restarts = 11, 3
     edges = {
@@ -209,40 +203,22 @@ def test_stacked_rates_match_per_edge_oracles():
     w = rng.random((restarts, 3, 3))
     w = w + np.swapaxes(w, -1, -2)
     rates = inc.edge_rates(u, w)
+    assert np.array_equal(inc.edge_rates(u[1], w[1]), rates[1])
     for eid, e in enumerate(layer.hyperedges):
         theta = compute_theta(layer, e)
         for r in range(restarts):
-            expected = _factored_rate(e.nodes, theta, u[r], w[r])[2]
+            expected = lambda_e(e, theta, u[r], w[r])
             assert abs(rates[r, eid] - expected) <= 1e-12 * abs(expected)
 
     ub = rng.random((restarts, 7, 2))
     w_cross = rng.random((restarts, 3, 2))
     rows, cols = rng.integers(n, size=40), rng.integers(7, size=40)
     cross = cross_rates(u, ub, w_cross, rows, cols)
+    assert np.array_equal(cross_rates(u[1], ub[1], w_cross[1], rows, cols), cross[1])
     for k, (i, j) in enumerate(zip(rows, cols)):
         for r in range(restarts):
             expected = lambda_ij(u[r, i], ub[r, j], w_cross[r])
             assert abs(cross[r, k] - expected) <= 1e-12 * abs(expected)
-
-
-def test_incidence_rates_match_per_edge_lambda():
-    rng = np.random.default_rng(7)
-    layer = HypergraphLayer.from_hyperedges(
-        9,
-        [
-            make_hyperedge(sorted(rng.choice(9, size=s, replace=False).tolist()))
-            for s in (2, 3, 4, 3, 2)
-        ],
-    )
-    table = theta_table(layer)
-    inc = ThetaIncidence(layer, table)
-    u = rng.random((9, 3))
-    w = rng.random((3, 3))
-    w = 0.5 * (w + w.T)
-    rates = inc.edge_rates(u, w)
-    for eid, e in enumerate(layer.hyperedges):
-        theta = compute_theta(layer, e)
-        assert rates[eid] == pytest.approx(lambda_e(e, theta, u, w), rel=1e-9)
 
 
 def test_pairwise_outer_identity():
