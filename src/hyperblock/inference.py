@@ -202,14 +202,13 @@ def e_step_pair(u_i: np.ndarray, u_j: np.ndarray, w_cross: np.ndarray) -> np.nda
 
 def _guarded_ratio(num: np.ndarray, den: np.ndarray, what: str) -> np.ndarray:
     """num / den where num > 0, else 0; the leading axis indexes restarts."""
-    bad = (num > 0) & (den <= 0)
+    positive = num > 0
+    bad = positive & (den <= 0)
     if bad.any():
         raise NonFiniteUpdateError(
             f"zero denominator with positive numerator in {what}", _failing_restarts(bad)
         )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(num > 0, num / den, 0.0)
-    return out
+    return np.divide(num, den, out=np.zeros_like(num), where=positive)
 
 
 def _with_data(template: sparse.csr_matrix, data: np.ndarray) -> sparse.csr_matrix:
@@ -220,6 +219,13 @@ def _with_data(template: sparse.csr_matrix, data: np.ndarray) -> sparse.csr_matr
     out = copy.copy(template)
     out.data = data
     return out
+
+
+def _csr_pattern(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape) -> sparse.csr_matrix:
+    """CSR matrix of entries (rows[k], cols[k], vals[k]), rows ascending."""
+    indptr = np.zeros(shape[0] + 1, dtype=int)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return sparse.csr_matrix((vals, cols, indptr), shape=shape)
 
 
 def _block_pattern(template: sparse.csr_matrix, copies: int) -> sparse.csr_matrix:
@@ -292,19 +298,28 @@ class EMEngine:
             self.consts = tuple(
                 layer_constants(layer, m_override=m_override) for layer in mh.layers
             )
-        # per inter-edge set: flat (rows, cols, weights) and the CSR pattern of
+        # per inter-edge set: flat (rows, cols, weights), the CSR pattern of
         # its cross-ratio matrix (stored pairs are sorted, so CSR order is
-        # storage order); plus which sets touch a layer
+        # storage order) and the CSR pattern of its transpose with the
+        # permutation taking storage order to that pattern's order; plus
+        # which sets touch a layer and which set joins a layer pair
         self._cross_arrays = [inter_edge_arrays(s) for s in mh.inter_edges]
         self._cross_patterns = []
+        self._cross_transposed: list[tuple[sparse.csr_matrix, np.ndarray]] = []
         self._touching: list[list[tuple[int, bool]]] = [[] for _ in mh.layers]
+        self._pair_index = {}
         for idx, (s, (rows, cols, vals)) in enumerate(zip(mh.inter_edges, self._cross_arrays)):
             shape = (mh.layers[s.layer_a].num_nodes, mh.layers[s.layer_b].num_nodes)
-            indptr = np.zeros(shape[0] + 1, dtype=int)
-            np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-            self._cross_patterns.append(sparse.csr_matrix((vals, cols, indptr), shape=shape))
+            self._cross_patterns.append(_csr_pattern(rows, cols, vals, shape))
+            # within a column, rows stay ascending: the transposed product
+            # sums each output row in the order ``ratio.T @`` does
+            perm = np.argsort(cols, kind="stable")
+            self._cross_transposed.append(
+                (_csr_pattern(cols[perm], rows[perm], vals[perm], shape[::-1]), perm)
+            )
             self._touching[s.layer_a].append((idx, False))
             self._touching[s.layer_b].append((idx, True))
+            self._pair_index[(s.layer_a, s.layer_b)] = idx
         self._block_patterns: dict[tuple, sparse.csr_matrix] = {}
 
     def _stacked_matrix(self, key, template: sparse.csr_matrix, data: np.ndarray):
@@ -331,8 +346,11 @@ class EMEngine:
             )
         return inc.weights / rates, s
 
-    def _cross_ratio(self, state: LatentState, idx: int, carry: RateCarry) -> sparse.csr_matrix:
-        """Sparse S_ij / rate_ij over the stored inter-edges of one pair, per restart."""
+    def _cross_ratios(self, state: LatentState, idx: int, carry: RateCarry) -> np.ndarray:
+        """S_ij / rate_ij over the stored inter-edges of one pair, shape (R, nnz):
+        the data of the cross-ratio matrix, kept in ``carry.ratios``."""
+        if idx in carry.ratios:
+            return carry.ratios[idx]
         s = self.mh.inter_edges[idx]
         rows, cols, vals = self._cross_arrays[idx]
         ua, ub = state.u[s.layer_a], state.u[s.layer_b]
@@ -345,7 +363,8 @@ class EMEngine:
                 f"zero rate on observed inter-edge of pair ({s.layer_a}, {s.layer_b})",
                 _failing_restarts(zero),
             )
-        return self._stacked_matrix(("cross", idx), self._cross_patterns[idx], vals / rates)
+        carry.ratios[idx] = vals / rates
+        return carry.ratios[idx]
 
     # -- update rules --------------------------------------------------------
 
@@ -363,7 +382,9 @@ class EMEngine:
         mult, edge_sums = self._edge_multipliers(state, l, carry)
         inc = self.incidences[l]
 
-        weighted = self._stacked_matrix(("b", l), inc.b, inc.b.data * mult[:, inc.b.indices])
+        weighted = self._stacked_matrix(
+            ("b", l), inc.b, inc.b.data * np.take(mult, inc.b.indices, axis=1)
+        )
         first = _block_product(weighted, edge_sums)
         second = _per_restart_product(inc.b2, mult, 1)[..., None] * u
         num = u * ((first - second) @ w)
@@ -373,15 +394,18 @@ class EMEngine:
 
         for idx, transposed in self._touching[l]:
             s = self.mh.inter_edges[idx]
-            ratio = self._cross_ratio(state, idx, carry)
+            ratios = self._cross_ratios(state, idx, carry)
             w_c = state.w_cross[(s.layer_a, s.layer_b)]
             if not transposed:
                 other = state.u[s.layer_b]
+                ratio = self._stacked_matrix(("cross", idx), self._cross_patterns[idx], ratios)
                 num += u * _block_product(ratio, other @ np.swapaxes(w_c, -1, -2))
                 den = den + (w_c @ other.sum(axis=-2)[:, :, None])[:, None, :, 0]
             else:
                 other = state.u[s.layer_a]
-                num += u * _block_product(ratio.T, other @ w_c)
+                pattern, perm = self._cross_transposed[idx]
+                ratio_t = self._stacked_matrix(("cross_t", idx), pattern, ratios[:, perm])
+                num += u * _block_product(ratio_t, other @ w_c)
                 den = den + other.sum(axis=-2)[:, None, :] @ w_c
         return _guarded_ratio(num, den, f"u update of layer {l}")
 
@@ -405,16 +429,15 @@ class EMEngine:
 
     @_single_or_stacked
     def updated_w_cross(self, state: LatentState, pair: tuple[int, int]) -> np.ndarray:
-        idx = next(
-            (i for i, s in enumerate(self.mh.inter_edges) if (s.layer_a, s.layer_b) == pair),
-            None,
-        )
+        idx = self._pair_index.get(pair)
         if idx is None:
             raise ValueError(f"no inter-edge set joins layer pair {pair}")
         s = self.mh.inter_edges[idx]
         ua, ub = state.u[s.layer_a], state.u[s.layer_b]
         w = state.w_cross[pair]
-        ratio = self._cross_ratio(state, idx, RateCarry())
+        ratio = self._stacked_matrix(
+            ("cross", idx), self._cross_patterns[idx], self._cross_ratios(state, idx, RateCarry())
+        )
         num = w * (np.swapaxes(ua, -1, -2) @ _block_product(ratio, ub))
         den = ua.sum(axis=-2)[:, :, None] * ub.sum(axis=-2)[:, None, :]
         return _guarded_ratio(num, den, f"cross update of pair {pair}")
@@ -427,15 +450,15 @@ class EMEngine:
 
         Marginals are implicit: every update family evaluates the rates of
         the state it starts from, each rate once.  The u updates of all
-        layers start from ``state`` and share its cross rates, read from
-        ``carry`` when it holds them.  The w updates start from the new u,
+        layers start from ``state`` and share its cross rates and cross
+        ratios, each built once and read from ``carry`` when it holds them.  The w updates start from the new u,
         so their edge sums are those of the returned state: a given carry
         is refilled with them, and with nothing else, for the next call.
         """
         known = RateCarry() if carry is None else carry
         # every u update reads these: a zero cross rate fails the sweep first
         for idx in range(len(self.mh.inter_edges)):
-            self._cross_ratio(state, idx, known)
+            self._cross_ratios(state, idx, known)
         new_u = tuple(self.updated_u(state, l, known) for l in range(self.mh.num_layers))
         state = LatentState(new_u, state.w, state.w_cross)
         at_new_u = RateCarry()
@@ -446,7 +469,7 @@ class EMEngine:
             for s in self.mh.inter_edges
         }
         if carry is not None:
-            carry.sums, carry.rates, carry.cross = at_new_u.sums, {}, {}
+            carry.sums, carry.rates, carry.cross, carry.ratios = at_new_u.sums, {}, {}, {}
         return LatentState(state.u, state.w, new_cross)
 
     def objective(self, state: LatentState, carry: Optional[RateCarry] = None):

@@ -241,9 +241,12 @@ def _per_restart_product(mat: sparse.spmatrix, x: np.ndarray, core_ndim: int) ->
     """
     if x.ndim == core_ndim:
         return np.asarray(mat @ x)
-    moved = np.moveaxis(x, 0, -1)
-    out = np.asarray(mat @ moved.reshape(x.shape[1], -1))
-    return np.ascontiguousarray(np.moveaxis(out.reshape((-1,) + moved.shape[1:]), -1, 0))
+    if core_ndim == 1:
+        return np.ascontiguousarray(np.asarray(mat @ x.T).T)
+    # column c * R + r holds column c of restart r
+    r, n, k = x.shape
+    out = np.asarray(mat @ x.transpose(1, 2, 0).reshape(n, k * r))
+    return np.ascontiguousarray(out.reshape(-1, k, r).transpose(2, 0, 1))
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -297,9 +300,11 @@ class ThetaIncidence:
 class RateCarry:
     """Rate quantities already computed for one stacked state.
 
-    ``sums[l]`` holds layer l's edge sums, ``rates[l]`` its hyperedge rates
-    and ``cross[i]`` the rates of the stored pairs of inter-edge set i, each
-    with a leading restart axis; a missing key is not computed yet.  A
+    ``sums[l]`` holds layer l's edge sums, ``rates[l]`` its hyperedge rates,
+    ``cross[i]`` the rates of the stored pairs of inter-edge set i and
+    ``ratios[i]`` their weights divided by those rates (the data of the
+    cross-ratio matrix, filled by ``EMEngine``), each with a leading
+    restart axis; a missing key is not computed yet.  A
     carry describes one state: the methods below compute what is missing
     at the state they are given and keep it, so the caller passes a carry
     only with the state it was filled for.  ``EMEngine.sweep`` refills it
@@ -309,12 +314,13 @@ class RateCarry:
     sums: dict = field(default_factory=dict)
     rates: dict = field(default_factory=dict)
     cross: dict = field(default_factory=dict)
+    ratios: dict = field(default_factory=dict)
 
     def take(self, restarts) -> "RateCarry":
         """The carry of the given restart positions of the state."""
         return RateCarry(*(
             {key: m[restarts] for key, m in part.items()}
-            for part in (self.sums, self.rates, self.cross)
+            for part in (self.sums, self.rates, self.cross, self.ratios)
         ))
 
     def edge_sums(self, inc: ThetaIncidence, l: int, u: np.ndarray) -> np.ndarray:
@@ -342,8 +348,12 @@ def inter_edge_arrays(s: InterEdgeSet) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def cross_rates(
     ua: np.ndarray, ub: np.ndarray, w_cross: np.ndarray, rows: np.ndarray, cols: np.ndarray
 ) -> np.ndarray:
-    """Rates u_i w_cross u_j of the node pairs (rows[k], cols[k])."""
-    return _row_dots(ua[..., rows, :] @ w_cross, ub[..., cols, :])
+    """Rates u_i w_cross u_j of the node pairs (rows[k], cols[k]).
+
+    u_i w_cross is formed once per node of layer a, then gathered per pair;
+    each row's products sum exactly as they would after the gather.
+    """
+    return _row_dots(np.take(ua @ w_cross, rows, axis=-2), np.take(ub, cols, axis=-2))
 
 
 def pairwise_outer(u: np.ndarray) -> np.ndarray:
