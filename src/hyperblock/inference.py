@@ -183,9 +183,10 @@ def e_step_hyperedge(e, theta, u: np.ndarray, w: np.ndarray):
     symmetrized community-pair marginal summing to 1).
     """
     nodes = e.nodes if isinstance(e, Hyperedge) else tuple(e)
-    x, s, lam = _factored_rate(nodes, theta, u, w)
+    x, lam = _factored_rate(nodes, theta, u, w)
     if lam <= 0:
         raise DegenerateStateError(f"zero rate for hyperedge {nodes}")
+    s = x.sum(axis=0)
     p_node = x * ((s - x) @ w) / lam
     p_pair = 0.5 * w * (np.outer(s, s) - x.T @ x) / lam
     return p_node, p_pair

@@ -77,6 +77,38 @@ def test_lambda_e_matches_naive_on_random_instances():
         assert fast == pytest.approx(slow, rel=1e-9)
 
 
+def test_lambda_e_has_no_cancellation_noise():
+    # sparse memberships under a diagonal w make many node sets' exact rate
+    # 0, which must come back as exactly 0; row scales spread over 20 orders
+    # of magnitude make tiny rates beside large rows, which keep their
+    # relative accuracy
+    rng = np.random.default_rng(8)
+    n, k = 40, 4
+    u = rng.random((n, k)) * (rng.random((n, k)) < 0.35)
+    u *= 10.0 ** -rng.integers(0, 20, size=(n, 1))
+    w = np.diag(rng.random(k) + 0.5)
+    zeros = 0
+    for _ in range(2000):
+        size = int(rng.integers(2, 6))
+        nodes = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
+        theta = rng.random(size) + 0.1
+        x = theta[:, None] * u[list(nodes)]
+        exact = math.fsum(
+            x[a, p] * w[p, q] * x[b, q]
+            for a in range(size) for b in range(a + 1, size)
+            for p in range(k) for q in range(k)
+        )
+        got = lambda_e(nodes, theta, u, w)
+        if exact == 0.0:
+            zeros += 1
+            assert got == 0.0
+        else:
+            assert got == pytest.approx(exact, rel=1e-12)
+    assert zeros > 200
+    # a tiny partner of a dominant row: s w s - sum_i x_i w x_i loses it
+    assert lambda_e([0, 1], np.ones(2), np.array([[1.0], [1e-20]]), np.eye(1)) == 1e-20
+
+
 def test_lambda_e_node_order_invariant():
     rng = np.random.default_rng(5)
     u = rng.random((6, 2))
