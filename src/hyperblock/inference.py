@@ -223,7 +223,7 @@ def _with_data(template: sparse.csr_matrix, data: np.ndarray) -> sparse.csr_matr
 
 
 def _csr_pattern(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape) -> sparse.csr_matrix:
-    """CSR matrix of entries (rows[k], cols[k], vals[k]), rows ascending."""
+    """CSR matrix of entries (rows[k], cols[k], vals[k]), given in row order."""
     indptr = np.zeros(shape[0] + 1, dtype=int)
     np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
     return sparse.csr_matrix((vals, cols, indptr), shape=shape)
@@ -452,9 +452,10 @@ class EMEngine:
         Marginals are implicit: every update family evaluates the rates of
         the state it starts from, each rate once.  The u updates of all
         layers start from ``state`` and share its cross rates and cross
-        ratios, each built once and read from ``carry`` when it holds them.  The w updates start from the new u,
-        so their edge sums are those of the returned state: a given carry
-        is refilled with them, and with nothing else, for the next call.
+        ratios, each built once and read from ``carry`` when it holds them.
+        The w updates start from the new u, so their edge sums are those of
+        the returned state: a given carry is refilled with them, and with
+        nothing else, for the next call.
         """
         known = RateCarry() if carry is None else carry
         # every u update reads these: a zero cross rate fails the sweep first
@@ -591,7 +592,8 @@ def fit(mh: MultiHypergraph, cfg: InferenceConfig) -> FitResult:
     ``_BATCH_ENTRIES``, so small instances run every restart together and
     large ones one at a time.  Results are bit for bit those of running
     each restart alone.  Restarts that collapse to a degenerate state are
-    dropped with a warning on the ``hyperblock`` logger; if all do,
+    dropped with a warning on the ``hyperblock`` logger, and one more
+    warning follows when more than half of them are; if all are,
     FitFailureError is raised.  The first restart with the strictly highest
     final objective wins.
     """
@@ -622,6 +624,9 @@ def fit(mh: MultiHypergraph, cfg: InferenceConfig) -> FitResult:
             outcomes.append(RestartOutcome(seed, run.trace[-1][1], run.sweeps, run.converged))
             if best is None or run.trace[-1][1] > best.trace[-1][1]:
                 best = run
+    dropped = sum(outcome.dropped is not None for outcome in outcomes)
+    if 2 * dropped > cfg.restarts:
+        log.warning("%d of %d restarts dropped", dropped, cfg.restarts)
     if best is None:
         raise FitFailureError("all restarts degenerate")
     return FitResult(best.state, tuple(best.trace), best.restart, best.converged, tuple(outcomes))

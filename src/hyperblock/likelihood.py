@@ -353,8 +353,7 @@ def cross_rates(
 ) -> np.ndarray:
     """Rates u_i w_cross u_j of the node pairs (rows[k], cols[k]).
 
-    u_i w_cross is formed once per node of layer a, then gathered per pair;
-    each row's products sum exactly as they would after the gather.
+    u_i w_cross is formed once per node of layer a, then gathered per pair.
     """
     return _row_dots(np.take(ua @ w_cross, rows, axis=-2), np.take(ub, cols, axis=-2))
 

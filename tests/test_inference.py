@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from hyperblock.core import HypergraphLayer, InterEdgeSet, MultiHypergraph, make_hyperedge
 from hyperblock.inference import (
@@ -15,6 +16,7 @@ from hyperblock.inference import (
     InferenceConfig,
     NonFiniteUpdateError,
     RestartOutcome,
+    _block_product,
     _guarded_ratio,
     _run_restart,
     e_step_hyperedge,
@@ -22,7 +24,15 @@ from hyperblock.inference import (
     fit,
     initialize,
 )
-from hyperblock.likelihood import DegenerateStateError, LatentState, LayerConstants, RateCarry
+from hyperblock.likelihood import (
+    DegenerateStateError,
+    LatentState,
+    LayerConstants,
+    RateCarry,
+    _per_restart_product,
+    _row_dots,
+    cross_rates,
+)
 
 
 def tiny_layer():
@@ -187,6 +197,19 @@ def test_guarded_ratio():
     assert np.array_equal(_guarded_ratio(num, den, "test"), [0.5, 0.0, 0.5])
     with pytest.raises(NonFiniteUpdateError, match="test"):
         _guarded_ratio(np.array([1.0]), np.array([0.0]), "test")
+    # zero, negative-zero and NaN numerators give 0 over any denominator,
+    # zero and NaN included, with no warning and no error
+    num = np.array([[0.0, -0.0, np.nan, 3.0], [np.nan, 0.0, 0.0, 1.0]])
+    den = np.array([[0.0, -1.0, 0.0, 2.0], [np.nan, np.nan, 5.0, 8.0]])
+    out = _guarded_ratio(num, den, "test")
+    assert out.tobytes() == np.array([[0.0, 0.0, 0.0, 1.5], [0.0, 0.0, 0.0, 0.125]]).tobytes()
+    # the error names the restarts (leading axis) with a positive numerator
+    # over a non-positive denominator
+    num = np.ones((3, 2))
+    den = np.array([[1.0, 1.0], [1.0, 0.0], [-1.0, 1.0]])
+    with pytest.raises(NonFiniteUpdateError) as info:
+        _guarded_ratio(num, den, "test")
+    assert info.value.restarts == (1, 2)
 
 
 def test_zero_membership_row_is_absorbing():
@@ -424,6 +447,33 @@ def test_fit_skips_one_degenerate_restart(monkeypatch, caplog):
     assert "restart 1 " in dropped[0].getMessage()
 
 
+def test_fit_warns_when_most_restarts_are_dropped(monkeypatch, caplog):
+    import hyperblock.inference as inf
+
+    real_initialize = inf.initialize
+    dead = set()
+
+    def some_dead(mh, cfg, restart_seed):
+        state = real_initialize(mh, cfg, restart_seed)
+        if restart_seed - cfg.seed not in dead:
+            return state
+        return LatentState(tuple(np.zeros_like(u) for u in state.u), state.w, state.w_cross)
+
+    monkeypatch.setattr(inf, "initialize", some_dead)
+    mh = random_multi(np.random.default_rng(6))
+    for restarts, dropped, warned in ((3, {0, 2}, True), (4, {1, 3}, False), (5, {0}, False)):
+        dead.clear()
+        dead.update(dropped)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="hyperblock"):
+            result = fit(mh, InferenceConfig(k_per_layer=(2, 2), restarts=restarts, max_iters=5))
+        assert sum(r.dropped is not None for r in result.restarts) == len(dropped)
+        messages = [rec.getMessage() for rec in caplog.records if rec.name == "hyperblock"]
+        summary = f"{len(dropped)} of {restarts} restarts dropped"
+        assert messages.count(summary) == int(warned)
+        assert len(messages) == len(dropped) + int(warned)
+
+
 def test_updated_w_cross_names_a_pair_without_inter_edges():
     mh = random_multi(np.random.default_rng(2))
     engine = EMEngine(mh)
@@ -475,6 +525,89 @@ def test_carry_matches_calls_without_it(instance, num_layers, with_inter, k, res
         assert_same_state(plain, carried)
         carried.validate()
     assert engine.objective(plain).tobytes() == engine.objective(carried, carry).tobytes()
+
+
+def test_restart_failing_after_the_ratios_were_carried(monkeypatch):
+    # restart 1 of 3 fails in layer 1's u update at sweep 3, after the sweep
+    # built the cross ratios into the carry and layer 0's u update used
+    # them; the others go on with the carry subset and must match running
+    # alone
+    import hyperblock.inference as inf
+
+    mh = random_multi(np.random.default_rng(9))
+    cfg = InferenceConfig(k_per_layer=(2, 3), restarts=3, max_iters=8, tol=1e-12, check_every=2)
+    engine = EMEngine(mh)
+    alone = {r: _run_restart(engine, mh, cfg, r) for r in (0, 2)}
+    real_updated_u = EMEngine.updated_u
+    calls = []
+
+    def failing_updated_u(self, state, l, carry=None):
+        out = real_updated_u(self, state, l, carry)
+        if l == 1 and state.u[0].shape[0] == 3:
+            calls.append(sorted(carry.ratios))
+            if len(calls) == 3:
+                raise NonFiniteUpdateError("injected", restarts=(1,))
+        return out
+
+    monkeypatch.setattr(EMEngine, "updated_u", failing_updated_u)
+    runs = inf._run_batch(engine, mh, cfg, [0, 1, 2])
+    assert calls == [[0], [0], [0]]
+    assert runs[1].sweeps == 2 and str(runs[1].error) == "injected"
+    for r in (0, 2):
+        state, trace, converged = alone[r]
+        assert runs[r].error is None
+        assert tuple(runs[r].trace) == trace and runs[r].converged == converged
+        assert_same_state(runs[r].state, state)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    restarts=st.integers(1, 4),
+    ka=st.integers(1, 4),
+    kb=st.integers(1, 4),
+    na=st.integers(2, 30),
+    nb=st.integers(2, 30),
+    num_pairs=st.integers(1, 60),
+)
+def test_stacked_kernels_match_their_reference_forms(seed, restarts, ka, kb, na, nb,
+                                                     num_pairs):
+    rng = np.random.default_rng(seed)
+    ua, ub = rng.random((restarts, na, ka)), rng.random((restarts, nb, kb))
+    w_cross = rng.random((restarts, ka, kb))
+    pairs = sorted({(int(rng.integers(na)), int(rng.integers(nb))) for _ in range(num_pairs)})
+    rows, cols = (np.array(side) for side in zip(*pairs))
+
+    # cross rates contract u_a w_cross once per node, then gather; with one
+    # pair the gathered product has one row, which numpy hands to another
+    # BLAS routine, so the two forms may differ in the last bit
+    gathered = _row_dots(ua[..., rows, :] @ w_cross, ub[..., cols, :])
+    rates = cross_rates(ua, ub, w_cross, rows, cols)
+    if len(pairs) > 1:
+        assert rates.tobytes() == gathered.tobytes()
+    else:
+        np.testing.assert_allclose(rates, gathered, rtol=1e-15, atol=0)
+
+    # one sparse product for all restarts, per restart as alone
+    mat = sparse.random(nb, na, density=0.3, format="csr", random_state=rng)
+    vectors = rng.random((restarts, na))
+    assert _per_restart_product(mat, vectors, 1).tobytes() == np.stack(
+        [mat @ v for v in vectors]
+    ).tobytes()
+    assert _per_restart_product(mat, ua, 2).tobytes() == np.stack(
+        [mat @ m for m in ua]
+    ).tobytes()
+
+    # the engine's transposed cross-ratio pattern sums as ratio.T does
+    layers = tuple(HypergraphLayer(n, (make_hyperedge([0, 1]),)) for n in (na, nb))
+    inter = InterEdgeSet(0, 1, tuple((i, j, float(rng.integers(1, 3))) for i, j in pairs))
+    engine = EMEngine(MultiHypergraph(layers, (inter,)))
+    data = rng.random((restarts, len(pairs)))
+    ratio = engine._stacked_matrix(("cross", 0), engine._cross_patterns[0], data)
+    pattern, perm = engine._cross_transposed[0]
+    ratio_t = engine._stacked_matrix(("cross_t", 0), pattern, data[:, perm])
+    x = rng.random((restarts, na, kb))
+    assert _block_product(ratio_t, x).tobytes() == _block_product(ratio.T, x).tobytes()
 
 
 def fit_both_ways(mh, cfg):
