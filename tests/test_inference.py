@@ -61,6 +61,19 @@ def random_multi(rng, num_layers=2, with_inter=True, n_lo=8, n_hi=14):
     return MultiHypergraph(tuple(layers), inter)
 
 
+def initialize_with_dead(dead):
+    """``initialize`` with the restarts in ``dead`` (offsets from the config
+    seed) started all-zero, so the first objective drops them."""
+
+    def some_dead(mh, cfg, restart_seed):
+        state = initialize(mh, cfg, restart_seed)
+        if restart_seed - cfg.seed not in dead:
+            return state
+        return LatentState(tuple(np.zeros_like(u) for u in state.u), state.w, state.w_cross)
+
+    return some_dead
+
+
 def complete_pairwise(n):
     edges = [make_hyperedge([i, j]) for i in range(n) for j in range(i + 1, n)]
     return HypergraphLayer.from_hyperedges(n, edges)
@@ -407,15 +420,7 @@ def test_fit_all_restarts_degenerate(monkeypatch):
 def test_fit_skips_one_degenerate_restart(monkeypatch, caplog):
     import hyperblock.inference as inf
 
-    real_initialize = inf.initialize
-
-    def second_dead(mh, cfg, restart_seed):
-        state = real_initialize(mh, cfg, restart_seed)
-        if restart_seed != cfg.seed + 1:
-            return state
-        return LatentState(tuple(np.zeros_like(u) for u in state.u), state.w, state.w_cross)
-
-    monkeypatch.setattr(inf, "initialize", second_dead)
+    monkeypatch.setattr(inf, "initialize", initialize_with_dead({1}))
     # on this instance restart 1 would win undropped; restart 2 wins without it
     mh = random_multi(np.random.default_rng(6))
     cfg = InferenceConfig(k_per_layer=(2, 2), restarts=4, max_iters=20)
@@ -450,20 +455,9 @@ def test_fit_skips_one_degenerate_restart(monkeypatch, caplog):
 def test_fit_warns_when_most_restarts_are_dropped(monkeypatch, caplog):
     import hyperblock.inference as inf
 
-    real_initialize = inf.initialize
-    dead = set()
-
-    def some_dead(mh, cfg, restart_seed):
-        state = real_initialize(mh, cfg, restart_seed)
-        if restart_seed - cfg.seed not in dead:
-            return state
-        return LatentState(tuple(np.zeros_like(u) for u in state.u), state.w, state.w_cross)
-
-    monkeypatch.setattr(inf, "initialize", some_dead)
     mh = random_multi(np.random.default_rng(6))
     for restarts, dropped, warned in ((3, {0, 2}, True), (4, {1, 3}, False), (5, {0}, False)):
-        dead.clear()
-        dead.update(dropped)
+        monkeypatch.setattr(inf, "initialize", initialize_with_dead(dropped))
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="hyperblock"):
             result = fit(mh, InferenceConfig(k_per_layer=(2, 2), restarts=restarts, max_iters=5))
@@ -662,15 +656,8 @@ def test_fit_batches_match_one_restart_at_a_time(
         check_every=check_every, assortative=assortative, seed=instance % 1000,
     )
 
-    def some_dead(mh, cfg, restart_seed):
-        state = real_initialize(mh, cfg, restart_seed)
-        if restart_seed - cfg.seed not in dead:
-            return state
-        return LatentState(tuple(np.zeros_like(u) for u in state.u), state.w, state.w_cross)
-
-    real_initialize = inf.initialize
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(inf, "initialize", some_dead)
+        mp.setattr(inf, "initialize", initialize_with_dead(dead))
         one, together = fit_both_ways(mh, cfg)
     if isinstance(one, FitFailureError):
         assert isinstance(together, FitFailureError)
