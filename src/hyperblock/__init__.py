@@ -25,7 +25,6 @@ from .internal_degree import (
     compute_theta,
     count_sub_hyperedges,
     entropy_report,
-    hyperedge_entropy,
     theta_table,
 )
 from .likelihood import (
@@ -47,8 +46,6 @@ from .inference import (
     InferenceConfig,
     NonFiniteUpdateError,
     RestartOutcome,
-    e_step_hyperedge,
-    e_step_pair,
     fit,
     initialize,
 )
@@ -87,7 +84,6 @@ __all__ = [
     "SubHyperedgeCounter",
     "count_sub_hyperedges",
     "compute_theta",
-    "hyperedge_entropy",
     "theta_table",
     "entropy_report",
     "DegenerateStateError",
@@ -107,8 +103,6 @@ __all__ = [
     "FitFailureError",
     "NonFiniteUpdateError",
     "initialize",
-    "e_step_hyperedge",
-    "e_step_pair",
     "fit",
     "PartitionPair",
     "hard_labels",

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import sparse
 
-from .core import Hyperedge, MultiHypergraph
+from .core import MultiHypergraph
 from .internal_degree import InternalDegreeTable, theta_table
 from .likelihood import (
     DegenerateStateError,
@@ -28,7 +28,6 @@ from .likelihood import (
     LayerConstants,
     RateCarry,
     ThetaIncidence,
-    _factored_rate,
     _failing_restarts,
     _per_restart_product,
     inter_edge_arrays,
@@ -46,8 +45,6 @@ __all__ = [
     "FitFailureError",
     "EMEngine",
     "initialize",
-    "e_step_hyperedge",
-    "e_step_pair",
     "fit",
 ]
 
@@ -174,31 +171,6 @@ def initialize(mh: MultiHypergraph, cfg: InferenceConfig, restart_seed: int) -> 
         ka, kb = cfg.k_per_layer[s.layer_a], cfg.k_per_layer[s.layer_b]
         w_cross[(s.layer_a, s.layer_b)] = _open_unit(rng, (ka, kb))
     return LatentState(u, tuple(w), w_cross)
-
-
-def e_step_hyperedge(e, theta, u: np.ndarray, w: np.ndarray):
-    """Variational marginals of one hyperedge at the current state.
-
-    Returns (per-node marginals aligned with e.nodes, summing to 2 overall;
-    symmetrized community-pair marginal summing to 1).
-    """
-    nodes = e.nodes if isinstance(e, Hyperedge) else tuple(e)
-    x, lam = _factored_rate(nodes, theta, u, w)
-    if lam <= 0:
-        raise DegenerateStateError(f"zero rate for hyperedge {nodes}")
-    s = x.sum(axis=0)
-    p_node = x * ((s - x) @ w) / lam
-    p_pair = 0.5 * w * (np.outer(s, s) - x.T @ x) / lam
-    return p_node, p_pair
-
-
-def e_step_pair(u_i: np.ndarray, u_j: np.ndarray, w_cross: np.ndarray) -> np.ndarray:
-    """Variational community-pair distribution of one inter-edge (sums to 1)."""
-    mass = np.outer(u_i, u_j) * w_cross
-    lam = mass.sum()
-    if lam <= 0:
-        raise DegenerateStateError("zero rate on observed inter-edge")
-    return mass / lam
 
 
 def _guarded_ratio(num: np.ndarray, den: np.ndarray, what: str) -> np.ndarray:

@@ -24,7 +24,6 @@ __all__ = [
     "EntropyReport",
     "count_sub_hyperedges",
     "compute_theta",
-    "hyperedge_entropy",
     "entropy_report",
     "theta_table",
 ]
@@ -75,34 +74,6 @@ class SubHyperedgeCounter:
         scale = len(nodes) / total
         return {node: c * scale for node, c in counts.items()}
 
-    def entropy(self, nodes: tuple[int, ...], normalized: bool = False,
-                base: float = math.e) -> float:
-        """Entropy of the containment-count distribution over the query's nodes."""
-        counts = self.counts(nodes)
-        total = sum(counts.values())
-        if total == 0:
-            raise ValueError(f"no sub-hyperedges for {tuple(nodes)}")
-        h = 0.0
-        for c in counts.values():
-            if c > 0:
-                p = c / total
-                h -= p * math.log(p)
-        if normalized:
-            return h / math.log(len(nodes))
-        return h / math.log(base)
-
-    def contained_in_larger(self, e) -> bool:
-        """True when e (a Hyperedge or node tuple) is a strict subset of some
-        observed hyperedge."""
-        nodes = e.nodes if isinstance(e, Hyperedge) else tuple(e)
-        node = min(nodes, key=lambda n: len(self._incident[n]))
-        e_set = set(nodes)
-        for eid in self._incident[node]:
-            other = self._edges[eid]
-            if len(other) > len(nodes) and set(other).issuperset(e_set):
-                return True
-        return False
-
 
 def count_sub_hyperedges(layer: HypergraphLayer, e: Hyperedge) -> dict[int, int]:
     return SubHyperedgeCounter(layer).counts(e.nodes)
@@ -110,11 +81,6 @@ def count_sub_hyperedges(layer: HypergraphLayer, e: Hyperedge) -> dict[int, int]
 
 def compute_theta(layer: HypergraphLayer, e: Hyperedge) -> dict[int, float]:
     return SubHyperedgeCounter(layer).theta(e.nodes)
-
-
-def hyperedge_entropy(layer: HypergraphLayer, e: Hyperedge, normalized: bool = False,
-                      base: float = math.e) -> float:
-    return SubHyperedgeCounter(layer).entropy(e.nodes, normalized=normalized, base=base)
 
 
 # Edges per block of the containment product in theta_table.  The overlap
@@ -140,16 +106,15 @@ class InternalDegreeTable:
         return self.values[self.offsets[eid]:self.offsets[eid + 1]]
 
 
-def theta_table(layer: HypergraphLayer) -> InternalDegreeTable:
-    """Contributions for every observed hyperedge of the layer.
+def _containment_counts(layer: HypergraphLayer) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """The binary edge-by-node incidence B of the layer, and every node's
+    containment count in each observed hyperedge, aligned with ``layer.nodes``.
 
-    With B the binary edge-by-node incidence, the overlap |e & f| of every
-    pair of hyperedges is B B^T, f is a subset of e iff the overlap equals
-    |f|, and node i's containment count in e is (contain B)[e, i].  The
-    product runs over blocks of _BLOCK_EDGES edges.  Every observed edge
-    contains itself, so each count is positive and the counts of e are
-    exactly the entries of row e; theta = count * (|e| / total) matches
-    SubHyperedgeCounter.theta bit for bit.
+    The overlap |e & f| of every pair of hyperedges is B B^T, f is a subset
+    of e iff the overlap equals |f|, and node i's containment count in e is
+    (contain B)[e, i].  The product runs over blocks of _BLOCK_EDGES edges.
+    Every observed edge contains itself, so each count is positive and the
+    counts of e are exactly the entries of row e.
     """
     m = layer.num_hyperedges
     nodes, offsets = layer.nodes, layer.offsets
@@ -167,10 +132,22 @@ def theta_table(layer: HypergraphLayer) -> InternalDegreeTable:
         block = contain @ members
         block.sort_indices()
         counts[offsets[start]:offsets[stop]] = block.data
+    return members, counts
+
+
+def theta_table(layer: HypergraphLayer) -> InternalDegreeTable:
+    """Contributions for every observed hyperedge of the layer.
+
+    theta = count * (|e| / total) over the counts of ``_containment_counts``
+    matches SubHyperedgeCounter.theta bit for bit.
+    """
+    offsets = layer.offsets
+    sizes = np.diff(offsets)
+    counts = _containment_counts(layer)[1]
     totals = np.add.reduceat(counts, offsets[:-1])
     values = counts * np.repeat(sizes / totals, sizes)
     values.flags.writeable = False
-    return InternalDegreeTable(nodes, offsets, values)
+    return InternalDegreeTable(layer.nodes, offsets, values)
 
 
 @dataclass(frozen=True)
@@ -198,23 +175,29 @@ def entropy_report(layer: HypergraphLayer, threshold: float, normalized: bool = 
     size-2 statistic is the fraction of observed pairs contained in some
     larger observed hyperedge.
     """
-    counter = SubHyperedgeCounter(layer)
-    edges = layer.node_tuples()
-    entropies = []
-    for nodes in edges:
-        if len(nodes) >= 3:
-            entropies.append(counter.entropy(nodes, normalized=normalized, base=base))
-    values = np.array(entropies, dtype=float)
+    members, counts = _containment_counts(layer)
+    starts = layer.offsets[:-1]
+    sizes = np.diff(layer.offsets)
+    p = counts / np.repeat(np.add.reduceat(counts, starts), sizes)
+    h = -np.add.reduceat(p * np.log(p), starts)
+    large = sizes >= 3
+    if normalized:
+        # uniform counts can land one ulp above 1, outside the histogram range
+        values = np.clip(h[large] / np.log(sizes[large]), 0.0, 1.0)
+    else:
+        values = h[large] / math.log(base)
 
-    size2 = [nodes for nodes in edges if len(nodes) == 2]
-    contained = sum(1 for e in size2 if counter.contained_in_larger(e))
+    # a pair is nested iff it overlaps some larger edge in both its nodes
+    overlap = members[sizes == 2] @ members[large].T
+    num_pairs = overlap.shape[0]
+    contained = int(np.count_nonzero((overlap == 2).getnnz(axis=1)))
 
     if values.size:
         upper = 1.0 if normalized else max(1.0, float(values.max()))
-        counts, edges = np.histogram(values, bins=bins, range=(0.0, upper))
+        hist, bin_edges = np.histogram(values, bins=bins, range=(0.0, upper))
         fraction = float(np.mean(values < threshold))
     else:
-        counts, edges = np.histogram([], bins=bins, range=(0.0, 1.0))
+        hist, bin_edges = np.histogram([], bins=bins, range=(0.0, 1.0))
         fraction = 0.0
     return EntropyReport(
         threshold=threshold,
@@ -222,10 +205,10 @@ def entropy_report(layer: HypergraphLayer, threshold: float, normalized: bool = 
         num_considered=int(values.size),
         num_below=int(np.sum(values < threshold)) if values.size else 0,
         fraction_below=fraction,
-        histogram_counts=counts,
-        histogram_edges=edges,
+        histogram_counts=hist,
+        histogram_edges=bin_edges,
         entropies=values,
-        size2_total=len(size2),
+        size2_total=num_pairs,
         size2_contained=contained,
-        size2_containment_rate=contained / len(size2) if size2 else float("nan"),
+        size2_containment_rate=contained / num_pairs if num_pairs else float("nan"),
     )

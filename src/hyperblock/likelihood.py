@@ -149,26 +149,26 @@ def _theta_vector(nodes: Sequence[int], theta) -> np.ndarray:
     return arr
 
 
-def _factored_rate(nodes: tuple[int, ...], theta, u: np.ndarray, w: np.ndarray):
-    """(x, rate) of one node set via the factored contraction.
+def _pair_sum(x: np.ndarray, w: np.ndarray):
+    """sum_{i<j} x_i w x_j^T over the rows x_i of each trailing (size, K)
+    block of x; one value per leading index.
 
-    x_i is the contribution-scaled membership row of node i and
-    rate = sum_i x_i w a_i^T with a_i = sum_{j>i} x_j, a suffix sum.
-    Every term is non-negative and nothing is subtracted, so a node set
-    whose exact rate is 0 gets exactly 0 and a tiny rate keeps its
+    The sum runs as sum_i x_i w a_i^T with a_i = sum_{j>i} x_j, a suffix
+    sum.  Every term is non-negative and nothing is subtracted, so a node
+    set whose exact rate is 0 gets exactly 0 and a tiny rate keeps its
     relative accuracy, where s w s^T - sum_i x_i w x_i^T would return
     rounding noise of either sign.
     """
-    x = _theta_vector(nodes, theta)[:, None] * u[list(nodes), :]
-    after = np.add.accumulate(x[:0:-1])[::-1]
-    return x, np.einsum("ik,ik->", x[:-1] @ w, after)
+    after = np.add.accumulate(x[..., :0:-1, :], axis=-2)[..., ::-1, :]
+    return np.einsum("...ik,...ik->...", x[..., :-1, :] @ w, after)
 
 
 def lambda_e(e: Union[Hyperedge, Sequence[int]], theta, u: np.ndarray, w: np.ndarray) -> float:
     """Hyperedge rate: sum over node pairs of the contribution-weighted
-    bilinear form, computed by ``_factored_rate``."""
+    bilinear form x_i w x_j^T with x_i = theta_i u_i, by ``_pair_sum``."""
     nodes = e.nodes if isinstance(e, Hyperedge) else tuple(e)
-    return float(_factored_rate(nodes, theta, u, w)[1])
+    x = _theta_vector(nodes, theta)[:, None] * u[list(nodes), :]
+    return float(_pair_sum(x, w))
 
 
 def lambda_ij(u_i: np.ndarray, u_j: np.ndarray, w_cross: np.ndarray) -> float:

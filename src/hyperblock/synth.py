@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .core import HypergraphLayer, InterEdgeSet, MultiHypergraph
-from .likelihood import LatentState, mu
+from .likelihood import LatentState, _pair_sum, mu
 
 __all__ = [
     "SynthConfig",
@@ -215,12 +215,8 @@ def _poisson_layer(
         combos = _combinations(n, size)
         if combos.size == 0:
             continue
-        sub = u[combos]                       # (C, size, K)
-        s = sub.sum(axis=1)
-        term1 = ((s @ w) * s).sum(axis=1)
-        term2 = np.einsum("csk,kq,csq->c", sub, w, sub)
-        rates = 0.5 * (term1 - term2) / mu(size)
-        draws = rng.poisson(np.clip(rates, 0.0, None))
+        rates = _pair_sum(u[combos], w) / mu(size)
+        draws = rng.poisson(rates)
         hit = draws > 0
         nodes.append(combos[hit].ravel())
         sizes.append(np.full(int(hit.sum()), size))

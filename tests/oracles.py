@@ -1,0 +1,57 @@
+"""Per-edge reference implementations that the vectorised library code is
+checked against."""
+
+import math
+
+import numpy as np
+
+from hyperblock.internal_degree import SubHyperedgeCounter
+
+
+def edge_entropy(counter, nodes, normalized=False, base=math.e) -> float:
+    """Entropy of the containment-count distribution over the query's nodes,
+    divided by log |e| when normalized and by log(base) otherwise."""
+    counts = counter.counts(nodes)
+    total = sum(counts.values())
+    h = 0.0
+    for c in counts.values():
+        if c > 0:
+            p = c / total
+            h -= p * math.log(p)
+    if normalized:
+        return h / math.log(len(nodes))
+    return h / math.log(base)
+
+
+def contained_in_larger(layer, nodes) -> bool:
+    """True when the node set is a strict subset of some observed hyperedge."""
+    node_set = set(nodes)
+    return any(
+        len(other) > len(nodes) and node_set.issubset(other) for other in layer.node_tuples()
+    )
+
+
+def entropy_report_oracle(layer, threshold, normalized=True, base=math.e, bins=10) -> dict:
+    """The fields of ``entropy_report``, computed edge by edge.
+
+    A normalized entropy is at most 1; the rounding of a uniform
+    distribution can land one ulp above it, so it is capped at 1.
+    """
+    counter = SubHyperedgeCounter(layer)
+    edges = layer.node_tuples()
+    values = np.array([
+        edge_entropy(counter, nodes, normalized=normalized, base=base)
+        for nodes in edges if len(nodes) >= 3
+    ])
+    if normalized:
+        values = np.minimum(values, 1.0)
+    upper = max(1.0, float(values.max())) if values.size and not normalized else 1.0
+    pairs = [nodes for nodes in edges if len(nodes) == 2]
+    return {
+        "entropies": values,
+        "num_considered": values.size,
+        "num_below": int(np.sum(values < threshold)),
+        "histogram_counts": np.histogram(values, bins=bins, range=(0.0, upper))[0],
+        "size2_total": len(pairs),
+        "size2_contained": sum(contained_in_larger(layer, nodes) for nodes in pairs),
+    }

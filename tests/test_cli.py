@@ -12,7 +12,9 @@ import scipy
 
 from hyperblock.cli import main
 from hyperblock.core import (
+    HypergraphLayer,
     load_manifest,
+    make_hyperedge,
     write_ground_truth_file,
     write_hyperedge_file,
 )
@@ -212,6 +214,13 @@ def test_entropy_report_cli(tmp_path):
         rows = fh.read().strip().splitlines()
     assert rows[0] == "entropy"
     assert len(rows) == 1 + payload["num_considered"]
+    # a lone edge with uniform counts has normalized entropy 1, the top of
+    # the histogram range
+    write_hyperedge_file(edges_path, HypergraphLayer(5, (make_hyperedge(range(5)),)))
+    assert main(["entropy-report", "--edges", edges_path, "--threshold", "0.6",
+                 "--out", out]) == 0
+    payload = read_json(os.path.join(out, "entropy.json"))
+    assert payload["num_considered"] == sum(payload["histogram_counts"]) == 1
 
 
 def test_cli_usage_errors_exit_2(capsys):

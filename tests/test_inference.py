@@ -19,8 +19,6 @@ from hyperblock.inference import (
     _block_product,
     _guarded_ratio,
     _run_restart,
-    e_step_hyperedge,
-    e_step_pair,
     fit,
     initialize,
 )
@@ -122,47 +120,6 @@ def test_initialize_assortative_shares_diagonals():
         # the streams stay aligned after the w draws too
         assert np.array_equal(diag.u[l], full.u[l])
     assert np.array_equal(diag.w_cross[(0, 1)], full.w_cross[(0, 1)])
-
-
-# -- variational marginals ---------------------------------------------------
-
-
-def test_e_step_hyperedge_uniform():
-    u = np.ones((3, 1))
-    theta = {0: 1.0, 1: 1.0, 2: 1.0}
-    p_node, p_pair = e_step_hyperedge([0, 1, 2], theta, u, np.array([[1.0]]))
-    assert np.allclose(p_node, 2.0 / 3.0)
-    assert p_pair.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_e_step_marginal_sums_random():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        n, k = int(rng.integers(4, 9)), int(rng.integers(1, 4))
-        size = int(rng.integers(2, min(5, n) + 1))
-        nodes = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
-        u = rng.random((n, k)) + 0.01
-        w = rng.random((k, k)) + 0.01
-        w = 0.5 * (w + w.T)
-        theta = {i: float(rng.random() + 0.1) for i in nodes}
-        p_node, p_pair = e_step_hyperedge(nodes, theta, u, w)
-        assert p_node.sum() == pytest.approx(2.0, rel=1e-10)
-        assert p_pair.sum() == pytest.approx(1.0, rel=1e-10)
-        assert np.all(p_node >= 0) and np.all(p_pair >= -1e-15)
-
-
-def test_e_step_degenerate():
-    with pytest.raises(DegenerateStateError):
-        e_step_hyperedge([0, 1], {0: 1.0, 1: 1.0}, np.zeros((2, 1)), np.array([[1.0]]))
-    with pytest.raises(DegenerateStateError):
-        e_step_pair(np.zeros(2), np.ones(2), np.ones((2, 2)))
-
-
-def test_e_step_pair_example():
-    rho = e_step_pair(np.array([1.0, 2.0]), np.array([3.0, 1.0]),
-                      np.array([[1.0, 0.0], [0.0, 2.0]]))
-    assert np.allclose(rho, [[3.0 / 7.0, 0.0], [0.0, 4.0 / 7.0]], atol=1e-12)
-    assert rho.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 # -- single update rules, checked against hand arithmetic --------------------

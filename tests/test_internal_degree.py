@@ -14,9 +14,9 @@ from hyperblock.internal_degree import (
     compute_theta,
     count_sub_hyperedges,
     entropy_report,
-    hyperedge_entropy,
     theta_table,
 )
+from oracles import contained_in_larger, entropy_report_oracle
 
 
 def brute_force_counts(layer, nodes):
@@ -133,60 +133,78 @@ def test_theta_table_across_blocks():
     assert_table_matches_counter(layer)
 
 
+def entropies(layer, **kwargs):
+    return entropy_report(layer, threshold=0.5, **kwargs).entropies
+
+
 def test_entropy_values():
     # counts (3, 2, 2) over a size-3 hyperedge
     layer = HypergraphLayer.from_hyperedges(
         4, [make_hyperedge([1, 2]), make_hyperedge([1, 3]), make_hyperedge([1, 2, 3])]
     )
-    e = make_hyperedge([1, 2, 3])
-    h = hyperedge_entropy(layer, e)
+    (h,) = entropies(layer, normalized=False)
     p = np.array([3, 2, 2]) / 7
     assert math.isclose(h, float(-(p * np.log(p)).sum()), abs_tol=1e-12)
     assert h == pytest.approx(1.07899, abs=1e-5)
-    assert hyperedge_entropy(layer, e, normalized=True) == pytest.approx(0.98214, abs=1e-5)
+    assert entropies(layer)[0] == pytest.approx(0.98214, abs=1e-5)
     # bits
-    assert math.isclose(hyperedge_entropy(layer, e, base=2.0), h / math.log(2), abs_tol=1e-12)
+    (bits,) = entropies(layer, normalized=False, base=2.0)
+    assert math.isclose(bits, h / math.log(2), abs_tol=1e-12)
 
 
 def test_entropy_uniform_and_degenerate():
     uniform = HypergraphLayer(3, (make_hyperedge([0, 1, 2]),))
-    assert math.isclose(
-        hyperedge_entropy(uniform, make_hyperedge([0, 1, 2]), normalized=True), 1.0,
-        abs_tol=1e-12,
-    )
-    layer = HypergraphLayer(4, (make_hyperedge([0, 1]),))
-    counter = SubHyperedgeCounter(layer)
-    # counts (1, 1, 0): any sub-hyperedge touches at least two query nodes,
-    # so the most concentrated reachable distribution is two equal atoms
-    assert math.isclose(counter.entropy((0, 1, 2)), math.log(2), abs_tol=1e-12)
-    assert math.isclose(
-        counter.entropy((0, 1, 2), normalized=True), math.log(2) / math.log(3), abs_tol=1e-12
-    )
-    with pytest.raises(ValueError, match="no sub-hyperedges"):
-        counter.entropy((2, 3))
+    assert math.isclose(entropies(uniform)[0], 1.0, abs_tol=1e-12)
+    assert math.isclose(entropies(uniform, normalized=False)[0], math.log(3), abs_tol=1e-12)
+    empty = entropy_report(HypergraphLayer(4, ()), threshold=0.5)
+    assert empty.num_considered == empty.num_below == empty.histogram_counts.sum() == 0
+    assert empty.size2_total == empty.size2_contained == 0
+    assert math.isnan(empty.size2_containment_rate)
 
 
 def test_entropy_bounds_random():
     rng = np.random.default_rng(2)
     for _ in range(10):
         layer = random_layer(rng, 9, 20)
-        counter = SubHyperedgeCounter(layer)
-        for e in layer.hyperedges:
-            if e.size < 3:
-                continue
-            h = counter.entropy(e.nodes)
-            assert 0.0 <= h <= math.log(e.size) + 1e-12
-            hn = counter.entropy(e.nodes, normalized=True)
-            assert 0.0 <= hn <= 1.0 + 1e-12
+        sizes = [e.size for e in layer.hyperedges if e.size >= 3]
+        raw = entropies(layer, normalized=False)
+        assert np.all(raw >= 0.0) and np.all(raw <= np.log(sizes) + 1e-12)
+        normalized = entropies(layer)
+        assert np.all(normalized >= 0.0) and np.all(normalized <= 1.0)
 
 
 def test_contained_in_larger():
     layer = HypergraphLayer.from_hyperedges(
         5, [make_hyperedge([0, 1]), make_hyperedge([0, 1, 2]), make_hyperedge([3, 4])]
     )
-    counter = SubHyperedgeCounter(layer)
-    assert counter.contained_in_larger(make_hyperedge([0, 1]))
-    assert not counter.contained_in_larger(make_hyperedge([3, 4]))
+    assert contained_in_larger(layer, (0, 1))
+    assert not contained_in_larger(layer, (3, 4))
+    rep = entropy_report(layer, threshold=0.5)
+    assert (rep.size2_total, rep.size2_contained) == (2, 1)
+
+
+@st.composite
+def nested_layers(draw):
+    """Layers of hyperedges of sizes 2-8, each followed by some of its subsets."""
+    n = draw(st.integers(3, 12))
+    node_sets = []
+    for _ in range(draw(st.integers(1, 6))):
+        outer = sorted(draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=min(8, n))))
+        node_sets.append(outer)
+        node_sets += draw(st.lists(st.sets(st.sampled_from(outer), min_size=2), max_size=4))
+    return HypergraphLayer.from_hyperedges(n, [make_hyperedge(s) for s in node_sets])
+
+
+@settings(max_examples=200, deadline=None)
+@given(nested_layers(), st.booleans(), st.sampled_from([math.e, 2.0]))
+def test_entropy_report_matches_oracle(layer, normalized, base):
+    rep = entropy_report(layer, threshold=0.6, normalized=normalized, base=base)
+    want = entropy_report_oracle(layer, threshold=0.6, normalized=normalized, base=base)
+    assert rep.entropies.shape == want["entropies"].shape
+    assert np.allclose(rep.entropies, want["entropies"], rtol=1e-12, atol=0.0)
+    for name in ("num_considered", "num_below", "size2_total", "size2_contained"):
+        assert getattr(rep, name) == want[name], name
+    assert np.array_equal(rep.histogram_counts, want["histogram_counts"])
 
 
 def test_entropy_report_fields():
@@ -209,6 +227,12 @@ def test_entropy_report_fields():
     assert rep.fraction_below == rep.num_below / rep.num_considered
     # {0,3,5} has uniform counts (1,1,1): normalized entropy exactly 1
     assert np.max(rep.entropies) == pytest.approx(1.0, abs=1e-12)
+    # uniform counts over five nodes come to one ulp above 1 before the
+    # clip, which np.histogram would drop
+    lone = entropy_report(HypergraphLayer(6, (make_hyperedge([0, 1, 2, 3, 4]),)), 0.95)
+    assert lone.num_considered == 1
+    assert lone.entropies.tolist() == [1.0]
+    assert lone.histogram_counts.sum() == 1
 
 
 def test_entropy_report_all_pairs():

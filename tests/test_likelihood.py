@@ -1,6 +1,7 @@
 """Rate kernels, penalty constants, negative sampling and the objective."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hyperblock.likelihood import (
     DegenerateStateError,
     LatentState,
     ThetaIncidence,
+    _pair_sum,
     cross_rates,
     lambda_e,
     lambda_ij,
@@ -21,6 +23,7 @@ from hyperblock.likelihood import (
     sample_negatives,
     surrogate_objective,
 )
+from hyperblock.synth import _poisson_layer
 
 
 def naive_lambda_e(nodes, theta, u, w):
@@ -127,6 +130,34 @@ def test_lambda_e_quadratic_scaling():
     base = lambda_e([0, 2, 4], theta, u, w)
     scaled = lambda_e([0, 2, 4], theta, 3.0 * u, w)
     assert scaled == pytest.approx(9.0 * base, rel=1e-12)
+
+
+def test_pair_sum_stack_matches_lambda_e_and_sampler():
+    # sparse memberships and a zero off-diagonal block of w give many node
+    # sets an exact rate of 0
+    rng = np.random.default_rng(9)
+    n, k = 10, 4
+    u = 5.0 * rng.random((n, k)) * (rng.random((n, k)) < 0.4)
+    w = rng.random((k, k))
+    w = w + w.T
+    w[:2, 2:] = w[2:, :2] = 0.0
+    zero = set()
+    for size in (2, 3, 4):
+        combos = np.array(list(combinations(range(n), size)))
+        stack = _pair_sum(u[combos], w)
+        assert stack.shape == (len(combos),)
+        for nodes, got in zip(combos, stack):
+            assert math.isclose(got, lambda_e(nodes, np.ones(size), u, w), rel_tol=1e-15)
+            exact = math.fsum(
+                u[i, p] * w[p, q] * u[j, q]
+                for i, j in combinations(nodes, 2) for p in range(k) for q in range(k)
+            )
+            if exact == 0.0:
+                assert got == 0.0
+                zero.add(tuple(nodes.tolist()))
+    assert len(zero) > 50
+    drawn = set(_poisson_layer(u, w, 4, np.random.default_rng(0)).node_tuples())
+    assert drawn and not drawn & zero
 
 
 def test_lambda_ij():
