@@ -105,28 +105,44 @@ def _split_rows(nodes: np.ndarray, offsets: np.ndarray) -> list[tuple[int, ...]]
     return [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
+def _order_by(major: np.ndarray, minor: np.ndarray, minor_max: int) -> np.ndarray:
+    """The stable order of ``np.lexsort((minor, major))``, for int64 keys
+    with ``major >= 0`` and ``0 <= minor <= minor_max``.
+
+    It is one stable argsort of the packed key ``major * (minor_max + 1) +
+    minor``, which runs in near-linear time on keys already in order.  When
+    the packed key would overflow int64, it is ``np.lexsort`` itself.
+    """
+    span = int(minor_max) + 1
+    if (int(major.max(initial=0)) + 1) * span >= 1 << 63:
+        return np.lexsort((minor, major))
+    return np.argsort(major * span + minor, kind="stable")
+
+
 def _row_order(nodes: np.ndarray, offsets: np.ndarray):
     """Stable lexicographic order of the rows as node tuples, and a flag per
     position of that order telling whether its row equals the one before.
 
     Rows sharing their first c nodes form a group, one contiguous run of
     the order.  Step c sorts the rows of each group by their node at
-    column c; a row of exactly c nodes takes -1 there, so it sorts before
-    its extensions, and then leaves the sort.  Step c touches only the rows
-    of at least c nodes, so the work follows the node entries, however
-    unequal the row sizes (padding every row to the longest would not).
+    column c, shifted up by one; a row of exactly c nodes takes 0 there, so
+    it sorts before its extensions, and then leaves the sort.  Step c
+    touches only the rows of at least c nodes, so the work follows the node
+    entries, however unequal the row sizes (padding every row to the longest
+    would not).
     """
     sizes = np.diff(offsets)
     order = np.arange(sizes.size)
     starts = np.zeros(sizes.size, dtype=bool)  # position begins a group
     starts[:1] = True
     pos = order.copy()  # positions of the rows still being sorted
+    key_max = int(nodes.max(initial=-1)) + 1
     for c in range(int(sizes.max(initial=0))):
         rows = order[pos]
         live = sizes[rows] > c
-        key = np.full(pos.size, -1, dtype=np.int64)
-        key[live] = nodes[offsets[:-1][rows[live]] + c]
-        sub = np.lexsort((key, np.cumsum(starts[pos])))
+        key = np.zeros(pos.size, dtype=np.int64)
+        key[live] = nodes[offsets[:-1][rows[live]] + c] + 1
+        sub = _order_by(np.cumsum(starts[pos]), key, key_max)
         order[pos] = rows[sub]
         key = key[sub]
         starts[pos[1:]] |= key[1:] != key[:-1]
@@ -419,7 +435,7 @@ class InterEdgeSet(_Frozen):
             raise ValueError("negative node index in inter-edges")
         if not np.all(np.isfinite(weights) & (weights >= 0)):
             raise ValueError("inter-edge weights must be finite and >= 0")
-        order = np.lexsort((cols, rows))
+        order = _order_by(rows, cols, cols.max(initial=0))
         r, c = rows[order], cols[order]
         same = np.zeros(order.size, dtype=bool)
         same[1:] = (r[1:] == r[:-1]) & (c[1:] == c[:-1])
@@ -626,9 +642,10 @@ def _hyperedges_from_tokens(tokens: _Tokens, num_nodes: Optional[int]):
     ids = tokens.ints(np.flatnonzero(id_at))
     if ids is None:
         return None
-    ids = ids[np.lexsort((ids, np.repeat(np.arange(sizes.size), sizes)))]
+    top = int(ids.max())
+    ids = ids[_order_by(np.repeat(np.arange(sizes.size), sizes), ids, top)]
     if num_nodes is None:
-        num_nodes = int(ids.max()) + 1
+        num_nodes = top + 1
     try:
         return HypergraphLayer.from_arrays(num_nodes, ids, _offsets(sizes), weights)
     except ValueError:
@@ -767,8 +784,9 @@ def _scan_inter_edge_file(path: str, layer_sizes):
 def parse_ground_truth_file(path: str, num_nodes: Optional[int] = None) -> dict[int, int]:
     """Read ``node_id community_id`` lines into a node -> label map.
 
-    With ``num_nodes`` every node id must lie in [0, num_nodes).  A
-    malformed line raises ValueError naming ``file:line``.
+    Node ids are non-negative, and with ``num_nodes`` they must lie in
+    [0, num_nodes); labels are any integers.  A malformed line raises
+    ValueError naming ``file:line``.
     """
     truth: dict[int, int] = {}
     for lineno, line in _data_lines(path):
@@ -779,6 +797,8 @@ def parse_ground_truth_file(path: str, num_nodes: Optional[int] = None) -> dict[
             node, label = int(fields[0]), int(fields[1])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if node < 0:
+            raise ValueError(f"{path}:{lineno}: negative node id")
         if node in truth:
             raise ValueError(f"{path}:{lineno}: duplicate node {node}")
         if num_nodes is not None and not 0 <= node < num_nodes:
@@ -830,7 +850,12 @@ def read_matrix(path: str) -> np.ndarray:
 
 def parse_manifest(path: str) -> dict[str, str]:
     """Read a flat ``key = value`` manifest; values keep inline spaces."""
-    entries: dict[str, str] = {}
+    return {key: value for key, (_, value) in _manifest_lines(path).items()}
+
+
+def _manifest_lines(path: str) -> dict[str, tuple[int, str]]:
+    """The manifest's entries as key -> (line number, value)."""
+    entries: dict[str, tuple[int, str]] = {}
     for lineno, line in _data_lines(path):
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
@@ -840,60 +865,75 @@ def parse_manifest(path: str) -> dict[str, str]:
             raise ValueError(f"{path}:{lineno}: empty key or value")
         if key in entries:
             raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-        entries[key] = value
+        entries[key] = (lineno, value)
     return entries
+
+
+_LAYER_KEYS = ("edges", "truth", "nodes", "k")
+
+
+def _layer_index(key: str) -> Optional[int]:
+    """i for a documented ``layer.<i>.<field>`` key, else None."""
+    parts = key.split(".")
+    if len(parts) == 3 and parts[0] == "layer" and parts[2] in _LAYER_KEYS:
+        i = parts[1]
+        if i.isascii() and i.isdigit() and str(int(i)) == i:
+            return int(i)
+    return None
 
 
 def load_manifest(path: str) -> tuple[MultiHypergraph, list[int]]:
     """Build a MultiHypergraph from a manifest file.
 
-    Recognized keys (paths are resolved relative to the manifest):
-    ``layer.<i>.edges``, ``layer.<i>.truth``, ``layer.<i>.nodes``,
-    ``layer.<i>.k`` and ``inter.edges``.  Returns the multi-hypergraph and
-    the per-layer community counts K.
+    The keys are ``layer.<i>.edges``, ``layer.<i>.truth``,
+    ``layer.<i>.nodes``, ``layer.<i>.k`` and ``inter.edges``, and no others;
+    ``nodes`` and ``k`` are positive integers, and paths are resolved
+    relative to the manifest.  Returns the multi-hypergraph and the
+    per-layer community counts K.
     """
-    entries = parse_manifest(path)
+    entries = _manifest_lines(path)
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(p: str) -> str:
         return p if os.path.isabs(p) else os.path.join(base, p)
 
-    indices = set()
-    for key in entries:
-        parts = key.split(".")
-        if parts[0] == "layer":
-            if len(parts) != 3 or not parts[1].isdigit():
-                raise ValueError(f"{path}: bad layer key {key!r}")
-            indices.add(int(parts[1]))
+    def positive(key: str) -> Optional[int]:
+        if key not in entries:
+            return None
+        lineno, value = entries[key]
+        if not (value.isascii() and value.isdigit() and int(value) > 0):
+            raise ValueError(f"{path}:{lineno}: {key} must be a positive integer, got {value!r}")
+        return int(value)
+
+    indices = {_layer_index(key) for key in entries} - {None}
     if not indices:
         raise ValueError(f"{path}: no layer entries")
+    for key, (lineno, _) in entries.items():
+        if key != "inter.edges" and _layer_index(key) is None:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
     if indices != set(range(len(indices))):
         raise ValueError(f"{path}: layer indices must be 0..{len(indices) - 1}, got {sorted(indices)}")
 
-    layers = []
-    k_per_layer = []
     for i in range(len(indices)):
-        edges_key = f"layer.{i}.edges"
-        if edges_key not in entries:
-            raise ValueError(f"{path}: missing {edges_key}")
-        num_nodes = entries.get(f"layer.{i}.nodes")
-        layer = parse_hyperedge_file(
-            resolve(entries[edges_key]),
-            num_nodes=int(num_nodes) if num_nodes is not None else None,
-        )
-        truth_path = entries.get(f"layer.{i}.truth")
-        if truth_path is not None:
-            truth = parse_ground_truth_file(resolve(truth_path), num_nodes=layer.num_nodes)
-            layer = layer.with_ground_truth(truth)
+        for key in (f"layer.{i}.edges", f"layer.{i}.k"):
+            if key not in entries:
+                raise ValueError(f"{path}: missing {key}")
+    k_per_layer = [positive(f"layer.{i}.k") for i in range(len(indices))]
+    num_nodes = [positive(f"layer.{i}.nodes") for i in range(len(indices))]
+
+    layers = []
+    for i, n in enumerate(num_nodes):
+        layer = parse_hyperedge_file(resolve(entries[f"layer.{i}.edges"][1]), num_nodes=n)
+        if f"layer.{i}.truth" in entries:
+            truth_path = resolve(entries[f"layer.{i}.truth"][1])
+            layer = layer.with_ground_truth(
+                parse_ground_truth_file(truth_path, num_nodes=layer.num_nodes)
+            )
         layers.append(layer)
-        k_key = f"layer.{i}.k"
-        if k_key not in entries:
-            raise ValueError(f"{path}: missing {k_key}")
-        k_per_layer.append(int(entries[k_key]))
 
     inter: tuple[InterEdgeSet, ...] = ()
     if "inter.edges" in entries:
         inter = tuple(parse_inter_edge_file(
-            resolve(entries["inter.edges"]), layer_sizes=[layer.num_nodes for layer in layers]
+            resolve(entries["inter.edges"][1]), layer_sizes=[layer.num_nodes for layer in layers]
         ))
     return MultiHypergraph(tuple(layers), inter), k_per_layer

@@ -1,8 +1,10 @@
 """Data model and file-format tests."""
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hyperblock import core
@@ -160,6 +162,9 @@ def test_parse_ground_truth(tmp_path):
     p.write_text("0 1\n0 2\n")
     with pytest.raises(ValueError, match="duplicate node"):
         parse_ground_truth_file(str(p))
+    p.write_text("0 1\n# comment\n-1 0\n")
+    with pytest.raises(ValueError, match="truth.txt:3: negative node id"):
+        parse_ground_truth_file(str(p))
 
 
 def test_hyperedge_file_round_trip(tmp_path):
@@ -241,6 +246,28 @@ def test_manifest_errors(tmp_path):
     man.write_text("a = 1\na = 2\n")
     with pytest.raises(ValueError, match="duplicate key"):
         parse_manifest(str(man))
+
+    (tmp_path / "e0.txt").write_text("1 0 1\n")
+    (tmp_path / "inter.txt").write_text("")
+    good = ["layer.0.edges = e0.txt", "layer.0.nodes = 3", "layer.0.k = 2"]
+    man.write_text("\n".join(good) + "\n")
+    assert load_manifest(str(man))[1] == [2]
+    for at, line, message in [
+        (2, "layer.0.nodes = ten", "layer.0.nodes must be a positive integer, got 'ten'"),
+        (2, "layer.0.nodes = 0", "layer.0.nodes must be a positive integer, got '0'"),
+        (2, "layer.0.nodes = -3", "layer.0.nodes must be a positive integer, got '-3'"),
+        (3, "layer.0.k = x", "layer.0.k must be a positive integer, got 'x'"),
+        (3, "layer.0.k = 0", "layer.0.k must be a positive integer, got '0'"),
+        (3, "layer.0.k = 2.5", "layer.0.k must be a positive integer, got '2.5'"),
+        (4, "inter.edgez = inter.txt", "unknown key 'inter.edgez'"),
+        (4, "layer.0.truht = t0.txt", "unknown key 'layer.0.truht'"),
+        (4, "layer.00.k = 2", "unknown key 'layer.00.k'"),
+        (4, "layer.x.edges = e0.txt", "unknown key 'layer.x.edges'"),
+    ]:
+        lines = good[:at - 1] + [line] + good[at:]
+        man.write_text("\n".join(["# a comment"] + lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"m.cfg:{at + 1}: {message}")):
+            load_manifest(str(man))
 
 
 def test_manifest_requires_k(tmp_path):
@@ -346,21 +373,27 @@ def test_layer_from_arrays_rejects_bad_input(nodes, offsets, weights):
 
 
 def test_layer_sorts_edges_of_any_sizes_as_tuples():
-    # prefixes of one another, one edge far longer than the rest, repeats
-    rng = np.random.default_rng(7)
-    rows = [(0, 1), tuple(range(40)), (0, 1, 2), (0, 2), (1, 2), (0, 1)]
-    rows += [tuple(sorted(rng.choice(40, int(rng.integers(2, 5)), replace=False).tolist()))
-             for _ in range(200)]
-    rows = [rows[k] for k in rng.permutation(2 * len(rows)) % len(rows)]
-    weights = rng.random(len(rows)) + 0.1
-    merged = {}
-    for row, w in zip(rows, weights.tolist()):
-        merged[row] = merged[row] + w if row in merged else w
-    layer = HypergraphLayer.from_arrays(
-        40, np.concatenate(rows), core._offsets(np.array([len(r) for r in rows])), weights
-    )
-    assert layer.node_tuples() == sorted(merged)
-    assert layer.weights.tolist() == [merged[row] for row in sorted(merged)]
+    # prefixes of one another, one edge far longer than the rest, repeats;
+    # ids just below _MAX_ID overflow the packed sort keys (the lexsort fallback)
+    for base in (0, core._MAX_ID - 40):
+        rng = np.random.default_rng(7)
+        rows = [(0, 1), tuple(range(40)), (0, 1, 2), (0, 2), (1, 2), (0, 1)]
+        rows += [tuple(sorted(rng.choice(40, int(rng.integers(2, 5)), replace=False).tolist()))
+                 for _ in range(200)]
+        rows = [tuple(base + v for v in rows[k])
+                for k in rng.permutation(2 * len(rows)) % len(rows)]
+        weights = rng.random(len(rows)) + 0.1
+        merged = {}
+        for row, w in zip(rows, weights.tolist()):
+            merged[row] = merged[row] + w if row in merged else w
+        layer = HypergraphLayer.from_arrays(
+            base + 40, np.concatenate(rows), core._offsets(np.array([len(r) for r in rows])),
+            weights,
+        )
+        assert layer.node_tuples() == sorted(merged)
+        assert layer.weights.tolist() == [merged[row] for row in sorted(merged)]
+        edges = [Hyperedge(row, w) for row, w in zip(rows, weights.tolist())]
+        assert HypergraphLayer.from_hyperedges(base + 40, edges) == layer
 
 
 def test_inter_edge_set_holds_read_only_arrays():
@@ -372,6 +405,46 @@ def test_inter_edge_set_holds_read_only_arrays():
     assert s.subset(np.array([False, True])).edges == ((2, 1, 0.75),)
     with pytest.raises(ValueError):
         InterEdgeSet.from_arrays(0, 1, [0], [0], [np.nan])
+
+
+# -- canonical sort ------------------------------------------------------------
+
+
+@st.composite
+def sort_keys(draw):
+    """(major, minor, minor_max) with repeated keys, at magnitudes on both
+    sides of the packed key's int64 overflow."""
+    minor_max = draw(st.one_of(
+        st.integers(0, 20), st.sampled_from([10**18 - 1, (1 << 62) - 1]),
+        st.integers(0, (1 << 62) - 1),
+    ))
+    minors = draw(st.lists(st.integers(0, minor_max), min_size=1, max_size=4))
+    n = draw(st.integers(0, 30))
+    major = draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))
+    minor = draw(st.lists(st.sampled_from(minors), min_size=n, max_size=n))
+    return np.array(major, dtype=np.int64), np.array(minor, dtype=np.int64), minor_max
+
+
+@settings(max_examples=300, deadline=None)
+@given(sort_keys())
+@example((np.zeros(0, np.int64), np.zeros(0, np.int64), 0))
+@example((np.array([3, 0, 3, 0]), np.array([(1 << 62) - 1, 5, 5, (1 << 62) - 1]), (1 << 62) - 1))
+def test_order_by_matches_lexsort(keys):
+    major, minor, minor_max = keys
+    order = core._order_by(major, minor, minor_max)
+    expected = np.lexsort((minor, major))
+    assert order.dtype == expected.dtype and order.tolist() == expected.tolist()
+
+
+def test_order_by_falls_back_to_lexsort_only_on_overflow(monkeypatch):
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(len(keys)) or lexsort(keys))
+    major, minor = np.array([1, 0, 1]), np.array([5, 7, 4])
+    assert core._order_by(major, minor, 10**18 - 1).tolist() == [1, 2, 0]  # 2e18 fits
+    assert calls == []
+    assert core._order_by(major, minor, (1 << 62) - 1).tolist() == [1, 2, 0]  # 2^63 does not
+    assert calls == [2]
 
 
 # -- parser properties --------------------------------------------------------
@@ -401,6 +474,15 @@ def with_noise(draw, lines):
     return newline.join(out) + draw(st.sampled_from(["", newline]))
 
 
+def merged_layer(n, rows):
+    """The layer of (ids, weight text) rows, by a dict merge in file order."""
+    merged = {}
+    for ids, weight in rows:
+        key = tuple(sorted(ids))
+        merged[key] = merged[key] + float(weight) if key in merged else float(weight)
+    return HypergraphLayer(n, tuple(Hyperedge(k, merged[k]) for k in sorted(merged)))
+
+
 @st.composite
 def hyperedge_files(draw):
     """(num_nodes, file text, the layer it holds by a dict merge in file order)."""
@@ -410,17 +492,25 @@ def hyperedge_files(draw):
                   weight_text()),
         min_size=1, max_size=25,
     ))
-    merged = {}
-    for ids, weight in rows:
-        key = tuple(sorted(ids))
-        merged[key] = merged[key] + float(weight) if key in merged else float(weight)
     text = with_noise(draw, [" ".join([w, *map(str, ids)]) for ids, w in rows])
-    layer = HypergraphLayer(n, tuple(Hyperedge(k, merged[k]) for k in sorted(merged)))
-    return n, text, layer
+    return n, text, merged_layer(n, rows)
+
+
+def huge_id_hyperedge_file():
+    """A hyperedge_files case with 18-digit ids, the longest the array path
+    reads.  With 30 lines, the packed keys of every canonical sort overflow
+    int64, so the file sorts through the lexsort fallback."""
+    rng = np.random.default_rng(5)
+    n = 10**18
+    rows = [((n - 1 - rng.choice(12, int(rng.integers(2, 5)), replace=False)).tolist(), "1.5")
+            for _ in range(30)]
+    rows += rows[:3]
+    return n, "".join(" ".join([w, *map(str, ids)]) + "\n" for ids, w in rows), merged_layer(n, rows)
 
 
 @FILE_SETTINGS
 @given(hyperedge_files())
+@example(huge_id_hyperedge_file())
 def test_hyperedge_file_parses_to_the_merged_layer(tmp_path, case):
     n, text, expected = case
     p = tmp_path / "edges.txt"
@@ -454,8 +544,20 @@ def inter_edge_files(draw):
     return sizes, with_noise(draw, lines), sets
 
 
+def huge_id_inter_edge_file():
+    """An inter_edge_files case with ids from 2^61, where the packed pair
+    keys overflow int64 and the pair sort takes the lexsort fallback."""
+    base = 1 << 61
+    lines = [f"0 1 {base + i} {base + j} 1" for i, j in [(3, 1), (0, 2), (3, 1), (1, 0), (0, 0)]]
+    lines.append(f"1 0 {base + 1} {base + 3} 0.5")  # swapped: the pair (3, 1) again
+    pairs = [(0, 0, 1.0), (0, 2, 1.0), (1, 0, 1.0), (3, 1, 2.5)]
+    sizes = [base + 4, base + 4]
+    return sizes, "\n".join(lines), [InterEdgeSet(0, 1, [(base + i, base + j, w) for i, j, w in pairs])]
+
+
 @FILE_SETTINGS
 @given(inter_edge_files())
+@example(huge_id_inter_edge_file())
 def test_inter_edge_file_parses_to_the_merged_sets(tmp_path, case):
     sizes, text, expected = case
     p = tmp_path / "inter.txt"
