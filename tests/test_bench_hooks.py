@@ -54,7 +54,6 @@ def test_setup_hooks_trace_the_parsers(monkeypatch, tmp_path):
         "layer.0.edges = e0.txt\nlayer.0.k = 2\nlayer.1.edges = e1.txt\nlayer.1.k = 2\n"
         "inter.edges = inter.txt\n"
     )
-    before = attributes()
     with Tracer() as tracer:
         measure.install_setup(tracer)
         mh, _ = core.load_manifest(str(manifest))
@@ -62,5 +61,3 @@ def test_setup_hooks_trace_the_parsers(monkeypatch, tmp_path):
     assert [span[0] for span in tracer.take()] == (
         ["core.parse_hyperedge_file"] * 2 + ["core.parse_inter_edge_file"]
     )
-    after = attributes()
-    assert [key for key in before if after[key] is not before[key]] == []

@@ -248,7 +248,6 @@ def test_manifest_errors(tmp_path):
         parse_manifest(str(man))
 
     (tmp_path / "e0.txt").write_text("1 0 1\n")
-    (tmp_path / "inter.txt").write_text("")
     good = ["layer.0.edges = e0.txt", "layer.0.nodes = 3", "layer.0.k = 2"]
     man.write_text("\n".join(good) + "\n")
     assert load_manifest(str(man))[1] == [2]
