@@ -10,6 +10,7 @@ of inter-layer edges.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -17,8 +18,10 @@ from scipy.optimize import linear_sum_assignment
 
 from .core import HypergraphLayer, MultiHypergraph
 from .inference import InferenceConfig, FitResult, fit
-from .internal_degree import SubHyperedgeCounter
-from .likelihood import cross_rates, lambda_e, mu, sample_negatives
+from .internal_degree import SubHyperedgeCounter, _as_candidates
+from .likelihood import _pair_sum, cross_rates, mu, sample_negatives
+# scores no candidate here; bench/measure.py traces it under this module
+from .likelihood import lambda_e  # noqa: F401
 
 __all__ = [
     "PartitionPair",
@@ -175,19 +178,30 @@ def auc(pos_scores, neg_scores) -> float:
     return (2 * wins + ties) / (2 * pos.size * neg.size)
 
 
-def score_hyperedge(e, counter, u: np.ndarray, w: np.ndarray) -> float:
-    """Poisson rate of a candidate hyperedge under a fitted layer state.
+def score_hyperedge(candidates, counter, u: np.ndarray, w: np.ndarray):
+    """Poisson rates of candidate hyperedges under a fitted layer state,
+    divided by their pair counts ``mu``.
 
-    Node contributions come from sub-hyperedge counts on the given counter's
-    layer (the training data), falling back to uniform when the candidate
-    contains no observed sub-hyperedge.
+    ``candidates`` is a ``HypergraphLayer`` of candidate node sets, scored
+    one value per row, or one candidate (node ids or a ``Hyperedge``),
+    scored as a batch of one and returned as a float.  Node contributions
+    come from the containment counts of the given counter's layer (the
+    training data, or a ``HypergraphLayer`` to count against), uniform
+    where a candidate contains no observed sub-hyperedge.  Each size's
+    rates are one ``_pair_sum`` over that size's rows.
     """
     if isinstance(counter, HypergraphLayer):
         counter = SubHyperedgeCounter(counter)
-    nodes = tuple(sorted(e.nodes if hasattr(e, "nodes") else e))
-    theta = counter.theta(nodes)
-    lam = lambda_e(nodes, theta, u, w)
-    return lam / mu(len(nodes))
+    batch = _as_candidates(candidates, counter.layer.num_nodes)
+    table = counter.theta(batch)
+    x = table.values[:, None] * u[batch.nodes]
+    starts, sizes = batch.offsets[:-1], np.diff(batch.offsets)
+    scores = np.empty(sizes.size)
+    for size in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == size)
+        block = x[(starts[rows, None] + np.arange(size)).ravel()].reshape(rows.size, size, -1)
+        scores[rows] = _pair_sum(block, w) / mu(size)
+    return scores if batch is candidates else float(scores[0])
 
 
 # ---------------------------------------------------------------------------
@@ -271,36 +285,44 @@ def hyperedge_prediction_cv(
         max_sizes = range(2, top + 1)
     size_grid = sorted(set(int(d) for d in max_sizes))
 
-    edges = [layer.node_tuples() for layer in mh.layers]
-    full_sets = [set(nodes) for nodes in edges]
+    full_sets = [layer.node_sets() for layer in mh.layers]
 
     fold_scores = []
     for f in range(folds):
         train_layers = []
-        test_edges = []
+        test_layers = []
         for l, layer in enumerate(mh.layers):
             held = assignments[l] == f
             if held.all():
                 raise ValueError(f"fold {f} empties layer {l}")
             train_layers.append(layer.subset(~held))
-            test_edges.append([edges[l][k] for k in np.flatnonzero(held).tolist()])
+            test_layers.append(layer.subset(held))
         train = MultiHypergraph(tuple(train_layers), mh.inter_edges)
         result = fit(train, replace(cfg, seed=cfg.seed + f))
         layer_scores = []
         for l, layer in enumerate(train.layers):
-            positives = test_edges[l]
-            sizes = [len(e) for e in positives]
-            negatives = sample_negatives(
+            positives = test_layers[l]
+            sizes = np.diff(positives.offsets)
+            draws = sample_negatives(
                 layer,
                 seed=[seed, 211, f, l],
-                sizes=sizes,
+                sizes=sizes.tolist(),
                 forbidden=full_sets[l],
+            )
+            negatives = HypergraphLayer.from_arrays(
+                layer.num_nodes,
+                np.fromiter(chain.from_iterable(draws), np.int64, int(sizes.sum())),
+                np.concatenate(([0], np.cumsum(sizes))),
+                np.ones(len(draws)),
             )
             counter = SubHyperedgeCounter(layer)
             u, w = result.state.u[l], result.state.w[l]
-            pos = [(len(e), score_hyperedge(e, counter, u, w)) for e in positives]
-            neg = [(len(e), score_hyperedge(e, counter, u, w)) for e in negatives]
-            layer_scores.append((pos, neg))
+            # the AUC reads the scores of each size as a multiset, so the
+            # candidates' row order does not matter
+            layer_scores.append(tuple(
+                (np.diff(c.offsets), score_hyperedge(c, counter, u, w))
+                for c in (positives, negatives)
+            ))
         fold_scores.append(layer_scores)
 
     num_layers = mh.num_layers
@@ -308,13 +330,12 @@ def hyperedge_prediction_cv(
     size_auc = {d: [[float("nan")] * folds for _ in range(num_layers)] for d in size_grid}
     for f in range(folds):
         for l in range(num_layers):
-            pos, neg = fold_scores[f][l]
-            if pos and neg:
-                fold_auc[l][f] = auc([s for _, s in pos], [s for _, s in neg])
+            (pos_sizes, pos), (neg_sizes, neg) = fold_scores[f][l]
+            if pos.size and neg.size:
+                fold_auc[l][f] = auc(pos, neg)
             for d in size_grid:
-                ps = [s for sz, s in pos if sz <= d]
-                ns = [s for sz, s in neg if sz <= d]
-                if ps and ns:
+                ps, ns = pos[pos_sizes <= d], neg[neg_sizes <= d]
+                if ps.size and ns.size:
                     size_auc[d][l][f] = auc(ps, ns)
 
     layer_stats = [_mean_sd(fold_auc[l]) for l in range(num_layers)]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .core import Hyperedge, HypergraphLayer
+from .core import Hyperedge, HypergraphLayer, make_hyperedge
 
 __all__ = [
     "SubHyperedgeCounter",
@@ -29,62 +29,8 @@ __all__ = [
 ]
 
 
-class SubHyperedgeCounter:
-    """Containment queries against one layer via a per-node inverted index.
-
-    Candidate sub-hyperedges are generated from the incidence lists of the
-    query's nodes (any subset of e consists solely of nodes of e), then
-    subset-checked; this avoids scanning the full hyperedge list per query.
-    """
-
-    def __init__(self, layer: HypergraphLayer):
-        self.layer = layer
-        self._edges = layer.node_tuples()
-        # ids of the edges holding each node, ascending: a stable sort of the
-        # incidence entries by node keeps them in edge order
-        order = np.argsort(layer.nodes, kind="stable")
-        edge_ids = np.repeat(np.arange(layer.num_hyperedges), np.diff(layer.offsets))[order]
-        ends = np.cumsum(np.bincount(layer.nodes, minlength=layer.num_nodes))
-        self._incident: list[list[int]] = [
-            ids.tolist() for ids in np.split(edge_ids, ends[:-1])
-        ]
-
-    def counts(self, nodes: tuple[int, ...]) -> dict[int, int]:
-        """Containment count for every node of the query set (0 allowed)."""
-        node_set = set(nodes)
-        size = len(nodes)
-        counts = dict.fromkeys(nodes, 0)
-        candidates: set[int] = set()
-        for node in nodes:
-            if node < self.layer.num_nodes:
-                candidates.update(self._incident[node])
-        for eid in candidates:
-            sub = self._edges[eid]
-            if len(sub) <= size and node_set.issuperset(sub):
-                for node in sub:
-                    counts[node] += 1
-        return counts
-
-    def theta(self, nodes: tuple[int, ...]) -> dict[int, float]:
-        """Contributions summing to |e|; uniform 1 when no sub-hyperedge exists."""
-        counts = self.counts(nodes)
-        total = sum(counts.values())
-        if total == 0:
-            return dict.fromkeys(nodes, 1.0)
-        scale = len(nodes) / total
-        return {node: c * scale for node, c in counts.items()}
-
-
-def count_sub_hyperedges(layer: HypergraphLayer, e: Hyperedge) -> dict[int, int]:
-    return SubHyperedgeCounter(layer).counts(e.nodes)
-
-
-def compute_theta(layer: HypergraphLayer, e: Hyperedge) -> dict[int, float]:
-    return SubHyperedgeCounter(layer).theta(e.nodes)
-
-
-# Edges per block of the containment product in theta_table.  The overlap
-# block holds one entry per (edge in block, edge sharing a node with it), so
+# Query rows per block of the containment product.  The overlap block holds
+# one entry per (query in block, training edge sharing a node with it), so
 # the block size bounds the temporary around hub nodes.
 _BLOCK_EDGES = 4096
 
@@ -106,48 +52,117 @@ class InternalDegreeTable:
         return self.values[self.offsets[eid]:self.offsets[eid + 1]]
 
 
-def _containment_counts(layer: HypergraphLayer) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """The binary edge-by-node incidence B of the layer, and every node's
-    containment count in each observed hyperedge, aligned with ``layer.nodes``.
-
-    The overlap |e & f| of every pair of hyperedges is B B^T, f is a subset
-    of e iff the overlap equals |f|, and node i's containment count in e is
-    (contain B)[e, i].  The product runs over blocks of _BLOCK_EDGES edges.
-    Every observed edge contains itself, so each count is positive and the
-    counts of e are exactly the entries of row e.
-    """
-    m = layer.num_hyperedges
-    nodes, offsets = layer.nodes, layer.offsets
-    sizes = np.diff(offsets)
-    members = sparse.csr_matrix(
-        (np.ones(nodes.size, dtype=np.int32), nodes, offsets), shape=(m, layer.num_nodes)
+def _incidence(layer: HypergraphLayer) -> sparse.csr_matrix:
+    """The binary edge-by-node incidence of a layer."""
+    return sparse.csr_matrix(
+        (np.ones(layer.nodes.size, dtype=np.int32), layer.nodes, layer.offsets),
+        shape=(layer.num_hyperedges, layer.num_nodes),
     )
-    members_t = members.T.tocsr()
-    counts = np.empty(nodes.size, dtype=np.int64)
-    for start in range(0, m, _BLOCK_EDGES):
-        stop = min(start + _BLOCK_EDGES, m)
-        contain = members[start:stop] @ members_t
+
+
+def _as_candidates(candidates, num_nodes: int) -> HypergraphLayer:
+    """A layer of candidate node sets over ``num_nodes`` nodes as it is, or
+    one candidate (node ids in any order, or a ``Hyperedge``) as a layer of
+    one.  Raises ValueError on repeated ids, ids outside [0, num_nodes) and
+    a layer over another number of nodes."""
+    if isinstance(candidates, HypergraphLayer):
+        if candidates.num_nodes != num_nodes:
+            raise ValueError(
+                f"candidates cover {candidates.num_nodes} nodes, the layer {num_nodes}"
+            )
+        return candidates
+    e = candidates if isinstance(candidates, Hyperedge) else make_hyperedge(candidates)
+    nodes = np.array(e.nodes, dtype=np.int64)
+    return HypergraphLayer.from_arrays(num_nodes, nodes, np.array([0, nodes.size]), np.ones(1))
+
+
+class SubHyperedgeCounter:
+    """Containment queries against one training layer.
+
+    A node's containment count in a query node set q is the number of
+    training hyperedges that hold the node and are subsets of q.  The counter
+    holds the layer's binary edge-by-node incidence B; a batch of queries
+    (a ``HypergraphLayer`` of candidates) is answered by one blocked sparse
+    pass, ``_containment_counts``, and a single query is a batch of one.
+    """
+
+    def __init__(self, layer: HypergraphLayer):
+        self.layer = layer
+        self.members = _incidence(layer)
+        self._members_t = self.members.T.tocsr()
+        self._sizes = np.diff(layer.offsets)
+
+    def counts(self, candidates):
+        """Containment count of every node of every candidate (0 allowed):
+        an array aligned with ``candidates.nodes`` for a layer of
+        candidates, a dict keyed by node for one candidate."""
+        batch = _as_candidates(candidates, self.layer.num_nodes)
+        queries = self.members if batch is self.layer else _incidence(batch)
+        counts = _containment_counts(queries, self.members, self._members_t, self._sizes)
+        if batch is candidates:
+            return counts
+        return dict(zip(batch.nodes.tolist(), counts.tolist()))
+
+    def theta(self, candidates):
+        """Contributions summing to |e| per candidate, uniform 1 where its
+        counts are all 0: an ``InternalDegreeTable`` over the rows of a layer
+        of candidates, a dict keyed by node for one candidate."""
+        batch = _as_candidates(candidates, self.layer.num_nodes)
+        offsets = batch.offsets
+        sizes = np.diff(offsets)
+        counts = self.counts(batch)
+        totals = np.add.reduceat(counts, offsets[:-1])
+        values = counts * np.repeat(sizes / np.maximum(totals, 1), sizes)
+        values[np.repeat(totals == 0, sizes)] = 1.0
+        if batch is not candidates:
+            return dict(zip(batch.nodes.tolist(), values.tolist()))
+        values.flags.writeable = False
+        return InternalDegreeTable(batch.nodes, offsets, values)
+
+
+def count_sub_hyperedges(layer: HypergraphLayer, e: Hyperedge) -> dict[int, int]:
+    return SubHyperedgeCounter(layer).counts(e)
+
+
+def compute_theta(layer: HypergraphLayer, e: Hyperedge) -> dict[int, float]:
+    return SubHyperedgeCounter(layer).theta(e)
+
+
+def _containment_counts(queries: sparse.csr_matrix, members: sparse.csr_matrix,
+                        members_t: sparse.csr_matrix, sizes: np.ndarray) -> np.ndarray:
+    """Every query node's containment count, aligned with the entries of the
+    binary query-by-node matrix Q.
+
+    With B the training incidence (``members``) and ``sizes`` its row sums,
+    the overlap |q & f| of every query and training edge is Q B^T, f is a
+    subset of q iff the overlap equals |f|, and node i's count in q is
+    (contain B)[q, i].  The product runs over blocks of _BLOCK_EDGES
+    queries.  A contained edge lies inside q, so each row of contain B holds
+    only q's nodes; it misses the nodes of count 0, of which a query that is
+    itself a training edge (as in ``theta_table``) has none.
+    """
+    indptr = queries.indptr
+    counts = np.zeros(queries.nnz, dtype=np.int64)
+    for start in range(0, queries.shape[0], _BLOCK_EDGES):
+        stop = min(start + _BLOCK_EDGES, queries.shape[0])
+        contain = queries[start:stop] @ members_t
         contain.data = (contain.data == sizes[contain.indices]).astype(np.int32)
         contain.eliminate_zeros()
         block = contain @ members
         block.sort_indices()
-        counts[offsets[start]:offsets[stop]] = block.data
-    return members, counts
+        span = slice(indptr[start], indptr[stop])
+        if block.nnz == span.stop - span.start:
+            counts[span] = block.data
+        else:
+            rows = np.repeat(np.arange(stop - start), np.diff(indptr[start:stop + 1]))
+            counts[span] = np.asarray(block[rows, queries.indices[span]]).ravel()
+    return counts
 
 
 def theta_table(layer: HypergraphLayer) -> InternalDegreeTable:
-    """Contributions for every observed hyperedge of the layer.
-
-    theta = count * (|e| / total) over the counts of ``_containment_counts``
-    matches SubHyperedgeCounter.theta bit for bit.
-    """
-    offsets = layer.offsets
-    sizes = np.diff(offsets)
-    counts = _containment_counts(layer)[1]
-    totals = np.add.reduceat(counts, offsets[:-1])
-    values = counts * np.repeat(sizes / totals, sizes)
-    values.flags.writeable = False
-    return InternalDegreeTable(layer.nodes, offsets, values)
+    """Contributions for every observed hyperedge of the layer: the layer
+    queried against itself."""
+    return SubHyperedgeCounter(layer).theta(layer)
 
 
 @dataclass(frozen=True)
@@ -175,7 +190,8 @@ def entropy_report(layer: HypergraphLayer, threshold: float, normalized: bool = 
     size-2 statistic is the fraction of observed pairs contained in some
     larger observed hyperedge.
     """
-    members, counts = _containment_counts(layer)
+    counter = SubHyperedgeCounter(layer)
+    members, counts = counter.members, counter.counts(layer)
     starts = layer.offsets[:-1]
     sizes = np.diff(layer.offsets)
     p = counts / np.repeat(np.add.reduceat(counts, starts), sizes)

@@ -5,7 +5,52 @@ import math
 
 import numpy as np
 
-from hyperblock.internal_degree import SubHyperedgeCounter
+from hyperblock.likelihood import lambda_e, mu
+
+
+class IndexCounter:
+    """Containment queries one node set at a time, via a per-node inverted
+    index of the layer's hyperedges.
+
+    Candidate sub-hyperedges are gathered from the incidence lists of the
+    query's nodes (any subset of e consists solely of nodes of e), then
+    subset-checked.
+    """
+
+    def __init__(self, layer):
+        self.layer = layer
+        self._edges = layer.node_tuples()
+        self._incident = [[] for _ in range(layer.num_nodes)]
+        for eid, nodes in enumerate(self._edges):
+            for node in nodes:
+                self._incident[node].append(eid)
+
+    def counts(self, nodes) -> dict:
+        """Containment count for every node of the query set (0 allowed)."""
+        node_set = set(nodes)
+        counts = dict.fromkeys(nodes, 0)
+        candidates = set()
+        for node in nodes:
+            candidates.update(self._incident[node])
+        for eid in candidates:
+            sub = self._edges[eid]
+            if len(sub) <= len(nodes) and node_set.issuperset(sub):
+                for node in sub:
+                    counts[node] += 1
+        return counts
+
+    def theta(self, nodes) -> dict:
+        """Contributions summing to |e|; uniform 1 when no sub-hyperedge exists."""
+        counts = self.counts(nodes)
+        total = sum(counts.values())
+        if total == 0:
+            return dict.fromkeys(nodes, 1.0)
+        scale = len(nodes) / total
+        return {node: c * scale for node, c in counts.items()}
+
+    def score(self, nodes, u, w) -> float:
+        """The candidate's rate by ``lambda_e``, divided by its pair count."""
+        return lambda_e(nodes, self.theta(nodes), u, w) / mu(len(nodes))
 
 
 def edge_entropy(counter, nodes, normalized=False, base=math.e) -> float:
@@ -37,7 +82,7 @@ def entropy_report_oracle(layer, threshold, normalized=True, base=math.e, bins=1
     A normalized entropy is at most 1; the rounding of a uniform
     distribution can land one ulp above it, so it is capped at 1.
     """
-    counter = SubHyperedgeCounter(layer)
+    counter = IndexCounter(layer)
     edges = layer.node_tuples()
     values = np.array([
         edge_entropy(counter, nodes, normalized=normalized, base=base)

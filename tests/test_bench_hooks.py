@@ -11,6 +11,8 @@ import hyperblock.evaluation as evaluation
 import hyperblock.inference as inference
 import hyperblock.likelihood as likelihood
 from hyperblock.core import HypergraphLayer, make_hyperedge
+from hyperblock.inference import InferenceConfig
+from hyperblock.synth import planted_partition
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -61,3 +63,24 @@ def test_setup_hooks_trace_the_parsers(monkeypatch, tmp_path):
     assert [span[0] for span in tracer.take()] == (
         ["core.parse_hyperedge_file"] * 2 + ["core.parse_inter_edge_file"]
     )
+
+
+def test_cv_traces_one_scoring_span_per_candidate_batch(monkeypatch):
+    # the benchmark's cv-2k scoring metrics read 0 if the protocol stops
+    # scoring through the traced counter and scorer; each (fold, layer)
+    # scores its positives and its negatives with one call each
+    monkeypatch.syspath_prepend(BENCH)
+    import measure
+    from tracer import Tracer, self_times
+
+    mh = planted_partition(
+        num_nodes=24, num_communities=2, num_layers=2, c_in=0.3, c_out=0.01,
+        max_size=3, inter_edge_count=40, seed=3,
+    )
+    cfg = InferenceConfig(k_per_layer=(2, 2), restarts=1, max_iters=5, seed=0)
+    with Tracer() as tracer:
+        measure.install(tracer, [], [])
+        tracer.call("workload", evaluation.hyperedge_prediction_cv, mh, cfg, folds=2)
+    st = self_times(tracer.take())
+    assert st["internal_degree.counter_theta"][1] == st["evaluation.score_hyperedge"][1] == 8
+    assert "likelihood.lambda_e" not in st

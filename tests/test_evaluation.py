@@ -254,6 +254,16 @@ def test_score_hyperedge_values():
     assert score_hyperedge([0, 1], layer, u, w) == pytest.approx(2.0, abs=1e-12)
     assert score_hyperedge([0, 1], layer, u, np.zeros((2, 2))) == 0.0
     assert score_hyperedge(make_hyperedge([0, 1, 2]), layer, u, w) == pytest.approx(10.0 / 3.0)
+    # repeated ids and ids outside the layer's nodes are rejected, not wrapped
+    for nodes, message in [([-1, 0], "out of range"), ([0, 0, 1], "duplicate"),
+                           ([0, 3], "out of range")]:
+        with pytest.raises(ValueError, match=message):
+            score_hyperedge(nodes, layer, u, w)
+    # a layer of candidates scores one value per row, as each row alone
+    batch = HypergraphLayer.from_hyperedges(3, [make_hyperedge([0, 1, 2]), make_hyperedge([0, 1])])
+    assert score_hyperedge(batch, counter, u, w).tolist() == [
+        score_hyperedge([0, 1], counter, u, w), score_hyperedge([0, 1, 2], counter, u, w)
+    ]
 
 
 # -- hyperedge prediction CV -------------------------------------------------

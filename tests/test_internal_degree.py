@@ -1,13 +1,16 @@
 """Containment counts, node contributions and the entropy summary."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperblock import internal_degree
 from hyperblock.core import HypergraphLayer, make_hyperedge
+from hyperblock.evaluation import score_hyperedge
 from hyperblock.internal_degree import (
     _BLOCK_EDGES,
     SubHyperedgeCounter,
@@ -16,7 +19,7 @@ from hyperblock.internal_degree import (
     entropy_report,
     theta_table,
 )
-from oracles import contained_in_larger, entropy_report_oracle
+from oracles import IndexCounter, contained_in_larger, entropy_report_oracle
 
 
 def brute_force_counts(layer, nodes):
@@ -90,9 +93,9 @@ def test_theta_sums_to_size():
 
 
 def assert_table_matches_counter(layer):
-    """theta_table against the per-edge containment loop, value for value."""
+    """theta_table against the inverted-index oracle, value for value."""
     table = theta_table(layer)
-    counter = SubHyperedgeCounter(layer)
+    counter = IndexCounter(layer)
     assert table.offsets.size == layer.num_hyperedges + 1
     for eid, e in enumerate(layer.hyperedges):
         span = slice(table.offsets[eid], table.offsets[eid + 1])
@@ -114,6 +117,74 @@ def layers(draw):
 @given(layers())
 def test_theta_table_matches_counter(layer):
     assert_table_matches_counter(layer)
+
+
+def test_counter_rejects_invalid_candidates():
+    layer = HypergraphLayer(3, (make_hyperedge([0, 1, 2]),))
+    counter = SubHyperedgeCounter(layer)
+    for nodes, message in [((0, 0, 1), "duplicate"), ((-1, 0), "out of range"),
+                           ((0, 3), "out of range"), ((1,), "at least 2")]:
+        for query in (counter.theta, counter.counts):
+            with pytest.raises(ValueError, match=message):
+                query(nodes)
+    with pytest.raises(ValueError, match="4 nodes"):
+        counter.theta(HypergraphLayer(4, (make_hyperedge([0, 1]),)))
+
+
+@st.composite
+def scoring_cases(draw):
+    """A training layer, candidates, a state and a block size.
+
+    Nodes from ``reach`` up lie in no training edge, some candidates are
+    training edges, and the leading ``zero`` x ``zero`` block of w is 0, so
+    candidates whose nodes sit only in those communities have rate 0.
+    """
+    n = draw(st.integers(2, 12))
+    reach = draw(st.integers(2, n))
+    train_sets = draw(st.lists(
+        st.sets(st.integers(0, reach - 1), min_size=2, max_size=min(6, reach)), max_size=25
+    ))
+    train = HypergraphLayer.from_hyperedges(n, [make_hyperedge(s) for s in train_sets])
+    picked = draw(st.lists(st.sampled_from(train_sets), max_size=10)) if train_sets else []
+    fresh = draw(st.lists(
+        st.sets(st.integers(0, n - 1), min_size=2, max_size=min(6, n)), max_size=25
+    ))
+    candidates = HypergraphLayer.from_hyperedges(
+        n, [make_hyperedge(s) for s in picked + fresh]
+    )
+    k = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = np.zeros((n, k))
+    u[np.arange(n), rng.integers(k, size=n)] = rng.random(n) + 0.1
+    u += (rng.random((n, k)) < 0.3) * rng.random((n, k))
+    w = rng.random((k, k))
+    w = w + w.T
+    zero = draw(st.integers(0, k))
+    w[:zero, :zero] = 0.0
+    block = draw(st.sampled_from([1, 3, _BLOCK_EDGES]))
+    return train, candidates, u, w, block
+
+
+@settings(max_examples=300, deadline=None)
+@given(scoring_cases())
+def test_batch_theta_and_scores_match_the_oracle(case):
+    train, candidates, u, w, block = case
+    oracle = IndexCounter(train)
+    rows = candidates.node_tuples()
+    counts = [c for nodes in rows for c in oracle.counts(nodes).values()]
+    theta = np.array([v for nodes in rows for v in oracle.theta(nodes).values()])
+    scores = np.array([oracle.score(nodes, u, w) for nodes in rows])
+    with mock.patch.object(internal_degree, "_BLOCK_EDGES", block):
+        counter = SubHyperedgeCounter(train)
+        assert counter.counts(candidates).tolist() == counts
+        table = counter.theta(candidates)
+        got = score_hyperedge(candidates, counter, u, w)
+        single = [score_hyperedge(nodes, counter, u, w) for nodes in rows[:3]]
+    assert np.array_equal(table.nodes, candidates.nodes)
+    assert np.array_equal(table.offsets, candidates.offsets)
+    assert table.values.tobytes() == theta.tobytes()
+    assert got.tobytes() == scores.tobytes()
+    assert single == scores[:3].tolist()
 
 
 def test_theta_table_empty_layer():
