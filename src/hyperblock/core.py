@@ -170,6 +170,19 @@ def _first_or_none(mask: np.ndarray) -> Optional[int]:
     return int(hits[0]) if hits.size else None
 
 
+def _check_truth_nodes(ground_truth: Mapping[int, int], num_nodes: int) -> None:
+    """Raise for the first ground-truth node outside [0, num_nodes)."""
+    nodes = list(ground_truth)
+    keys = np.asarray(nodes)
+    if keys.ndim != 1 or keys.dtype.kind not in "iu":
+        # keys that are not all int64 (or uint64) compare as Python objects
+        keys = np.fromiter(nodes, dtype=object, count=len(nodes))
+    with np.errstate(invalid="ignore"):  # a NaN key is out of range
+        bad = _first_or_none(~((keys >= 0) & (keys < num_nodes)))
+    if bad is not None:
+        raise ValueError(f"ground-truth node {nodes[bad]} out of range")
+
+
 def _read_only(*arrays: np.ndarray) -> None:
     for arr in arrays:
         arr.flags.writeable = False
@@ -232,13 +245,11 @@ class HypergraphLayer(_Frozen):
             raise ValueError(f"hyperedge {e.nodes} out of range for {num_nodes} nodes")
         return nodes, offsets, weights
 
-    def _init(self, num_nodes, nodes, offsets, weights, ground_truth) -> None:
+    def _init(self, num_nodes, nodes, offsets, weights, ground_truth, truth_checked=False) -> None:
         if num_nodes <= 0:
             raise ValueError(f"num_nodes must be positive, got {num_nodes}")
-        if ground_truth is not None:
-            for node in ground_truth:
-                if not 0 <= node < num_nodes:
-                    raise ValueError(f"ground-truth node {node} out of range")
+        if ground_truth is not None and not truth_checked:
+            _check_truth_nodes(ground_truth, num_nodes)
         _read_only(nodes, offsets, weights)
         self._set(
             num_nodes=num_nodes, nodes=nodes, offsets=offsets, weights=weights,
@@ -246,10 +257,14 @@ class HypergraphLayer(_Frozen):
         )
 
     @classmethod
-    def _from_canonical(cls, num_nodes, nodes, offsets, weights, ground_truth=None):
-        """A layer from arrays already in canonical form (not re-checked)."""
+    def _from_canonical(
+        cls, num_nodes, nodes, offsets, weights, ground_truth=None, truth_checked=False
+    ):
+        """A layer from arrays already in canonical form (not re-checked);
+        ``truth_checked`` says the ground truth was checked against
+        ``num_nodes`` too."""
         layer = cls.__new__(cls)
-        layer._init(num_nodes, nodes, offsets, weights, ground_truth)
+        layer._init(num_nodes, nodes, offsets, weights, ground_truth, truth_checked)
         return layer
 
     @classmethod
@@ -316,11 +331,12 @@ class HypergraphLayer(_Frozen):
 
     def subset(self, keep: np.ndarray) -> "HypergraphLayer":
         """The hyperedges selected by a boolean mask, with the same nodes and
-        ground truth."""
+        ground truth (checked when this layer was built)."""
         rows = np.flatnonzero(np.asarray(keep, dtype=bool))
         nodes, offsets = _take_rows(self.nodes, self.offsets, rows)
         return self._from_canonical(
-            self.num_nodes, nodes, offsets, self.weights[rows], self.ground_truth
+            self.num_nodes, nodes, offsets, self.weights[rows], self.ground_truth,
+            truth_checked=True,
         )
 
     @cached_property
@@ -524,84 +540,128 @@ class MultiHypergraph:
 # ---------------------------------------------------------------------------
 # Text-file ingestion.  All formats are whitespace-separated UTF-8 with
 # '#' comment lines, and a malformed line raises ``file:line: message``.
-# The hyperedge and inter-edge parsers tokenise the whole file at once with
-# numpy and check every format rule on arrays; when a check fails, or the
-# file holds anything the array path does not read (a non-ASCII character,
-# a signed or over-long integer), a per-line scan reads the file instead
-# and raises the first bad line's error.  Ground-truth files, one short
-# line per node, are read by the per-line scan alone.
+# One token pass (``_Tokens``) reads every data file: it splits the whole
+# file into lines and tokens with numpy and decodes integers by digit
+# column, and each format checks its rules on the arrays.  When a check
+# fails, or the file holds anything the token pass does not read (a
+# non-ASCII character, a signed or over-long integer), that format's
+# per-line scan reads the file instead and raises the first bad line's
+# error.
 # ---------------------------------------------------------------------------
 
-# ASCII whitespace as str.split() sees it: \t \n \v \f \r, \x1c-\x1f, space.
-_SPACE = np.zeros(256, dtype=bool)
-_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
 _MAX_DIGITS = 18
 _POW10 = 10 ** np.arange(_MAX_DIGITS + 1, dtype=np.int64)
 
+# Byte classes of the token pass: a decimal digit maps to its value; '\n'
+# and '\r' end a line, as they do in text mode (universal newlines); the
+# rest of str.split()'s ASCII whitespace (\t \v \f, \x1c-\x1f and space)
+# separates tokens; '#' and every other byte are token characters.
+_OTHER, _HASH, _BLANK, _NEWLINE = 10, 11, 12, 13
+
+
+def _byte_classes() -> bytes:
+    table = bytearray([_OTHER]) * 256
+    table[ord("0"):ord("9") + 1] = range(10)
+    table[ord("#")] = _HASH
+    for byte in b"\t\v\f\x1c\x1d\x1e\x1f ":
+        table[byte] = _BLANK
+    table[ord("\n")] = table[ord("\r")] = _NEWLINE
+    return bytes(table)
+
+
+_CLASSES = _byte_classes()
+
 
 class _Tokens:
-    """The data lines of an ASCII text file, tokenised at once.
+    """The data lines of an ASCII file, split into tokens at once.
 
     Data line k holds tokens ``first[k]:first[k + 1]``; token t is
-    ``text[start[t]:end[t]]``.
+    ``data[start[t]:end[t]]``.
     """
 
-    def __init__(self, text: str):
-        self.text = text
-        self.buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-        space = np.ones(self.buf.size + 2, dtype=bool)
-        space[1:-1] = _SPACE[self.buf]
-        change = np.flatnonzero(space[1:] != space[:-1])
+    def __init__(self, data: bytes):
+        # A small file pays per numpy call, so the pass makes few calls,
+        # all of them methods or ufuncs with ``out``.
+        self.data = data
+        self.classes = classes = np.frombuffer(data.translate(_CLASSES), dtype=np.uint8)
+        space = np.empty(classes.size + 2, dtype=bool)
+        space[0] = space[-1] = True
+        np.greater_equal(classes, _BLANK, out=space[1:-1])
+        change = (space[1:] != space[:-1]).nonzero()[0]
         start, end = change[::2], change[1::2]
-        line = np.searchsorted(np.flatnonzero(self.buf == 10), start)
-        head = np.flatnonzero(np.diff(line, prepend=-1))
-        counts = np.diff(np.append(head, start.size))
-        data = self.buf[start[head]] != ord("#")
-        keep = np.repeat(data, counts)
-        self.start, self.end = start[keep], end[keep]
-        self.first = _offsets(counts[data])
+        # bounds: 0, the first token after each line end (2t changes lie
+        # before token t), the token count; the distinct bounds start the
+        # non-blank lines, and end the last one
+        newline = (classes == _NEWLINE).nonzero()[0]
+        bounds = np.empty(newline.size + 2, dtype=np.int64)
+        bounds[0], bounds[-1] = 0, start.size
+        np.right_shift(change.searchsorted(newline, "right"), 1, out=bounds[1:-1])
+        distinct = np.empty(bounds.size, dtype=bool)
+        distinct[0] = True
+        np.not_equal(bounds[1:], bounds[:-1], out=distinct[1:])
+        first = bounds[distinct]
+        if b"#" in data:
+            data_line = classes[start[first[:-1]]] != _HASH
+            if not data_line.all():
+                counts = first[1:] - first[:-1]
+                keep = np.repeat(data_line, counts)
+                start, end = start[keep], end[keep]
+                first = _offsets(counts[data_line])
+        self.start, self.end, self.first = start, end, first
+
+    @classmethod
+    def read(cls, path: str) -> Optional["_Tokens"]:
+        """The file's tokens, or None when it is not ASCII."""
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return cls(data) if data.isascii() else None
 
     def counts(self) -> np.ndarray:
-        return np.diff(self.first)
+        return self.first[1:] - self.first[:-1]
 
-    def column(self, c: int) -> np.ndarray:
-        """Token indices of field c of every data line."""
-        return self.first[:-1] + c
+    def table(self, width: int):
+        """(start, end) of the tokens as (line, field) arrays, or None when
+        some data line does not hold ``width`` tokens."""
+        if (self.counts() != width).any():
+            return None
+        return self.start.reshape(-1, width), self.end.reshape(-1, width)
 
-    def digits(self, tokens: np.ndarray):
-        """(value, plain) per token: plain tokens are at most 18 decimal
-        digits, and only their values are meaningful."""
-        s, e = self.start[tokens], self.end[tokens]
-        length = e - s
-        if length.size == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
-        at = _offsets(length)[:-1]
-        pos = np.arange(int(length.sum())) + np.repeat(s - at, length)
-        digit = self.buf[pos].astype(np.int64) - ord("0")
-        plain = ~np.logical_or.reduceat((digit < 0) | (digit > 9), at) & (length <= _MAX_DIGITS)
-        place = np.minimum(np.repeat(e, length) - 1 - pos, _MAX_DIGITS)
-        return np.add.reduceat(digit * _POW10[place], at), plain
+    def digits(self, start: np.ndarray, end: np.ndarray):
+        """(value, plain) of the tokens ``data[start:end]``, for start and
+        end arrays of any one shape: plain tokens are at most 18 decimal
+        digits, and only their values are meaningful.
 
-    def ints(self, tokens: np.ndarray) -> Optional[np.ndarray]:
-        """Token values when every token is plain, else None."""
-        values, plain = self.digits(tokens)
+        Column c is every token's digit c places from its right end, read
+        with one gather, and adds digit * 10**c; a token shorter than c + 1
+        reads a byte before it (``end - c - 1`` is at least ``1 - len(data)``,
+        a valid index) and counts it as 0.  Memory is a few arrays per
+        token, not per byte.
+        """
+        size = end - start
+        value = np.zeros(size.shape, dtype=np.int64)
+        bad = size > _MAX_DIGITS
+        shortest = int(size.min(initial=_MAX_DIGITS))
+        for c in range(min(int(size.max(initial=0)), _MAX_DIGITS)):
+            digit = self.classes[end - (c + 1)]
+            if c >= shortest:
+                digit *= size > c
+            bad |= digit > 9
+            value += digit * _POW10[c]
+        return value, ~bad
+
+    def ints(self, start: np.ndarray, end: np.ndarray) -> Optional[np.ndarray]:
+        """The tokens' values when every token is plain, else None."""
+        values, plain = self.digits(start, end)
         return values if plain.all() else None
 
-    def floats(self, tokens: np.ndarray) -> np.ndarray:
-        """Token values as ``float()`` reads them; raises ValueError like it."""
-        values, plain = self.digits(tokens)
+    def floats(self, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+        """The tokens' values as ``float()`` reads them; raises ValueError
+        like it."""
+        values, plain = self.digits(start, end)
         out = values.astype(float)
         for t in np.flatnonzero(~plain).tolist():
-            k = int(tokens[t])
-            out[t] = float(self.text[self.start[k]:self.end[k]])
+            out[t] = float(self.data[start[t]:end[t]])
         return out
-
-
-def _tokens(path: str) -> Optional[_Tokens]:
-    """The file's tokens, or None when it is not ASCII."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return _Tokens(text) if text.isascii() else None
 
 
 def _data_lines(path: str):
@@ -622,24 +682,28 @@ def parse_hyperedge_file(path: str, num_nodes: Optional[int] = None) -> Hypergra
     straight into the layer's flat arrays; a malformed line raises
     ValueError naming ``file:line``.
     """
-    tokens = _tokens(path)
-    layer = None if tokens is None else _hyperedges_from_tokens(tokens, num_nodes)
+    layer = _read_hyperedges(path, num_nodes)
     return layer if layer is not None else _scan_hyperedge_file(path, num_nodes)
 
 
-def _hyperedges_from_tokens(tokens: _Tokens, num_nodes: Optional[int]):
-    """The layer, or None when some line needs the per-line scan."""
+def _read_hyperedges(path: str, num_nodes: Optional[int]):
+    """The layer by the token pass, or None when some line needs the
+    per-line scan."""
+    tokens = _Tokens.read(path)
+    if tokens is None:
+        return None
     sizes = tokens.counts() - 1
     if sizes.size == 0 or np.any(sizes < 2):
         return None
-    weight_at = tokens.column(0)
+    head = tokens.first[:-1]
     try:
-        weights = tokens.floats(weight_at)
+        weights = tokens.floats(tokens.start[head], tokens.end[head])
     except ValueError:
         return None
     id_at = np.ones(tokens.start.size, dtype=bool)
-    id_at[weight_at] = False
-    ids = tokens.ints(np.flatnonzero(id_at))
+    id_at[head] = False
+    ids = tokens.ints(tokens.start[id_at], tokens.end[id_at])
+    del tokens, id_at  # free the token arrays before the sorts
     if ids is None:
         return None
     top = int(ids.max())
@@ -699,8 +763,7 @@ def parse_inter_edge_file(
     and node id is checked against it.  A malformed line raises ValueError
     naming ``file:line``.
     """
-    tokens = _tokens(path)
-    fields = None if tokens is None else _inter_fields_from_tokens(tokens, layer_sizes)
+    fields = _read_inter_fields(path, layer_sizes)
     if fields is None:
         fields = _scan_inter_edge_file(path, layer_sizes)
     la, lb, i, j, w = fields
@@ -712,17 +775,20 @@ def parse_inter_edge_file(
     return out
 
 
-def _inter_fields_from_tokens(tokens: _Tokens, layer_sizes):
-    """Normalized (layer_a, layer_b, i, j, weight) arrays in file order, or
-    None when some line needs the per-line scan."""
-    if np.any(tokens.counts() != 5):
+def _read_inter_fields(path: str, layer_sizes):
+    """Normalized (layer_a, layer_b, i, j, weight) arrays in file order by
+    the token pass, or None when some line needs the per-line scan."""
+    tokens = _Tokens.read(path)
+    table = None if tokens is None else tokens.table(5)
+    if table is None:
         return None
-    ints = tokens.ints(np.stack([tokens.column(c) for c in range(4)]).ravel())
+    start, end = table
+    ints = tokens.ints(start[:, :4], end[:, :4])
     if ints is None:
         return None
-    la, lb, i, j = ints.reshape(4, -1)
+    la, lb, i, j = ints.T
     try:
-        w = tokens.floats(tokens.column(4))
+        w = tokens.floats(start[:, 4], end[:, 4])
     except ValueError:
         return None
     if np.any(la == lb) or not np.all(np.isfinite(w) & (w >= 0)):
@@ -785,9 +851,35 @@ def parse_ground_truth_file(path: str, num_nodes: Optional[int] = None) -> dict[
     """Read ``node_id community_id`` lines into a node -> label map.
 
     Node ids are non-negative, and with ``num_nodes`` they must lie in
-    [0, num_nodes); labels are any integers.  A malformed line raises
-    ValueError naming ``file:line``.
+    [0, num_nodes); labels are any integers.  The map keeps file order.  A
+    malformed line raises ValueError naming ``file:line``.
     """
+    truth = _read_ground_truth(path, num_nodes)
+    return truth if truth is not None else _scan_ground_truth_file(path, num_nodes)
+
+
+def _read_ground_truth(path: str, num_nodes: Optional[int]):
+    """The node -> label map by the token pass, or None when some line
+    needs the per-line scan (a negative label among them)."""
+    tokens = _Tokens.read(path)
+    table = None if tokens is None else tokens.table(2)
+    if table is None:
+        return None
+    pairs = tokens.ints(*table)
+    if pairs is None:
+        return None
+    node, label = pairs.T
+    ranked = np.sort(node)
+    if (ranked[1:] == ranked[:-1]).any():
+        return None
+    if num_nodes is not None and ranked.size and ranked[-1] >= num_nodes:
+        return None
+    return dict(zip(node.tolist(), label.tolist()))
+
+
+def _scan_ground_truth_file(path: str, num_nodes: Optional[int]) -> dict[int, int]:
+    """Line-by-line reading of a ground-truth file: the first bad line
+    raises its error, and a good file gives the token pass's map."""
     truth: dict[int, int] = {}
     for lineno, line in _data_lines(path):
         fields = line.split()

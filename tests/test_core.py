@@ -1,6 +1,8 @@
 """Data model and file-format tests."""
 
+import gc
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -465,12 +467,29 @@ def weight_text():
 
 def with_noise(draw, lines):
     """The data lines with comment and blank lines between them, joined by
-    one newline convention."""
+    one newline convention (text mode reads a bare "\r" as a line end)."""
     out = []
     for line in lines:
         out += draw(st.lists(st.sampled_from(NOISE_LINES), max_size=2)) + [line]
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return newline.join(out) + draw(st.sampled_from(["", newline]))
+
+
+def with_line(text, at, line):
+    """The text with ``line`` inserted as line ``at`` (0-based), in the
+    text's newline convention."""
+    lines = text.splitlines()
+    lines.insert(at, line)
+    newline = "\r\n" if "\r\n" in text else "\r" if "\r" in text else "\n"
+    return newline.join(lines)
+
+
+def node_ids():
+    """Node ids of 1 to 19 decimal digits: the decoder reads up to 18, and
+    the scan reads 19-digit ids (below 2**62)."""
+    return st.integers(1, 19).flatmap(
+        lambda d: st.integers(10 ** (d - 1) if d > 1 else 0, min(10**d, core._MAX_ID) - 1)
+    )
 
 
 def merged_layer(n, rows):
@@ -484,10 +503,16 @@ def merged_layer(n, rows):
 
 @st.composite
 def hyperedge_files(draw):
-    """(num_nodes, file text, the layer it holds by a dict merge in file order)."""
-    n = draw(st.integers(2, 9))
+    """(num_nodes, file text, the layer it holds by a dict merge in file order).
+
+    The ids are a few of 1 to 19 digits, so lines share node sets and
+    every digit count the decoder reads appears."""
+    pool = draw(st.one_of(
+        st.integers(2, 9).map(range), st.lists(node_ids(), min_size=2, max_size=9, unique=True)
+    ))
+    n = max(pool) + 1
     rows = draw(st.lists(
-        st.tuples(st.lists(st.integers(0, n - 1), min_size=2, max_size=5, unique=True),
+        st.tuples(st.lists(st.sampled_from(pool), min_size=2, max_size=5, unique=True),
                   weight_text()),
         min_size=1, max_size=25,
     ))
@@ -582,11 +607,9 @@ BAD_HYPEREDGE_LINES = [
 @given(hyperedge_files(), st.sampled_from(BAD_HYPEREDGE_LINES), st.data())
 def test_hyperedge_file_errors_match_the_line_scan(tmp_path, case, bad, data):
     n, text, _ = case
-    lines = text.split("\n")
-    at = data.draw(st.integers(0, len(lines)))
-    lines.insert(at, bad.format(n=n))
+    at = data.draw(st.integers(0, len(text.splitlines())))
     p = tmp_path / "edges.txt"
-    p.write_bytes("\n".join(lines).encode())
+    p.write_bytes(with_line(text, at, bad.format(n=n)).encode())
     message = scan_error(core._scan_hyperedge_file, str(p), n)
     assert f"edges.txt:{at + 1}: " in message
     with pytest.raises(ValueError) as info:
@@ -605,16 +628,129 @@ BAD_INTER_LINES = [
 @given(inter_edge_files(), st.sampled_from(BAD_INTER_LINES), st.data())
 def test_inter_edge_file_errors_match_the_line_scan(tmp_path, case, bad, data):
     sizes, text, _ = case
-    lines = text.split("\n")
-    at = data.draw(st.integers(0, len(lines)))
-    lines.insert(at, bad.format(n0=sizes[0]))
+    at = data.draw(st.integers(0, len(text.splitlines())))
     p = tmp_path / "inter.txt"
-    p.write_bytes("\n".join(lines).encode())
+    p.write_bytes(with_line(text, at, bad.format(n0=sizes[0])).encode())
     message = scan_error(core._scan_inter_edge_file, str(p), sizes)
     assert f"inter.txt:{at + 1}: " in message
     with pytest.raises(ValueError) as info:
         parse_inter_edge_file(str(p), layer_sizes=sizes)
     assert str(info.value) == message
+
+
+def padded(value):
+    """An integer's decimal text with up to two leading zeros, as a strategy."""
+    sign = "-" if value < 0 else ""
+    return st.sampled_from(["", "0", "00"]).map(lambda zeros: sign + zeros + str(abs(value)))
+
+
+@st.composite
+def truth_files(draw):
+    """(num_nodes or None, file text, the map it holds in file order).
+
+    Node ids are a permutation of 0..k-1 or distinct ids of 1 to 19
+    digits, with leading zeros; labels have either sign and any width."""
+    nodes = draw(st.one_of(
+        st.integers(0, 30).flatmap(lambda k: st.permutations(range(k))),
+        st.lists(node_ids(), max_size=25, unique=True),
+    ))
+    labels = draw(st.sampled_from([
+        st.integers(0, 10**18 - 1), st.one_of(st.integers(-9, 99), st.integers(-10**20, 10**20))
+    ]))
+    truth = {node: draw(labels) for node in nodes}
+    lines = [
+        draw(padded(node)) + draw(st.sampled_from([" ", "\t", "  "])) + draw(padded(label))
+        for node, label in truth.items()
+    ]
+    top = max(truth, default=-1) + 1
+    num_nodes = draw(st.one_of(st.none(), st.integers(top, top + 3)))
+    return num_nodes, with_noise(draw, lines), truth
+
+
+@FILE_SETTINGS
+@given(truth_files())
+def test_truth_file_parses_to_the_scanned_map(tmp_path, case):
+    n, text, expected = case
+    p = tmp_path / "truth.txt"
+    p.write_bytes(text.encode())
+    truth = parse_ground_truth_file(str(p), num_nodes=n)
+    assert list(truth.items()) == list(expected.items())
+    assert list(core._scan_ground_truth_file(str(p), n).items()) == list(expected.items())
+
+
+# {n} is the node count and {top} the first id above every node of the file
+BAD_TRUTH_LINES = [
+    "0", "0 1 2", "x 1", "0 y", "1.5 0", "0 1.5", "-1 0", "{n} 0", "{top} 0\n{top} 1",
+]
+
+
+@FILE_SETTINGS
+@given(truth_files(), st.sampled_from(BAD_TRUTH_LINES), st.data())
+def test_truth_file_errors_match_the_line_scan(tmp_path, case, bad, data):
+    _, text, truth = case
+    top = max(truth, default=-1) + 1
+    at = data.draw(st.integers(0, len(text.splitlines())))
+    p = tmp_path / "truth.txt"
+    p.write_bytes(with_line(text, at, bad.format(n=top + 1, top=top)).encode())
+    message = scan_error(core._scan_ground_truth_file, str(p), top + 1)
+    assert f"truth.txt:{at + 1 + bad.count(chr(10))}: " in message
+    with pytest.raises(ValueError) as info:
+        parse_ground_truth_file(str(p), num_nodes=top + 1)
+    assert str(info.value) == message
+
+
+def test_parsers_peak_memory_per_input_byte(tmp_path):
+    """tracemalloc's peak while a parser reads a 20k-line file stays within
+    24 bytes per byte of the file."""
+    rng = np.random.default_rng(0)
+    n, m = 10_000, 20_000
+    sizes = rng.integers(2, 6, m)
+    ids = rng.integers(0, n // 2, (m, 1)) + np.cumsum(rng.integers(1, 100, (m, 5)), axis=1)
+    ids = rng.permuted(ids, axis=1)
+    edges = tmp_path / "edges.txt"
+    edges.write_text("".join(
+        "1 " + " ".join(map(str, row[:k])) + "\n" for row, k in zip(ids.tolist(), sizes.tolist())
+    ))
+    inter = tmp_path / "inter.txt"
+    pairs = rng.integers(0, n, (m, 2)).tolist()
+    inter.write_text("".join(f"0 1 {i} {j} 1\n" for i, j in pairs))
+    for path, parse in [
+        (edges, lambda: parse_hyperedge_file(str(edges), num_nodes=n)),
+        (inter, lambda: parse_inter_edge_file(str(inter), layer_sizes=[n, n])),
+    ]:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            parse()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * path.stat().st_size, (path.name, peak / path.stat().st_size)
+
+
+def test_ground_truth_nodes_are_checked_once(monkeypatch):
+    edges = (Hyperedge((0, 1)), Hyperedge((1, 2)))
+    layer = HypergraphLayer(3, edges)
+    bad = {0: 1, 4: 0, -1: 2}
+    for build in (
+        lambda: HypergraphLayer(3, edges, bad),
+        lambda: HypergraphLayer.from_hyperedges(3, edges, bad),
+        lambda: HypergraphLayer.from_arrays(3, layer.nodes, layer.offsets, layer.weights, bad),
+        lambda: layer.with_ground_truth(bad),
+    ):
+        with pytest.raises(ValueError, match="^ground-truth node 4 out of range$"):
+            build()
+    for truth, node in [({1: 0, -1: 1, 5: 0}, -1), ({2**70: 0}, 2**70), ({0: 1, -0.5: 0}, -0.5)]:
+        with pytest.raises(ValueError, match=f"^ground-truth node {node} out of range$"):
+            layer.with_ground_truth(truth)
+
+    labelled = layer.with_ground_truth({2: 0, 0: 1})
+    checks = []
+    monkeypatch.setattr(core, "_check_truth_nodes", lambda *args: checks.append(args))
+    part = labelled.subset(np.array([True, False]))
+    assert checks == [] and part.ground_truth is labelled.ground_truth
+    labelled.with_ground_truth({1: 1})
+    assert checks == [({1: 1}, 3)]
 
 
 def test_files_the_array_path_does_not_read_still_parse(tmp_path):
