@@ -718,7 +718,7 @@ def _read_hyperedges(path: str, num_nodes: Optional[int]):
 
 def _scan_hyperedge_file(path: str, num_nodes: Optional[int]) -> HypergraphLayer:
     """Line-by-line reading of a hyperedge file: the first bad line raises
-    its error, and a good file gives the same layer as the array path."""
+    its error, and a good file gives the same layer as the token pass."""
     edges = []
     max_id = -1
     for lineno, line in _data_lines(path):
@@ -807,7 +807,7 @@ def _read_inter_fields(path: str, layer_sizes):
 
 def _scan_inter_edge_file(path: str, layer_sizes):
     """Line-by-line reading of an inter-edge file: the first bad line raises
-    its error, and a good file gives the array path's fields."""
+    its error, and a good file gives the token pass's fields."""
     rows = []
     for lineno, line in _data_lines(path):
         fields = line.split()
