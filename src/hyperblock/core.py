@@ -170,8 +170,10 @@ def _first_or_none(mask: np.ndarray) -> Optional[int]:
     return int(hits[0]) if hits.size else None
 
 
-def _check_truth_nodes(ground_truth: Mapping[int, int], num_nodes: int) -> None:
+def _check_truth_nodes(ground_truth: Optional[Mapping[int, int]], num_nodes: int) -> None:
     """Raise for the first ground-truth node outside [0, num_nodes)."""
+    if ground_truth is None:
+        return
     nodes = list(ground_truth)
     keys = np.asarray(nodes)
     if keys.ndim != 1 or keys.dtype.kind not in "iu":
@@ -227,6 +229,7 @@ class HypergraphLayer(_Frozen):
         if same.any() or np.any(order != np.arange(order.size)):
             raise ValueError("hyperedges must be sorted lexicographically and distinct")
         self._init(num_nodes, nodes, offsets, weights, ground_truth)
+        _check_truth_nodes(ground_truth, num_nodes)
         self.__dict__["hyperedges"] = hyperedges
 
     @staticmethod
@@ -245,11 +248,9 @@ class HypergraphLayer(_Frozen):
             raise ValueError(f"hyperedge {e.nodes} out of range for {num_nodes} nodes")
         return nodes, offsets, weights
 
-    def _init(self, num_nodes, nodes, offsets, weights, ground_truth, truth_checked=False) -> None:
+    def _init(self, num_nodes, nodes, offsets, weights, ground_truth) -> None:
         if num_nodes <= 0:
             raise ValueError(f"num_nodes must be positive, got {num_nodes}")
-        if ground_truth is not None and not truth_checked:
-            _check_truth_nodes(ground_truth, num_nodes)
         _read_only(nodes, offsets, weights)
         self._set(
             num_nodes=num_nodes, nodes=nodes, offsets=offsets, weights=weights,
@@ -257,14 +258,11 @@ class HypergraphLayer(_Frozen):
         )
 
     @classmethod
-    def _from_canonical(
-        cls, num_nodes, nodes, offsets, weights, ground_truth=None, truth_checked=False
-    ):
-        """A layer from arrays already in canonical form (not re-checked);
-        ``truth_checked`` says the ground truth was checked against
-        ``num_nodes`` too."""
+    def _from_canonical(cls, num_nodes, nodes, offsets, weights, ground_truth=None):
+        """A layer from arrays and a ground truth already in canonical form
+        (not re-checked)."""
         layer = cls.__new__(cls)
-        layer._init(num_nodes, nodes, offsets, weights, ground_truth, truth_checked)
+        layer._init(num_nodes, nodes, offsets, weights, ground_truth)
         return layer
 
     @classmethod
@@ -321,10 +319,13 @@ class HypergraphLayer(_Frozen):
         if not np.all(np.isfinite(merged)):
             raise ValueError("merged hyperedge weight is not finite")
         nodes, offsets = _take_rows(nodes, offsets, rows)
-        return cls._from_canonical(num_nodes, nodes, offsets, merged, ground_truth)
+        layer = cls._from_canonical(num_nodes, nodes, offsets, merged, ground_truth)
+        _check_truth_nodes(ground_truth, num_nodes)
+        return layer
 
     def with_ground_truth(self, ground_truth: Optional[Mapping[int, int]]) -> "HypergraphLayer":
         """The same hyperedges (shared arrays) with another ground truth."""
+        _check_truth_nodes(ground_truth, self.num_nodes)
         return self._from_canonical(
             self.num_nodes, self.nodes, self.offsets, self.weights, ground_truth
         )
@@ -335,8 +336,7 @@ class HypergraphLayer(_Frozen):
         rows = np.flatnonzero(np.asarray(keep, dtype=bool))
         nodes, offsets = _take_rows(self.nodes, self.offsets, rows)
         return self._from_canonical(
-            self.num_nodes, nodes, offsets, self.weights[rows], self.ground_truth,
-            truth_checked=True,
+            self.num_nodes, nodes, offsets, self.weights[rows], self.ground_truth
         )
 
     @cached_property
@@ -639,14 +639,18 @@ class _Tokens:
         """
         size = end - start
         value = np.zeros(size.shape, dtype=np.int64)
+        term = np.empty_like(value)
         bad = size > _MAX_DIGITS
         shortest = int(size.min(initial=_MAX_DIGITS))
         for c in range(min(int(size.max(initial=0)), _MAX_DIGITS)):
-            digit = self.classes[end - (c + 1)]
+            digit = self.classes[np.subtract(end, c + 1, out=term)]
             if c >= shortest:
                 digit *= size > c
             bad |= digit > 9
-            value += digit * _POW10[c]
+            # int64 product: uint8 digits times a small scalar would stay
+            # uint8 under value-based casting (NumPy 1.x)
+            np.multiply(digit, _POW10[c], out=term, dtype=np.int64)
+            value += term
         return value, ~bad
 
     def ints(self, start: np.ndarray, end: np.ndarray) -> Optional[np.ndarray]:
