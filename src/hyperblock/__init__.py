@@ -22,8 +22,6 @@ from .core import (
 )
 from .internal_degree import (
     SubHyperedgeCounter,
-    compute_theta,
-    count_sub_hyperedges,
     entropy_report,
     theta_table,
 )
@@ -82,8 +80,6 @@ __all__ = [
     "parse_ground_truth_file",
     "load_manifest",
     "SubHyperedgeCounter",
-    "count_sub_hyperedges",
-    "compute_theta",
     "theta_table",
     "entropy_report",
     "DegenerateStateError",

@@ -150,6 +150,35 @@ def _row_order(nodes: np.ndarray, offsets: np.ndarray):
     return order, ~starts
 
 
+def _fresh_rows(known_nodes, known_offsets, nodes, offsets) -> np.ndarray:
+    """Flag per candidate row: True unless it equals a known row or an
+    earlier candidate, by one stable ``_row_order`` of both, known first."""
+    order, same = _row_order(
+        np.concatenate((known_nodes, nodes)),
+        np.concatenate((known_offsets[:-1], offsets + known_offsets[-1])),
+    )
+    fresh = np.ones(known_offsets.size + offsets.size - 2, dtype=bool)
+    fresh[order[same]] = False
+    return fresh[known_offsets.size - 1:]
+
+
+def _draw_fresh(known_nodes, known_offsets, want: Mapping[int, int], draw):
+    """(nodes, offsets) of ``want[width]`` rows of each width from
+    ``draw(width, count)``, which returns at most ``count`` rows as a 2-d
+    array.  Each round draws every width's shortfall and keeps the rows that
+    ``_fresh_rows`` finds fresh among all drawn, as a one-at-a-time
+    rejection sampler would: equal to no known row and to no other kept row."""
+    batches, short = [np.zeros((0, 2), dtype=np.int64)], want  # no rows yet
+    while True:
+        batches += [draw(width, count) for width, count in short.items() if count]
+        widths = np.concatenate([np.full(len(rows), rows.shape[1]) for rows in batches])
+        nodes = np.concatenate([rows.ravel() for rows in batches])
+        fresh = _fresh_rows(known_nodes, known_offsets, nodes, _offsets(widths))
+        short = {w: count - np.count_nonzero(fresh[widths == w]) for w, count in want.items()}
+        if not any(short.values()):
+            return nodes[np.repeat(fresh, widths)], _offsets(widths[fresh])
+
+
 def _merge_sorted(order: np.ndarray, same: np.ndarray, weights: np.ndarray):
     """(first row of each distinct key along ``order``, summed weights).
 
@@ -544,9 +573,9 @@ class MultiHypergraph:
 # file into lines and tokens with numpy and decodes integers by digit
 # column, and each format checks its rules on the arrays.  When a check
 # fails, or the file holds anything the token pass does not read (a
-# non-ASCII character, a signed or over-long integer), that format's
-# per-line scan reads the file instead and raises the first bad line's
-# error.
+# non-ASCII character, an over-long integer, a sign other than a label's
+# '-'), that format's per-line scan reads the file and raises the first
+# bad line's error.
 # ---------------------------------------------------------------------------
 
 _MAX_DIGITS = 18
@@ -864,15 +893,18 @@ def parse_ground_truth_file(path: str, num_nodes: Optional[int] = None) -> dict[
 
 def _read_ground_truth(path: str, num_nodes: Optional[int]):
     """The node -> label map by the token pass, or None when some line
-    needs the per-line scan (a negative label among them)."""
+    needs the per-line scan.  A label may be a '-' and plain digits."""
     tokens = _Tokens.read(path)
     table = None if tokens is None else tokens.table(2)
     if table is None:
         return None
-    pairs = tokens.ints(*table)
-    if pairs is None:
+    start, end = table
+    minus = np.frombuffer(tokens.data, dtype=np.uint8)[start] == ord("-")
+    minus[:, 0] = False  # node ids take no sign
+    pairs, plain = tokens.digits(start + minus, end)
+    if not (plain & (end > start + minus)).all():
         return None
-    node, label = pairs.T
+    node, label = np.where(minus, -pairs, pairs).T
     ranked = np.sort(node)
     if (ranked[1:] == ranked[:-1]).any():
         return None

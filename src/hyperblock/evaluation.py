@@ -10,13 +10,12 @@ of inter-layer edges.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import HypergraphLayer, MultiHypergraph
+from .core import HypergraphLayer, MultiHypergraph, _draw_fresh
 from .inference import InferenceConfig, FitResult, fit
 from .internal_degree import SubHyperedgeCounter, _as_candidates
 from .likelihood import _pair_sum, cross_rates, mu, sample_negatives
@@ -285,8 +284,6 @@ def hyperedge_prediction_cv(
         max_sizes = range(2, top + 1)
     size_grid = sorted(set(int(d) for d in max_sizes))
 
-    full_sets = [layer.node_sets() for layer in mh.layers]
-
     fold_scores = []
     for f in range(folds):
         train_layers = []
@@ -302,18 +299,11 @@ def hyperedge_prediction_cv(
         layer_scores = []
         for l, layer in enumerate(train.layers):
             positives = test_layers[l]
-            sizes = np.diff(positives.offsets)
-            draws = sample_negatives(
+            negatives = sample_negatives(
                 layer,
                 seed=[seed, 211, f, l],
-                sizes=sizes.tolist(),
-                forbidden=full_sets[l],
-            )
-            negatives = HypergraphLayer.from_arrays(
-                layer.num_nodes,
-                np.fromiter(chain.from_iterable(draws), np.int64, int(sizes.sum())),
-                np.concatenate(([0], np.cumsum(sizes))),
-                np.ones(len(draws)),
+                sizes=np.diff(positives.offsets),
+                forbidden=mh.layers[l],
             )
             counter = SubHyperedgeCounter(layer)
             u, w = result.state.u[l], result.state.w[l]
@@ -385,25 +375,6 @@ class InterEdgePredictionReport:
         }
 
 
-def _sample_cross_negatives(
-    shape: tuple[int, int], count: int, observed: set, rng: np.random.Generator
-) -> list[tuple[int, int]]:
-    out: list[tuple[int, int]] = []
-    seen = set(observed)
-    attempts = 0
-    while len(out) < count:
-        i = int(rng.integers(shape[0]))
-        j = int(rng.integers(shape[1]))
-        attempts += 1
-        if attempts > 1000 * max(count, 1) + 1000:
-            raise RuntimeError("could not sample enough unobserved cross pairs")
-        if (i, j) in seen:
-            continue
-        seen.add((i, j))
-        out.append((i, j))
-    return out
-
-
 def inter_edge_prediction(
     mh: MultiHypergraph,
     cfg: InferenceConfig,
@@ -429,11 +400,6 @@ def inter_edge_prediction(
         raise ValueError("repeats must be >= 1")
     cfg.validate(mh.num_layers)
 
-    observed_full = {
-        (s.layer_a, s.layer_b): set(zip(s.rows.tolist(), s.cols.tolist()))
-        for s in mh.inter_edges
-    }
-
     values = []
     for rep in range(repeats):
         reduced = remove_inter_edges(mh, removal_ratio, seed=[seed, 307, rep])
@@ -457,11 +423,16 @@ def inter_edge_prediction(
         per_set = []
         for la, lb, test in test_sets:
             shape = (mh.layers[la].num_nodes, mh.layers[lb].num_nodes)
-            negatives = _sample_cross_negatives(
-                shape, len(test), observed_full[(la, lb)], rng
+            full = mh.inter_for_pair(la, lb)
+            if len(test) > shape[0] * shape[1] - full.num_edges:
+                raise RuntimeError("could not sample enough unobserved cross pairs")
+            known = np.column_stack((full.rows, full.cols))
+            negatives, _ = _draw_fresh(
+                known.ravel(), 2 * np.arange(len(known) + 1), {2: len(test)},
+                lambda width, count: rng.integers(shape, size=(count, width)),
             )
             # positives then negatives, scored by one cross_rates call
-            rows, cols = np.array(test + negatives).T
+            rows, cols = np.concatenate((test, negatives.reshape(-1, 2))).T
             scores = cross_rates(
                 result.state.u[la], result.state.u[lb], result.state.w_cross[(la, lb)],
                 rows, cols,

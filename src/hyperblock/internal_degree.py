@@ -22,8 +22,6 @@ __all__ = [
     "SubHyperedgeCounter",
     "InternalDegreeTable",
     "EntropyReport",
-    "count_sub_hyperedges",
-    "compute_theta",
     "entropy_report",
     "theta_table",
 ]
@@ -118,14 +116,6 @@ class SubHyperedgeCounter:
             return dict(zip(batch.nodes.tolist(), values.tolist()))
         values.flags.writeable = False
         return InternalDegreeTable(batch.nodes, offsets, values)
-
-
-def count_sub_hyperedges(layer: HypergraphLayer, e: Hyperedge) -> dict[int, int]:
-    return SubHyperedgeCounter(layer).counts(e)
-
-
-def compute_theta(layer: HypergraphLayer, e: Hyperedge) -> dict[int, float]:
-    return SubHyperedgeCounter(layer).theta(e)
 
 
 def _containment_counts(queries: sparse.csr_matrix, members: sparse.csr_matrix,

@@ -12,13 +12,14 @@ hyperedges.  ``sample_negatives`` serves the evaluation protocols only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 from scipy import sparse
 
-from .core import Hyperedge, HypergraphLayer, InterEdgeSet, MultiHypergraph
+from .core import Hyperedge, HypergraphLayer, InterEdgeSet, MultiHypergraph, _draw_fresh
 from .internal_degree import InternalDegreeTable
 
 __all__ = [
@@ -186,36 +187,31 @@ def sample_negatives(
     layer: HypergraphLayer,
     seed: int,
     sizes: Optional[Sequence[int]] = None,
-    forbidden: Optional[set[tuple[int, ...]]] = None,
-    max_attempts: int = 1000,
-) -> list[tuple[int, ...]]:
-    """Sample unobserved node sets matching the observed size multiset.
-
-    One sorted node tuple per requested size, drawn uniformly over node
-    sets and rejected while observed (or in ``forbidden``) or already drawn.
-    Deterministic given the seed.
-    """
+    forbidden: Optional[HypergraphLayer] = None,
+) -> HypergraphLayer:
+    """A layer of unit-weight node sets, one per requested size (the
+    observed size multiset by default), each uniform among the node sets of
+    its size that are no hyperedge of ``forbidden`` (``layer`` by default)
+    and not drawn already; deterministic given the seed.  Raises ValueError
+    naming the size when too few such sets exist."""
     rng = np.random.default_rng(seed)
-    if sizes is None:
-        sizes = layer.sizes()
-    taken = set(forbidden) if forbidden is not None else layer.node_sets()
-    negatives = []
+    forbidden = layer if forbidden is None else forbidden
     n = layer.num_nodes
-    for size in sizes:
-        if size > n:
-            raise ValueError(f"cannot sample a hyperedge of size {size} from {n} nodes")
-        for _ in range(max_attempts):
-            candidate = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
-            if candidate not in taken:
-                taken.add(candidate)
-                negatives.append(candidate)
-                break
-        else:
-            raise ValueError(
-                f"failed to sample an unobserved hyperedge of size {size} "
-                f"after {max_attempts} attempts (space exhausted?)"
-            )
-    return negatives
+    sizes = np.diff(layer.offsets) if sizes is None else np.asarray(sizes, dtype=np.int64)
+    observed = np.diff(forbidden.offsets)
+    want = {int(d): int(c) for d, c in zip(*np.unique(sizes, return_counts=True))}
+    for size, count in want.items():
+        free = math.comb(n, size) - int(np.count_nonzero(observed == size))
+        if count > free:
+            raise ValueError(f"only {free} unobserved node sets of size {size}, {count} requested")
+
+    def draw(size, count):
+        # uniform ordered tuples of distinct ids, sorted: uniform node sets
+        rows = np.sort(rng.integers(n, size=(count, size)), axis=1)
+        return rows[(rows[:, 1:] != rows[:, :-1]).all(axis=1)]
+
+    nodes, offsets = _draw_fresh(forbidden.nodes, forbidden.offsets, want, draw)
+    return HypergraphLayer.from_arrays(n, nodes, offsets, np.ones(offsets.size - 1))
 
 
 def layer_constants(layer: HypergraphLayer, m_override: Optional[int] = None) -> LayerConstants:

@@ -5,7 +5,20 @@ import math
 
 import numpy as np
 
+from hyperblock.internal_degree import SubHyperedgeCounter
 from hyperblock.likelihood import lambda_e, mu
+
+
+def count_sub_hyperedges(layer, e) -> dict:
+    """Containment count of every node of one candidate, keyed by node: a
+    batch of one through the library's counter."""
+    return SubHyperedgeCounter(layer).counts(e)
+
+
+def compute_theta(layer, e) -> dict:
+    """Contributions of every node of one candidate, keyed by node: a batch
+    of one through the library's counter."""
+    return SubHyperedgeCounter(layer).theta(e)
 
 
 class IndexCounter:

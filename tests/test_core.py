@@ -676,6 +676,13 @@ def test_truth_file_parses_to_the_scanned_map(tmp_path, case):
     truth = parse_ground_truth_file(str(p), num_nodes=n)
     assert list(truth.items()) == list(expected.items())
     assert list(core._scan_ground_truth_file(str(p), n).items()) == list(expected.items())
+    # the token pass reads every file whose fields are at most 18 digits,
+    # after a label's '-'
+    fields = [f for line in text.splitlines() if "#" not in line for f in line.split()]
+    read = core._read_ground_truth(str(p), n)
+    assert (read is not None) == all(len(f.lstrip("-")) <= 18 for f in fields)
+    if read is not None:
+        assert list(read.items()) == list(expected.items())
 
 
 # {n} is the node count and {top} the first id above every node of the file

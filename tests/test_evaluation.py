@@ -376,6 +376,19 @@ def test_inter_edge_prediction_validation(planted_easy):
         inter_edge_prediction(small, cv_cfg(), repeats=1)
 
 
+def test_inter_edge_prediction_raises_when_cross_pairs_run_out():
+    # every one of the 3 x 3 cross pairs is observed, so the one test pair
+    # has no unobserved pair to score against
+    layers = tuple(
+        HypergraphLayer(3, (make_hyperedge([0, 1]), make_hyperedge([1, 2]))) for _ in range(2)
+    )
+    full = InterEdgeSet(0, 1, [(i, j, 1.0) for i in range(3) for j in range(3)])
+    with pytest.raises(RuntimeError, match="unobserved cross pairs"):
+        inter_edge_prediction(
+            MultiHypergraph(layers, (full,)), InferenceConfig(k_per_layer=(1, 1)), repeats=1
+        )
+
+
 # -- K selection -------------------------------------------------------------
 
 

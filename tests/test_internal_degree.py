@@ -14,12 +14,16 @@ from hyperblock.evaluation import score_hyperedge
 from hyperblock.internal_degree import (
     _BLOCK_EDGES,
     SubHyperedgeCounter,
-    compute_theta,
-    count_sub_hyperedges,
     entropy_report,
     theta_table,
 )
-from oracles import IndexCounter, contained_in_larger, entropy_report_oracle
+from oracles import (
+    IndexCounter,
+    compute_theta,
+    contained_in_larger,
+    count_sub_hyperedges,
+    entropy_report_oracle,
+)
 
 
 def brute_force_counts(layer, nodes):

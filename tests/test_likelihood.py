@@ -5,9 +5,14 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hyperblock.core import HypergraphLayer, InterEdgeSet, MultiHypergraph, make_hyperedge
-from hyperblock.internal_degree import compute_theta, theta_table
+from hyperblock.core import (
+    HypergraphLayer, InterEdgeSet, MultiHypergraph, _draw_fresh, make_hyperedge,
+)
+from hyperblock.internal_degree import theta_table
 from hyperblock.likelihood import (
     DegenerateStateError,
     LatentState,
@@ -24,6 +29,7 @@ from hyperblock.likelihood import (
     surrogate_objective,
 )
 from hyperblock.synth import _poisson_layer
+from oracles import compute_theta
 
 
 def naive_lambda_e(nodes, theta, u, w):
@@ -173,7 +179,7 @@ def test_sample_negatives_contract():
     layer = HypergraphLayer.from_hyperedges(
         8, [make_hyperedge([0, 1]), make_hyperedge([2, 3, 4]), make_hyperedge([1, 5])]
     )
-    negs = sample_negatives(layer, seed=9)
+    negs = sample_negatives(layer, seed=9).node_tuples()
     assert sorted(len(e) for e in negs) == sorted(layer.sizes())
     observed = layer.node_sets()
     seen = set()
@@ -182,12 +188,12 @@ def test_sample_negatives_contract():
         assert e not in observed
         assert e not in seen
         seen.add(e)
-    assert sample_negatives(layer, seed=9) == negs
+    assert sample_negatives(layer, seed=9).node_tuples() == negs
 
 
 def test_sample_negatives_tiny_space():
     layer = HypergraphLayer(3, (make_hyperedge([0, 1]),))
-    negs = sample_negatives(layer, seed=0)
+    negs = sample_negatives(layer, seed=0).node_tuples()
     assert negs[0] in {(0, 2), (1, 2)}
 
     full = HypergraphLayer.from_hyperedges(
@@ -195,6 +201,98 @@ def test_sample_negatives_tiny_space():
     )
     with pytest.raises(ValueError, match="size 2"):
         sample_negatives(full, seed=0)
+
+
+@st.composite
+def sampler_cases(draw):
+    """(training layer, full layer, requested sizes): node counts from 5 up
+    to 2**13, so that n**5 overflows int64, and sizes 2 to 5."""
+    n = draw(st.one_of(st.integers(5, 12), st.integers(2**12, 2**13)))
+    node_sets = draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=2, max_size=5, unique=True),
+        min_size=1, max_size=40,
+    ))
+    full = HypergraphLayer.from_hyperedges(n, [make_hyperedge(e) for e in node_sets])
+    keep = draw(st.lists(st.booleans(), min_size=full.num_hyperedges,
+                         max_size=full.num_hyperedges))
+    sizes = draw(st.lists(st.integers(2, 5), max_size=30))
+    return full.subset(np.array(keep, dtype=bool)), full, sizes
+
+
+@settings(max_examples=100, deadline=None)
+@given(sampler_cases(), st.integers(0, 2**32 - 1))
+def test_sample_negatives_rows_are_fresh_and_match_the_request(case, seed):
+    layer, full, sizes = case
+    observed = full.node_sets()
+    free = {
+        d: math.comb(full.num_nodes, d) - sum(len(e) == d for e in observed) for d in set(sizes)
+    }
+    short = [d for d in sorted(free) if sizes.count(d) > free[d]]
+    if short:
+        with pytest.raises(ValueError, match=f"size {short[0]}"):
+            sample_negatives(layer, seed, sizes=sizes, forbidden=full)
+        return
+    negs = sample_negatives(layer, seed, sizes=sizes, forbidden=full)
+    rows = negs.node_tuples()
+    assert all(list(e) == sorted(set(e)) for e in rows)
+    assert len(set(rows)) == len(rows)
+    assert not observed & set(rows)
+    assert sorted(negs.sizes()) == sorted(sizes)
+    assert negs.num_nodes == layer.num_nodes and np.all(negs.weights == 1.0)
+    assert sample_negatives(layer, seed, sizes=sizes, forbidden=full) == negs
+
+
+def chi_square_p(counts):
+    """p-value of the counts against equal expected counts."""
+    return scipy.stats.chisquare(np.asarray(counts, dtype=float)).pvalue
+
+
+def test_sample_negatives_are_uniform_over_unobserved_sets():
+    # n = 7: 21 pairs and 35 triples, a few of each observed; each call
+    # draws three pairs and two triples without replacement, so every
+    # unobserved set of a size is drawn equally often in expectation
+    observed = [(0, 1), (2, 5), (3, 4), (0, 1, 2), (1, 4, 6)]
+    layer = HypergraphLayer.from_hyperedges(7, [make_hyperedge(e) for e in observed])
+    counts = {e: 0 for d in (2, 3) for e in combinations(range(7), d) if e not in observed}
+    for seed in range(2000):
+        for e in sample_negatives(layer, seed, sizes=[2, 2, 2, 3, 3]).node_tuples():
+            counts[e] += 1
+    for d, per_call in ((2, 3), (3, 2)):
+        of_size = [c for e, c in counts.items() if len(e) == d]
+        assert sum(of_size) == 2000 * per_call
+        assert chi_square_p(of_size) > 1e-3
+
+
+def test_cross_pair_draws_are_uniform_over_unobserved_pairs():
+    # the draw inter_edge_prediction makes: (i, j) rows over a 3 x 4 grid
+    # with three pairs observed, four fresh pairs per call
+    observed = [(0, 0), (1, 3), (2, 1)]
+    known = np.array(observed).ravel()
+    counts = {(i, j): 0 for i in range(3) for j in range(4) if (i, j) not in observed}
+    for seed in range(2000):
+        rng = np.random.default_rng(seed)
+        pairs, offsets = _draw_fresh(
+            known, 2 * np.arange(len(observed) + 1), {2: 4},
+            lambda width, count: rng.integers((3, 4), size=(count, width)),
+        )
+        assert offsets.tolist() == [0, 2, 4, 6, 8]
+        drawn = list(zip(pairs[0::2].tolist(), pairs[1::2].tolist()))
+        assert len(set(drawn)) == 4
+        for pair in drawn:
+            counts[pair] += 1
+    assert chi_square_p(list(counts.values())) > 1e-3
+
+
+def test_sample_negatives_exhausts_exactly():
+    observed = [(0, 1), (1, 3), (2, 4), (0, 1, 2)]
+    layer = HypergraphLayer.from_hyperedges(5, [make_hyperedge(e) for e in observed])
+    free = [e for e in combinations(range(5), 2) if e not in observed]
+    negs = sample_negatives(layer, seed=3, sizes=[2] * len(free) + [3])
+    assert [e for e in negs.node_tuples() if len(e) == 2] == free
+    with pytest.raises(ValueError, match="size 2"):
+        sample_negatives(layer, seed=3, sizes=[2] * (len(free) + 1))
+    with pytest.raises(ValueError, match="size 6"):
+        sample_negatives(layer, seed=3, sizes=[6])
 
 
 def test_layer_constants_values():
