@@ -150,33 +150,33 @@ def _row_order(nodes: np.ndarray, offsets: np.ndarray):
     return order, ~starts
 
 
-def _fresh_rows(known_nodes, known_offsets, nodes, offsets) -> np.ndarray:
-    """Flag per candidate row: True unless it equals a known row or an
-    earlier candidate, by one stable ``_row_order`` of both, known first."""
-    order, same = _row_order(
-        np.concatenate((known_nodes, nodes)),
-        np.concatenate((known_offsets[:-1], offsets + known_offsets[-1])),
-    )
-    fresh = np.ones(known_offsets.size + offsets.size - 2, dtype=bool)
-    fresh[order[same]] = False
-    return fresh[known_offsets.size - 1:]
-
-
-def _draw_fresh(known_nodes, known_offsets, want: Mapping[int, int], draw):
-    """(nodes, offsets) of ``want[width]`` rows of each width from
-    ``draw(width, count)``, which returns at most ``count`` rows as a 2-d
-    array.  Each round draws every width's shortfall and keeps the rows that
-    ``_fresh_rows`` finds fresh among all drawn, as a one-at-a-time
-    rejection sampler would: equal to no known row and to no other kept row."""
-    batches, short = [np.zeros((0, 2), dtype=np.int64)], want  # no rows yet
+def _draw_fresh(known_nodes, known_offsets, space, want, draw):
+    """(nodes, offsets) of ``want[w]`` rows of each width w that ``draw(w, count)``
+    draws uniformly among ``space[w]``, kept as a one-at-a-time rejection sampler
+    keeps them: equal to no known row (all distinct) or earlier draw, by one
+    stable ``_row_order``.  A round draws each width's shortfall, scaled up by
+    the share of its space still free."""
+    nodes, widths, m = known_nodes, np.diff(known_offsets), known_offsets.size - 1
+    free = {w: space[w] - int(np.count_nonzero(widths == w)) for w in want}
+    for w, count in want.items():
+        if count > free[w]:
+            raise ValueError(f"only {free[w]} unobserved candidates of size {w}, {count} requested")
     while True:
-        batches += [draw(width, count) for width, count in short.items() if count]
-        widths = np.concatenate([np.full(len(rows), rows.shape[1]) for rows in batches])
-        nodes = np.concatenate([rows.ravel() for rows in batches])
-        fresh = _fresh_rows(known_nodes, known_offsets, nodes, _offsets(widths))
-        short = {w: count - np.count_nonzero(fresh[widths == w]) for w, count in want.items()}
+        short = {w: count - int(np.count_nonzero(widths[m:] == w)) for w, count in want.items()}
         if not any(short.values()):
-            return nodes[np.repeat(fresh, widths)], _offsets(widths[fresh])
+            return nodes[known_offsets[-1]:], _offsets(widths[m:])
+        for w, k in short.items():
+            if k:
+                left = free[w] - want[w] + k  # free rows not kept yet
+                rows = draw(w, max(k, (2 * k * space[w] + left) // (2 * left)))
+                nodes = np.concatenate((nodes, rows.ravel()))
+                widths = np.concatenate((widths, np.full(len(rows), w)))
+        order, same = _row_order(nodes, _offsets(widths))
+        keep = np.ones(widths.size, dtype=bool)
+        keep[order[same]] = False
+        for w, count in want.items():
+            keep[m + np.flatnonzero(keep[m:] & (widths[m:] == w))[count:]] = False
+        nodes, widths = nodes[np.repeat(keep, widths)], widths[keep]
 
 
 def _merge_sorted(order: np.ndarray, same: np.ndarray, weights: np.ndarray):

@@ -413,22 +413,22 @@ def inter_edge_prediction(
                     f"inter-edge set ({s.layer_a}, {s.layer_b}) too small to split "
                     f"after removing {removal_ratio:.0%}"
                 )
+            shape = (mh.layers[s.layer_a].num_nodes, mh.layers[s.layer_b].num_nodes)
+            full = mh.inter_for_pair(s.layer_a, s.layer_b)
+            if n_test > shape[0] * shape[1] - full.num_edges:
+                raise RuntimeError("could not sample enough unobserved cross pairs")
             held = np.zeros(s.num_edges, dtype=bool)
             held[rng.permutation(s.num_edges)[:n_test]] = True
             train_sets.append(s.subset(~held))
             test = zip(s.rows[held].tolist(), s.cols[held].tolist())
-            test_sets.append((s.layer_a, s.layer_b, list(test)))
+            test_sets.append((s.layer_a, s.layer_b, list(test), shape, full))
         train_mh = MultiHypergraph(mh.layers, tuple(train_sets))
         result = fit(train_mh, replace(cfg, seed=cfg.seed + rep))
         per_set = []
-        for la, lb, test in test_sets:
-            shape = (mh.layers[la].num_nodes, mh.layers[lb].num_nodes)
-            full = mh.inter_for_pair(la, lb)
-            if len(test) > shape[0] * shape[1] - full.num_edges:
-                raise RuntimeError("could not sample enough unobserved cross pairs")
-            known = np.column_stack((full.rows, full.cols))
+        for la, lb, test, shape, full in test_sets:
             negatives, _ = _draw_fresh(
-                known.ravel(), 2 * np.arange(len(known) + 1), {2: len(test)},
+                np.column_stack((full.rows, full.cols)).ravel(),
+                2 * np.arange(full.num_edges + 1), {2: shape[0] * shape[1]}, {2: len(test)},
                 lambda width, count: rng.integers(shape, size=(count, width)),
             )
             # positives then negatives, scored by one cross_rates call

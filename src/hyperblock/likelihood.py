@@ -198,19 +198,19 @@ def sample_negatives(
     forbidden = layer if forbidden is None else forbidden
     n = layer.num_nodes
     sizes = np.diff(layer.offsets) if sizes is None else np.asarray(sizes, dtype=np.int64)
-    observed = np.diff(forbidden.offsets)
     want = {int(d): int(c) for d, c in zip(*np.unique(sizes, return_counts=True))}
-    for size, count in want.items():
-        free = math.comb(n, size) - int(np.count_nonzero(observed == size))
-        if count > free:
-            raise ValueError(f"only {free} unobserved node sets of size {size}, {count} requested")
 
     def draw(size, count):
-        # uniform ordered tuples of distinct ids, sorted: uniform node sets
-        rows = np.sort(rng.integers(n, size=(count, size)), axis=1)
-        return rows[(rows[:, 1:] != rows[:, :-1]).all(axis=1)]
+        # Floyd's algorithm on all rows: column c takes t, uniform on [0, n -
+        # size + c], or that bound when the row holds t; a uniform node set
+        rows = rng.integers(np.arange(n - size, n) + 1, size=(count, size))
+        for c in range(1, size):
+            held = (rows[:, :c] == rows[:, c, None]).any(axis=1)
+            rows[held, c] = n - size + c
+        return np.sort(rows, axis=1)
 
-    nodes, offsets = _draw_fresh(forbidden.nodes, forbidden.offsets, want, draw)
+    space = {size: math.comb(n, size) for size in want}
+    nodes, offsets = _draw_fresh(forbidden.nodes, forbidden.offsets, space, want, draw)
     return HypergraphLayer.from_arrays(n, nodes, offsets, np.ones(offsets.size - 1))
 
 

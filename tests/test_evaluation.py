@@ -376,9 +376,12 @@ def test_inter_edge_prediction_validation(planted_easy):
         inter_edge_prediction(small, cv_cfg(), repeats=1)
 
 
-def test_inter_edge_prediction_raises_when_cross_pairs_run_out():
+def test_inter_edge_prediction_raises_when_cross_pairs_run_out(monkeypatch):
     # every one of the 3 x 3 cross pairs is observed, so the one test pair
-    # has no unobserved pair to score against
+    # has no unobserved pair to score against; that is known before a fit
+    import hyperblock.evaluation as evaluation
+
+    monkeypatch.setattr(evaluation, "fit", lambda *args: pytest.fail("fit before the check"))
     layers = tuple(
         HypergraphLayer(3, (make_hyperedge([0, 1]), make_hyperedge([1, 2]))) for _ in range(2)
     )

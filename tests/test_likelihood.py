@@ -272,7 +272,7 @@ def test_cross_pair_draws_are_uniform_over_unobserved_pairs():
     for seed in range(2000):
         rng = np.random.default_rng(seed)
         pairs, offsets = _draw_fresh(
-            known, 2 * np.arange(len(observed) + 1), {2: 4},
+            known, 2 * np.arange(len(observed) + 1), {2: 12}, {2: 4},
             lambda width, count: rng.integers((3, 4), size=(count, width)),
         )
         assert offsets.tolist() == [0, 2, 4, 6, 8]
@@ -281,6 +281,35 @@ def test_cross_pair_draws_are_uniform_over_unobserved_pairs():
         for pair in drawn:
             counts[pair] += 1
     assert chi_square_p(list(counts.values())) > 1e-3
+
+
+def test_sample_negatives_of_sizes_near_n_are_uniform():
+    # n = 12, size 10: 66 sets, four observed; a draw with replacement
+    # would repeat a node in all but 1.6% of its rows
+    observed = [tuple(sorted(set(range(12)) - {i, i + 1})) for i in range(0, 8, 2)]
+    layer = HypergraphLayer.from_hyperedges(12, [make_hyperedge(e) for e in observed])
+    counts = {e: 0 for e in combinations(range(12), 10) if e not in observed}
+    for seed in range(1000):
+        for e in sample_negatives(layer, seed, sizes=[10, 10, 10]).node_tuples():
+            counts[e] += 1
+    assert sum(counts.values()) == 3000
+    assert chi_square_p(list(counts.values())) > 1e-3
+
+
+def test_sample_negatives_of_large_sizes_finish_with_uniform_nodes():
+    # sizes 60 of 200 and 400 of 1,700 nodes: no row of distinct nodes is
+    # rejected, so a call takes one round; each node is in a size-60 set
+    # with probability 60 / 200
+    layer = HypergraphLayer(200, (make_hyperedge(range(60)),))
+    hits = np.zeros(200)
+    for seed in range(100):
+        negs = sample_negatives(layer, seed, sizes=[60] * 10)
+        assert negs.num_hyperedges == 10 and np.all(np.diff(negs.offsets) == 60)
+        hits += np.bincount(negs.nodes, minlength=200)
+    assert chi_square_p(hits) > 1e-3
+    big = HypergraphLayer(1700, (make_hyperedge(range(400)),))
+    rows = sample_negatives(big, seed=0, sizes=[400] * 4).node_tuples()
+    assert len(set(rows)) == 4 and all(len(set(e)) == 400 for e in rows)
 
 
 def test_sample_negatives_exhausts_exactly():
@@ -293,6 +322,11 @@ def test_sample_negatives_exhausts_exactly():
         sample_negatives(layer, seed=3, sizes=[2] * (len(free) + 1))
     with pytest.raises(ValueError, match="size 6"):
         sample_negatives(layer, seed=3, sizes=[6])
+    # 62 of the 66 sets of size 10 among 12 nodes observed: the last four
+    # are found in a few rounds, each scaled up by how few sets are left
+    sets = list(combinations(range(12), 10))
+    dense = HypergraphLayer.from_hyperedges(12, [make_hyperedge(e) for e in sets[4:]])
+    assert sample_negatives(dense, seed=3, sizes=[10] * 4).node_tuples() == sets[:4]
 
 
 def test_layer_constants_values():
