@@ -40,7 +40,7 @@ from .evaluation import (
     inter_edge_prediction,
     nmi,
 )
-from .inference import InferenceConfig, fit
+from .inference import InferenceConfig, _cores, fit
 from .internal_degree import entropy_report
 from .synth import SynthConfig, build_views, planted_partition
 
@@ -57,12 +57,13 @@ _THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS
 
 
 def _environment() -> dict:
-    """Interpreter and library versions, and the BLAS thread settings (null
-    when unset)."""
+    """Interpreter and library versions, the CPUs a fit's restarts may run
+    on, and the BLAS thread settings (null when unset)."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
+        "cpus_available": _cores(),
         **{name: os.environ.get(name) for name in _THREAD_VARIABLES},
     }
 

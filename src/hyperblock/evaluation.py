@@ -284,27 +284,32 @@ def hyperedge_prediction_cv(
         max_sizes = range(2, top + 1)
     size_grid = sorted(set(int(d) for d in max_sizes))
 
-    fold_scores = []
+    # every fold's candidates are drawn before the first fit, so a layer
+    # with too few unobserved node sets fails before any fitting
+    candidates = []
     for f in range(folds):
-        train_layers = []
-        test_layers = []
+        fold_candidates = []
         for l, layer in enumerate(mh.layers):
             held = assignments[l] == f
             if held.all():
                 raise ValueError(f"fold {f} empties layer {l}")
-            train_layers.append(layer.subset(~held))
-            test_layers.append(layer.subset(held))
-        train = MultiHypergraph(tuple(train_layers), mh.inter_edges)
+            positives = layer.subset(held)
+            negatives = sample_negatives(
+                layer, seed=[seed, 211, f, l], sizes=np.diff(positives.offsets)
+            )
+            fold_candidates.append((positives, negatives))
+        candidates.append(fold_candidates)
+
+    fold_scores = []
+    for f in range(folds):
+        train = MultiHypergraph(
+            tuple(layer.subset(assignments[l] != f) for l, layer in enumerate(mh.layers)),
+            mh.inter_edges,
+        )
         result = fit(train, replace(cfg, seed=cfg.seed + f))
         layer_scores = []
         for l, layer in enumerate(train.layers):
-            positives = test_layers[l]
-            negatives = sample_negatives(
-                layer,
-                seed=[seed, 211, f, l],
-                sizes=np.diff(positives.offsets),
-                forbidden=mh.layers[l],
-            )
+            positives, negatives = candidates[f][l]
             counter = SubHyperedgeCounter(layer)
             u, w = result.state.u[l], result.state.w[l]
             # the AUC reads the scores of each size as a multiset, so the

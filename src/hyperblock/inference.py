@@ -4,9 +4,11 @@ Each sweep recomputes the closed-form variational marginals, then applies
 the multiplicative stationarity updates family by family: memberships u for
 every layer, then within-layer affinities w, then cross-layer affinities.
 Multiple random restarts guard against local optima; the restart with the
-highest final objective wins.  Restarts advance together: the engine's
-methods take a state stacked along a leading restart axis, so one sweep
-updates every live restart of a batch.
+highest final objective wins.  Restarts of a small instance advance
+together: the engine's methods take a state stacked along a leading
+restart axis, so one sweep updates every live restart of a batch.  Those
+of a large instance run one per batch, side by side on the available
+cores.
 """
 
 from __future__ import annotations
@@ -14,6 +16,10 @@ from __future__ import annotations
 import copy
 import functools
 import logging
+import os
+import queue
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -52,9 +58,19 @@ log = logging.getLogger("hyperblock")
 
 # A batch stacks as many restarts as keep R * sum_l (n_l + m_l) * K_l, the
 # entries of the per-restart u and edge-sum arrays, at most this large.
-# Below it a sweep is per-call overhead that stacking shares; above it the
-# sweep is compute-bound and stacking only adds memory.
+# Below it a sweep is per-call overhead that stacking shares, and restarts
+# share a stack.  At or above it the sweep is compute-bound, in numpy and
+# scipy passes that release the GIL: stacking would only add memory, so
+# each batch holds one restart and the batches share the cores.
 _BATCH_ENTRIES = 1 << 17
+
+
+def _cores() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
 
 
 class NonFiniteUpdateError(RuntimeError):
@@ -427,13 +443,19 @@ class EMEngine:
         ratios, each built once and read from ``carry`` when it holds them.
         The w updates start from the new u, so their edge sums are those of
         the returned state: a given carry is refilled with them, and with
-        nothing else, for the next call.
+        nothing else, for the next call.  The carry's quantities at
+        ``state`` are released once the u updates are done, so a failure in
+        the w or cross phase leaves the carry empty, which is valid: a
+        missing key is computed when needed.
         """
         known = RateCarry() if carry is None else carry
         # every u update reads these: a zero cross rate fails the sweep first
         for idx in range(len(self.mh.inter_edges)):
             self._cross_ratios(state, idx, known)
         new_u = tuple(self.updated_u(state, l, known) for l in range(self.mh.num_layers))
+        # free the old edge sums before the w updates build the new ones
+        for part in (known.sums, known.rates, known.cross, known.ratios):
+            part.clear()
         state = LatentState(new_u, state.w, state.w_cross)
         at_new_u = RateCarry()
         new_w = tuple(self.updated_w(state, l, at_new_u) for l in range(self.mh.num_layers))
@@ -443,7 +465,7 @@ class EMEngine:
             for s in self.mh.inter_edges
         }
         if carry is not None:
-            carry.sums, carry.rates, carry.cross, carry.ratios = at_new_u.sums, {}, {}, {}
+            carry.sums = at_new_u.sums
         return LatentState(state.u, state.w, new_cross)
 
     def objective(self, state: LatentState, carry: Optional[RateCarry] = None):
@@ -488,7 +510,8 @@ class _Batch:
         restart the call fails on records the error and leaves the stack;
         the call is repeated for the others, whose values are unchanged
         because restarts never mix.  A failed call leaves the carry holding
-        quantities of the stack it was given."""
+        only quantities of the stack it was given (a sweep that fails after
+        its u updates leaves it empty)."""
         while self.live:
             try:
                 return method(self.stack, self.carry)
@@ -553,6 +576,46 @@ def _run_restart(engine: EMEngine, mh: MultiHypergraph, cfg: InferenceConfig, re
     return run.state, tuple(run.trace), run.converged
 
 
+def _run_batches(engine: EMEngine, mh: MultiHypergraph, cfg: InferenceConfig, batches,
+                 threads: int):
+    """The ``_Run`` lists of the batches, in batch order.
+
+    With one thread the batches run one after another.  With more, each
+    thread takes the next batch not yet taken, the calling thread among
+    them.  The engine is shared read-only: it writes its pattern cache
+    (``_stacked_matrix``) only for stacks of two or more restarts, and only
+    one-restart batches run side by side.
+    """
+    if threads == 1:
+        return [_run_batch(engine, mh, cfg, restarts) for restarts in batches]
+    pending = queue.SimpleQueue()
+    for i in range(len(batches)):
+        pending.put(i)
+    runs = [None] * len(batches)
+    failed = threading.Event()
+
+    def work():
+        while not failed.is_set():
+            try:
+                i = pending.get_nowait()
+            except queue.Empty:
+                return
+            try:
+                runs[i] = _run_batch(engine, mh, cfg, batches[i])
+            except BaseException:
+                failed.set()  # the other threads stop after their current batch
+                raise
+
+    with ThreadPoolExecutor(threads - 1) as pool:
+        helpers = [pool.submit(work) for _ in range(threads - 1)]
+        try:
+            work()
+        finally:
+            for helper in helpers:
+                helper.result()
+    return runs
+
+
 def fit(mh: MultiHypergraph, cfg: InferenceConfig) -> FitResult:
     """Multi-restart EM fit; returns the restart with the best final objective.
 
@@ -561,13 +624,16 @@ def fit(mh: MultiHypergraph, cfg: InferenceConfig) -> FitResult:
     then initializes from ``cfg.seed + r``.  Restarts run in batches that
     advance as one stacked state, one sweep for all of them: a batch holds
     as many restarts as keep R * sum_l (n_l + m_l) * K_l within
-    ``_BATCH_ENTRIES``, so small instances run every restart together and
-    large ones one at a time.  Results are bit for bit those of running
-    each restart alone.  Restarts that collapse to a degenerate state are
-    dropped with a warning on the ``hyperblock`` logger, and one more
-    warning follows when more than half of them are; if all are,
-    FitFailureError is raised.  The first restart with the strictly highest
-    final objective wins.
+    ``_BATCH_ENTRIES``, and one after another.  Below that bound restarts
+    share a stack, so small instances run every restart together.  When
+    one restart alone reaches it, each batch holds one restart and the
+    batches run side by side, on as many threads as the process has CPUs
+    and there are batches.  Results are bit for bit those of running each
+    restart alone.  Restarts that collapse to a degenerate state are
+    dropped with a warning on the ``hyperblock`` logger, in restart order,
+    and one more warning follows when more than half of them are; if all
+    are, FitFailureError is raised.  The first restart with the strictly
+    highest final objective wins.
     """
     cfg.validate(mh.num_layers)
     for l, layer in enumerate(mh.layers):
@@ -579,10 +645,17 @@ def fit(mh: MultiHypergraph, cfg: InferenceConfig) -> FitResult:
         for layer, k in zip(mh.layers, cfg.k_per_layer)
     )
     size = max(1, _BATCH_ENTRIES // per_restart)
+    batches = [range(start, min(start + size, cfg.restarts))
+               for start in range(0, cfg.restarts, size)]
+    threads = min(_cores(), len(batches)) if per_restart >= _BATCH_ENTRIES else 1
+    log.debug(
+        "fit layout: %d batches of up to %d restarts on %d threads",
+        len(batches), size, threads,
+    )
     best = None
     outcomes = []
-    for start in range(0, cfg.restarts, size):
-        for run in _run_batch(engine, mh, cfg, range(start, min(start + size, cfg.restarts))):
+    for runs in _run_batches(engine, mh, cfg, batches, threads):
+        for run in runs:
             seed = cfg.seed + run.restart
             if run.error is not None:
                 log.warning(

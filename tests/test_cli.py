@@ -64,6 +64,7 @@ def test_synth_outputs(pipeline):
     assert env["numpy"] == np.__version__
     assert env["python"] == platform.python_version()
     assert env["scipy"] == scipy.__version__
+    assert env["cpus_available"] == len(os.sched_getaffinity(0))
     for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         assert env[name] == os.environ.get(name)
 

@@ -392,6 +392,19 @@ def test_inter_edge_prediction_raises_when_cross_pairs_run_out(monkeypatch):
         )
 
 
+def test_cv_raises_before_fitting_when_node_sets_run_out(monkeypatch):
+    # the layer holds all 10 pairs of 5 nodes, so no held-out pair has an
+    # unobserved pair to score against; that is known before any fold's fit
+    import hyperblock.evaluation as evaluation
+
+    monkeypatch.setattr(evaluation, "fit", lambda *args: pytest.fail("fit before the check"))
+    full = HypergraphLayer(
+        5, tuple(make_hyperedge([i, j]) for i in range(5) for j in range(i + 1, 5))
+    )
+    with pytest.raises(ValueError, match="only 0 unobserved candidates of size 2"):
+        hyperedge_prediction_cv(MultiHypergraph((full,)), InferenceConfig(k_per_layer=(1,)))
+
+
 # -- K selection -------------------------------------------------------------
 
 

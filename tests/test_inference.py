@@ -1,6 +1,8 @@
 """EM engine: initialization, marginals, update rules, sweeps and fit."""
 
 import logging
+import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -219,6 +221,25 @@ def test_sweep_preserves_validity():
     for _ in range(5):
         state = engine.sweep(state)
     state.validate()
+
+
+def test_sweep_frees_the_old_carry_before_the_w_updates(monkeypatch):
+    mh = random_multi(np.random.default_rng(5))
+    engine = EMEngine(mh)
+    state = LatentState.stack([initialize(mh, InferenceConfig(k_per_layer=(2, 3)), 0)])
+    carry = RateCarry()
+    engine.objective(state, carry)
+    old = [weakref.ref(carry.sums[0]), weakref.ref(carry.rates[0])]
+    real_updated_w = EMEngine.updated_w
+    alive = []
+
+    def recording_updated_w(self, state, l, carry=None):
+        alive.append([ref() is not None for ref in old])
+        return real_updated_w(self, state, l, carry)
+
+    monkeypatch.setattr(EMEngine, "updated_w", recording_updated_w)
+    engine.sweep(state, carry)
+    assert alive == [[False, False], [False, False]]
 
 
 def test_fixed_point_complete_layer():
@@ -561,14 +582,16 @@ def test_stacked_kernels_match_their_reference_forms(seed, restarts, ka, kb, na,
     assert _block_product(ratio_t, x).tobytes() == _block_product(ratio.T, x).tobytes()
 
 
-def fit_both_ways(mh, cfg):
-    """fit with one restart per batch and with every restart in one batch."""
+def fit_every_layout(mh, cfg):
+    """fit with one restart per batch on three threads and on one, and with
+    every restart in one batch."""
     import hyperblock.inference as inf
 
     results = []
-    for entries in (1, 10**12):
+    for entries, cores in ((1, 3), (1, 1), (10**12, 3)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(inf, "_BATCH_ENTRIES", entries)
+            mp.setattr(inf, "_cores", lambda: cores)
             try:
                 results.append(fit(mh, cfg))
             except FitFailureError as exc:
@@ -615,13 +638,14 @@ def test_fit_batches_match_one_restart_at_a_time(
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(inf, "initialize", initialize_with_dead(dead))
-        one, together = fit_both_ways(mh, cfg)
-    if isinstance(one, FitFailureError):
-        assert isinstance(together, FitFailureError)
+        concurrent, serial, together = fit_every_layout(mh, cfg)
+    if isinstance(together, FitFailureError):
+        assert isinstance(concurrent, FitFailureError) and isinstance(serial, FitFailureError)
         assert set(range(restarts)) <= dead
         return
-    assert_same_fit(one, together)
-    assert [r.dropped is not None for r in one.restarts] == [
+    assert_same_fit(concurrent, together)
+    assert_same_fit(serial, together)
+    assert [r.dropped is not None for r in together.restarts] == [
         r in dead for r in range(restarts)
     ]
 
@@ -632,11 +656,93 @@ def test_fit_batch_keeps_restarts_that_converge_early():
     mh = random_multi(np.random.default_rng(12))
     cfg = InferenceConfig(k_per_layer=(2, 3), restarts=4, max_iters=60, tol=1e-3,
                           check_every=2)
-    one, together = fit_both_ways(mh, cfg)
-    assert_same_fit(one, together)
+    concurrent, serial, together = fit_every_layout(mh, cfg)
+    assert_same_fit(concurrent, together)
+    assert_same_fit(serial, together)
     sweeps = [r.sweeps for r in together.restarts]
     assert any(r.converged for r in together.restarts)
     assert len(set(sweeps)) > 1
+
+
+def test_fit_batches_on_more_threads_than_cores_keep_restart_order(monkeypatch):
+    # eight one-restart batches on six threads that switch often: every
+    # batch's runs must land at their own position
+    import hyperblock.inference as inf
+
+    mh = random_multi(np.random.default_rng(4))
+    cfg = InferenceConfig(k_per_layer=(2, 2), restarts=8, max_iters=10, check_every=2)
+    together = fit(mh, cfg)
+    monkeypatch.setattr(inf, "_BATCH_ENTRIES", 1)
+    monkeypatch.setattr(inf, "_cores", lambda: 6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        concurrent = fit(mh, cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert_same_fit(concurrent, together)
+    assert [r.seed for r in concurrent.restarts] == list(range(8))
+
+
+def test_fit_raises_an_error_of_a_batch_run_on_another_thread(monkeypatch):
+    import hyperblock.inference as inf
+
+    real_run_batch = inf._run_batch
+    started = []
+
+    def failing_run_batch(engine, mh, cfg, restarts):
+        started.append(restarts[0])
+        if restarts[0] == 1:
+            raise RuntimeError("injected")
+        return real_run_batch(engine, mh, cfg, restarts)
+
+    monkeypatch.setattr(inf, "_run_batch", failing_run_batch)
+    monkeypatch.setattr(inf, "_BATCH_ENTRIES", 1)
+    monkeypatch.setattr(inf, "_cores", lambda: 2)
+    mh = random_multi(np.random.default_rng(4))
+    with pytest.raises(RuntimeError, match="injected"):
+        fit(mh, InferenceConfig(k_per_layer=(2, 2), restarts=6, max_iters=5))
+    # each thread stops after its current batch
+    assert 1 in started and len(started) < 6
+
+
+def test_fit_at_the_batch_bound_matches_each_restart_alone(monkeypatch, caplog):
+    # one restart alone fills a batch, so the batches run side by side on
+    # three threads; restart 1 starts all-zero and is dropped by the first
+    # objective
+    import hyperblock.inference as inf
+
+    rng = np.random.default_rng(17)
+    n = 3000
+    rows = np.sort(rng.integers(n, size=(16_000, 3)), axis=1)
+    rows = rows[(rows[:, 0] < rows[:, 1]) & (rows[:, 1] < rows[:, 2])]
+    layer = HypergraphLayer.from_arrays(
+        n, rows.ravel(), np.arange(0, rows.size + 1, 3), np.ones(len(rows))
+    )
+    mh = MultiHypergraph((layer,))
+    cfg = InferenceConfig(k_per_layer=(8,), restarts=3, max_iters=3, check_every=1)
+    assert (n + layer.num_hyperedges) * 8 >= inf._BATCH_ENTRIES
+    monkeypatch.setattr(inf, "initialize", initialize_with_dead({1}))
+    monkeypatch.setattr(inf, "_cores", lambda: 3)
+    with caplog.at_level(logging.DEBUG, logger="hyperblock"):
+        result = fit(mh, cfg)
+    messages = [rec.getMessage() for rec in caplog.records if rec.name == "hyperblock"]
+    assert messages[0] == "fit layout: 3 batches of up to 1 restarts on 3 threads"
+    assert len(messages) == 2 and messages[1].startswith("restart 1 (seed 1) dropped")
+
+    engine = EMEngine(mh)
+    with pytest.raises(DegenerateStateError):
+        _run_restart(engine, mh, cfg, 1)
+    alone = {r: _run_restart(engine, mh, cfg, r) for r in (0, 2)}
+    best = max(alone, key=lambda r: alone[r][1][-1][1])
+    assert result.best_restart == best
+    assert result.objective_trace == alone[best][1]
+    assert_same_state(result.state, alone[best][0])
+    assert result.restarts == (
+        RestartOutcome(0, alone[0][1][-1][1], 3, alone[0][2]),
+        RestartOutcome(1, None, 0, False, "DegenerateStateError"),
+        RestartOutcome(2, alone[2][1][-1][1], 3, alone[2][2]),
+    )
 
 
 def test_fit_validates_config_and_data():
