@@ -35,7 +35,6 @@ from .likelihood import (
     layer_constants,
     mu,
     sample_negatives,
-    surrogate_objective,
 )
 from .inference import (
     EMEngine,
@@ -91,7 +90,6 @@ __all__ = [
     "lambda_ij",
     "sample_negatives",
     "layer_constants",
-    "surrogate_objective",
     "InferenceConfig",
     "FitResult",
     "RestartOutcome",

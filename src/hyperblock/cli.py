@@ -288,8 +288,10 @@ def _write_synth_outputs(out: str, mh, k_per_layer: list[int]) -> None:
 def _cmd_synth(args) -> int:
     out = args.out
     os.makedirs(out, exist_ok=True)
+    counts = _parse_int_list(args.inter_edges)
+    if not counts:
+        raise ValueError("--inter-edges needs at least one count")
     if args.preset == "planted":
-        counts = _parse_int_list(args.inter_edges)
         if len(counts) != 1:
             raise ValueError("the planted preset takes a single inter-edge budget")
         mh = planted_partition(
@@ -312,7 +314,6 @@ def _cmd_synth(args) -> int:
             raise ValueError("--truth is required for the views preset")
         truth = parse_ground_truth_file(args.truth, num_nodes=source.num_nodes)
         source = source.with_ground_truth(truth)
-        counts = _parse_int_list(args.inter_edges)
         cfg = SynthConfig(
             sample_fraction=args.sample_fraction,
             num_layers=args.layers,

@@ -420,8 +420,12 @@ def inter_edge_prediction(
                 )
             shape = (mh.layers[s.layer_a].num_nodes, mh.layers[s.layer_b].num_nodes)
             full = mh.inter_for_pair(s.layer_a, s.layer_b)
-            if n_test > shape[0] * shape[1] - full.num_edges:
-                raise RuntimeError("could not sample enough unobserved cross pairs")
+            unobserved = shape[0] * shape[1] - full.num_edges
+            if n_test > unobserved:
+                raise ValueError(
+                    f"only {unobserved} unobserved cross pairs of layer pair "
+                    f"({s.layer_a}, {s.layer_b}), {n_test} requested"
+                )
             held = np.zeros(s.num_edges, dtype=bool)
             held[rng.permutation(s.num_edges)[:n_test]] = True
             train_sets.append(s.subset(~held))

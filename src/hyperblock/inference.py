@@ -4,17 +4,16 @@ Each sweep recomputes the closed-form variational marginals, then applies
 the multiplicative stationarity updates family by family: memberships u for
 every layer, then within-layer affinities w, then cross-layer affinities.
 Multiple random restarts guard against local optima; the restart with the
-highest final objective wins.  Restarts of a small instance advance
-together: the engine's methods take a state stacked along a leading
-restart axis, so one sweep updates every live restart of a batch.  Those
-of a large instance run one per batch, side by side on the available
-cores.
+highest final objective wins.  The engine's methods take only states
+stacked along a leading restart axis; one restart is a stack of one.
+Restarts of a small instance advance together, so one sweep updates
+every live restart of a batch.  Those of a large instance run one per
+batch, side by side on the available cores.
 """
 
 from __future__ import annotations
 
 import copy
-import functools
 import logging
 import os
 import queue
@@ -36,11 +35,10 @@ from .likelihood import (
     ThetaIncidence,
     _failing_restarts,
     _per_restart_product,
-    inter_edge_arrays,
     layer_constants,
+    pairwise_interaction_sum,
     pairwise_outer,
     sample_negatives,  # noqa: F401  (kept importable from this module)
-    surrogate_objective,
 )
 
 __all__ = [
@@ -236,21 +234,10 @@ def _block_product(mat: sparse.spmatrix, x: np.ndarray) -> np.ndarray:
     return np.asarray(mat @ x.reshape(-1, x.shape[-1])).reshape(x.shape[0], -1, x.shape[-1])
 
 
-def _single_or_stacked(method):
-    """Let an engine method on stacked states also take one restart's state.
-
-    That state runs as a stack of one (a view, not a copy) and the result
-    is unstacked.
-    """
-
-    @functools.wraps(method)
-    def wrapper(self, state, *args, **kwargs):
-        if state.stacked:
-            return method(self, state, *args, **kwargs)
-        out = method(self, state.as_stack(), *args, **kwargs)
-        return out.take(0) if isinstance(out, LatentState) else out[0]
-
-    return wrapper
+def _dot_last(a: np.ndarray, v: np.ndarray):
+    """a @ v as one dot product per restart row of a (a matrix-vector
+    product would sum in another order)."""
+    return (a[..., None, :] @ v[:, None])[..., 0, 0]
 
 
 class EMEngine:
@@ -259,12 +246,13 @@ class EMEngine:
     Precomputes, once and from the data alone, the per-layer
     contribution-weighted incidences, the closed-form penalty constants and
     the sparsity structure of every cross-ratio matrix; all restarts share
-    them.  Update methods are pure functions of the passed-in state, which
-    is one restart's or a stack of R restarts (see ``LatentState``): a
-    stack advances as a whole, with each sparse product run once for all
-    restarts, and every restart gets bit for bit the values it would get
-    alone.  Products whose values differ per restart use R diagonal copies
-    of the frozen pattern, built once per R.
+    them.  Update methods and the objective are pure functions of the
+    passed-in state, a stack of R restarts (see ``LatentState``; one
+    restart is a stack of one): a stack advances as a whole, with each
+    sparse product run once for all restarts, and every restart gets bit
+    for bit the values it would get alone.  Products whose values differ
+    per restart use R diagonal copies of the frozen pattern, built once
+    per R.
     """
 
     def __init__(
@@ -287,25 +275,15 @@ class EMEngine:
             self.consts = tuple(
                 layer_constants(layer, m_override=m_override) for layer in mh.layers
             )
-        # per inter-edge set: flat (rows, cols, weights), the CSR pattern of
-        # its cross-ratio matrix (stored pairs are sorted, so CSR order is
-        # storage order) and the CSR pattern of its transpose with the
-        # permutation taking storage order to that pattern's order; plus
+        # per inter-edge set: the CSR pattern of its cross-ratio matrix
+        # (stored pairs are sorted, so CSR order is storage order); plus
         # which sets touch a layer and which set joins a layer pair
-        self._cross_arrays = [inter_edge_arrays(s) for s in mh.inter_edges]
         self._cross_patterns = []
-        self._cross_transposed: list[tuple[sparse.csr_matrix, np.ndarray]] = []
         self._touching: list[list[tuple[int, bool]]] = [[] for _ in mh.layers]
         self._pair_index = {}
-        for idx, (s, (rows, cols, vals)) in enumerate(zip(mh.inter_edges, self._cross_arrays)):
+        for idx, s in enumerate(mh.inter_edges):
             shape = (mh.layers[s.layer_a].num_nodes, mh.layers[s.layer_b].num_nodes)
-            self._cross_patterns.append(_csr_pattern(rows, cols, vals, shape))
-            # within a column, rows stay ascending: the transposed product
-            # sums each output row in the order ``ratio.T @`` does
-            perm = np.argsort(cols, kind="stable")
-            self._cross_transposed.append(
-                (_csr_pattern(cols[perm], rows[perm], vals[perm], shape[::-1]), perm)
-            )
+            self._cross_patterns.append(_csr_pattern(s.rows, s.cols, s.weights, shape))
             self._touching[s.layer_a].append((idx, False))
             self._touching[s.layer_b].append((idx, True))
             self._pair_index[(s.layer_a, s.layer_b)] = idx
@@ -341,10 +319,9 @@ class EMEngine:
         if idx in carry.ratios:
             return carry.ratios[idx]
         s = self.mh.inter_edges[idx]
-        rows, cols, vals = self._cross_arrays[idx]
         ua, ub = state.u[s.layer_a], state.u[s.layer_b]
         rates = carry.cross_rates(
-            idx, ua, ub, state.w_cross[(s.layer_a, s.layer_b)], rows, cols
+            idx, ua, ub, state.w_cross[(s.layer_a, s.layer_b)], s.rows, s.cols
         )
         zero = rates <= 0
         if zero.any():
@@ -352,12 +329,11 @@ class EMEngine:
                 f"zero rate on observed inter-edge of pair ({s.layer_a}, {s.layer_b})",
                 _failing_restarts(zero),
             )
-        carry.ratios[idx] = vals / rates
+        carry.ratios[idx] = s.weights / rates
         return carry.ratios[idx]
 
     # -- update rules --------------------------------------------------------
 
-    @_single_or_stacked
     def updated_u(
         self, state: LatentState, l: int, carry: Optional[RateCarry] = None
     ) -> np.ndarray:
@@ -383,22 +359,22 @@ class EMEngine:
 
         for idx, transposed in self._touching[l]:
             s = self.mh.inter_edges[idx]
-            ratios = self._cross_ratios(state, idx, carry)
+            ratio = self._stacked_matrix(
+                ("cross", idx), self._cross_patterns[idx], self._cross_ratios(state, idx, carry)
+            )
             w_c = state.w_cross[(s.layer_a, s.layer_b)]
             if not transposed:
                 other = state.u[s.layer_b]
-                ratio = self._stacked_matrix(("cross", idx), self._cross_patterns[idx], ratios)
                 num += u * _block_product(ratio, other @ np.swapaxes(w_c, -1, -2))
                 den = den + (w_c @ other.sum(axis=-2)[:, :, None])[:, None, :, 0]
             else:
+                # the CSC view of the same matrix: each output row sums its
+                # entries in ascending row order of the ratio matrix
                 other = state.u[s.layer_a]
-                pattern, perm = self._cross_transposed[idx]
-                ratio_t = self._stacked_matrix(("cross_t", idx), pattern, ratios[:, perm])
-                num += u * _block_product(ratio_t, other @ w_c)
+                num += u * _block_product(ratio.T, other @ w_c)
                 den = den + other.sum(axis=-2)[:, None, :] @ w_c
         return _guarded_ratio(num, den, f"u update of layer {l}")
 
-    @_single_or_stacked
     def updated_w(
         self, state: LatentState, l: int, carry: Optional[RateCarry] = None
     ) -> np.ndarray:
@@ -416,7 +392,6 @@ class EMEngine:
         out = _guarded_ratio(num, den, f"w update of layer {l}")
         return 0.5 * (out + np.swapaxes(out, -1, -2))
 
-    @_single_or_stacked
     def updated_w_cross(self, state: LatentState, pair: tuple[int, int]) -> np.ndarray:
         idx = self._pair_index.get(pair)
         if idx is None:
@@ -433,7 +408,6 @@ class EMEngine:
 
     # -- sweeps and objective ------------------------------------------------
 
-    @_single_or_stacked
     def sweep(self, state: LatentState, carry: Optional[RateCarry] = None) -> LatentState:
         """One EM sweep: u for all layers, then w, then cross affinities.
 
@@ -468,15 +442,47 @@ class EMEngine:
             carry.sums = at_new_u.sums
         return LatentState(state.u, state.w, new_cross)
 
-    def objective(self, state: LatentState, carry: Optional[RateCarry] = None):
-        """Surrogate objective: a float for one restart, one value per restart
-        for a stack.  ``carry`` holds rate quantities already computed at
-        ``state``; the rates computed here are added to it, so the next
-        sweep from ``state`` reuses them."""
-        return surrogate_objective(
-            self.mh, self.tables, state, self.consts, incidences=self.incidences,
-            inter_arrays=self._cross_arrays, carry=carry,
-        )
+    def objective(self, state: LatentState, carry: Optional[RateCarry] = None) -> np.ndarray:
+        """Approximated log-likelihood at the closed-form variational
+        optimum, one value per restart of the stack.
+
+        Per layer: -c_l * (global pairwise interaction sum) plus the
+        weighted log-rates of observed hyperedges.  Per layer pair: minus
+        the total cross rate over all node pairs (a column-sum contraction)
+        plus the weighted log-rates of observed inter-edges.  ``carry``
+        holds rate quantities already computed at ``state``; the rates
+        computed here are added to it, so the next sweep from ``state``
+        reuses them.  Raises DegenerateStateError, naming the failing
+        restarts, when an observed interaction has zero rate.
+        """
+        carry = RateCarry() if carry is None else carry
+        total = np.zeros(state.u[0].shape[0])
+        for l, inc in enumerate(self.incidences):
+            u, w = state.u[l], state.w[l]
+            total -= self.consts[l].c_l * pairwise_interaction_sum(u, w)
+            rates = carry.edge_rates(inc, l, u, w)
+            zero = rates <= 0
+            if zero.any():
+                raise DegenerateStateError(
+                    f"zero rate on observed hyperedge in layer {l}", _failing_restarts(zero)
+                )
+            total += _dot_last(np.log(rates), inc.weights)
+        for idx, s in enumerate(self.mh.inter_edges):
+            ua, ub = state.u[s.layer_a], state.u[s.layer_b]
+            w_cross = state.w_cross[(s.layer_a, s.layer_b)]
+            total -= (ua.sum(axis=-2)[:, None, :] @ w_cross @ ub.sum(axis=-2)[:, :, None])[:, 0, 0]
+            rates = carry.cross_rates(idx, ua, ub, w_cross, s.rows, s.cols)
+            zero = rates <= 0
+            if zero.any():
+                failing = _failing_restarts(zero)
+                k = np.flatnonzero(zero[failing[0]])[0]
+                raise DegenerateStateError(
+                    f"zero rate on observed inter-edge ({s.rows[k]}, {s.cols[k]}) of pair "
+                    f"({s.layer_a}, {s.layer_b})",
+                    failing,
+                )
+            total += _dot_last(np.log(rates), s.weights)
+        return total
 
 
 @dataclass

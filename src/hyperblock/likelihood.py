@@ -1,4 +1,4 @@
-"""Poisson rate kernels and the approximated log-likelihood objective.
+"""Poisson rate kernels of the approximated log-likelihood.
 
 The rate of a hyperedge couples every node pair inside it through the
 memberships u, the symmetric affinity w and the per-edge node contributions;
@@ -7,7 +7,9 @@ intractable sum over all candidate hyperedges collapses into a single
 per-layer constant c_l = m (1/q + 2/(n(n-1))) multiplying the global
 pairwise interaction sum; c_l is closed-form in the hyperedge count m, the
 pair count q and the node count n, so fitting draws no unobserved
-hyperedges.  ``sample_negatives`` serves the evaluation protocols only.
+hyperedges.  ``EMEngine.objective`` (in ``inference``) sums the objective
+from these kernels.  ``sample_negatives`` serves the evaluation protocols
+only.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 from scipy import sparse
 
-from .core import Hyperedge, HypergraphLayer, InterEdgeSet, MultiHypergraph, _draw_fresh
+from .core import Hyperedge, HypergraphLayer, _draw_fresh
 from .internal_degree import InternalDegreeTable
 
 __all__ = [
@@ -33,11 +35,9 @@ __all__ = [
     "lambda_ij",
     "sample_negatives",
     "layer_constants",
-    "inter_edge_arrays",
     "cross_rates",
     "pairwise_outer",
     "pairwise_interaction_sum",
-    "surrogate_objective",
 ]
 
 W_SYMMETRY_TOL = 1e-12
@@ -64,18 +64,16 @@ def _failing_restarts(bad: np.ndarray) -> np.ndarray:
 class LatentState:
     """All latent variables: per-layer u and w, per-layer-pair w_cross.
 
-    One restart holds u[l] of shape (n_l, K_l) and w[l] of (K_l, K_l); a
-    stacked state (see ``stack``) holds R restarts along a leading axis,
-    u[l] of shape (R, n_l, K_l) and w[l] of (R, K_l, K_l).
+    The engine takes a stack of R restarts along a leading axis (see
+    ``stack``): u[l] of shape (R, n_l, K_l), w[l] of (R, K_l, K_l) and
+    w_cross of (R, K_a, K_b).  One restart's state, such as a fit's result
+    (``take`` with an index), drops that axis; ``stack([state])`` lifts it
+    to a stack of one.
     """
 
     u: tuple[np.ndarray, ...]
     w: tuple[np.ndarray, ...]
     w_cross: dict[tuple[int, int], np.ndarray]
-
-    @property
-    def stacked(self) -> bool:
-        return self.u[0].ndim == 3
 
     @classmethod
     def stack(cls, states: Sequence["LatentState"]) -> "LatentState":
@@ -85,14 +83,6 @@ class LatentState:
             tuple(np.stack([s.u[l] for s in states]) for l in range(len(first.u))),
             tuple(np.stack([s.w[l] for s in states]) for l in range(len(first.w))),
             {key: np.stack([s.w_cross[key] for s in states]) for key in first.w_cross},
-        )
-
-    def as_stack(self) -> "LatentState":
-        """This restart's state as a stack of one, viewing its arrays."""
-        return LatentState(
-            tuple(m[None] for m in self.u),
-            tuple(m[None] for m in self.w),
-            {k: m[None] for k, m in self.w_cross.items()},
         )
 
     def take(self, restarts) -> "LatentState":
@@ -231,15 +221,13 @@ def layer_constants(layer: HypergraphLayer, m_override: Optional[int] = None) ->
 
 
 def _per_restart_product(mat: sparse.spmatrix, x: np.ndarray, core_ndim: int) -> np.ndarray:
-    """``mat @ x``, or ``mat @ x[r]`` for every r when x has a leading restart axis.
+    """``mat @ x[r]`` for every r along the leading restart axis of x.
 
     ``core_ndim`` is the rank of one restart's operand: 1 for a vector, 2
     for a matrix.  All restarts go through one sparse product whose
     columns are theirs side by side, so each restart gets exactly the sums
     it would get alone.
     """
-    if x.ndim == core_ndim:
-        return np.asarray(mat @ x)
     if core_ndim == 1:
         return np.ascontiguousarray(np.asarray(mat @ x.T).T)
     # column c * R + r holds column c of restart r
@@ -259,8 +247,9 @@ class ThetaIncidence:
 
     Carries the machinery shared by rate evaluation and the EM updates:
     ``b`` holds the per-(node, edge) contribution, ``b2`` its square, and
-    ``bt``/``b2t`` their transposes, all built once.  Rates accept one
-    restart's u, w or a stack of them along a leading axis.
+    ``bt``/``b2t`` their transposes, all built once.  Edge sums and rates
+    take u and w stacked along a leading restart axis, as the engine does,
+    and return one row per restart.
     """
 
     def __init__(self, layer: HypergraphLayer, table: InternalDegreeTable):
@@ -279,13 +268,14 @@ class ThetaIncidence:
         self.weights = layer.weights
 
     def edge_sums(self, u: np.ndarray) -> np.ndarray:
-        """s_e = sum_{i in e} theta_ie u_i, one row per hyperedge."""
+        """s_e = sum_{i in e} theta_ie u_i, shape (R, m, K)."""
         return _per_restart_product(self.bt, u, 2)
 
     def edge_rates(
         self, u: np.ndarray, w: np.ndarray, sums: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """All observed-hyperedge rates at once via the factored contraction.
+        """All observed-hyperedge rates at once via the factored contraction,
+        shape (R, m).
 
         ``sums`` is ``edge_sums(u)`` when the caller already holds it.
         """
@@ -302,12 +292,12 @@ class RateCarry:
     ``sums[l]`` holds layer l's edge sums, ``rates[l]`` its hyperedge rates,
     ``cross[i]`` the rates of the stored pairs of inter-edge set i and
     ``ratios[i]`` their weights divided by those rates (the data of the
-    cross-ratio matrix, filled by ``EMEngine``), each with a leading
-    restart axis; a missing key is not computed yet.  A
-    carry describes one state: the methods below compute what is missing
-    at the state they are given and keep it, so the caller passes a carry
-    only with the state it was filled for.  ``EMEngine.sweep`` refills it
-    for the state it returns.
+    one cross-ratio matrix of the set, filled by ``EMEngine``, whose u
+    updates read it for both layers), each with a leading restart axis; a
+    missing key is not computed yet.  A carry describes one state: the
+    methods below compute what is missing at the state they are given and
+    keep it, so the caller passes a carry only with the state it was
+    filled for.  ``EMEngine.sweep`` refills it for the state it returns.
     """
 
     sums: dict = field(default_factory=dict)
@@ -338,12 +328,6 @@ class RateCarry:
         return self.cross[idx]
 
 
-def inter_edge_arrays(s: InterEdgeSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(node in a, node in b, weight) of every stored inter-edge: the set's
-    own read-only arrays."""
-    return s.rows, s.cols, s.weights
-
-
 def cross_rates(
     ua: np.ndarray, ub: np.ndarray, w_cross: np.ndarray, rows: np.ndarray, cols: np.ndarray
 ) -> np.ndarray:
@@ -365,73 +349,3 @@ def pairwise_interaction_sum(u: np.ndarray, w: np.ndarray):
     """sum_{i<j} u_i w u_j^T over all node pairs of a layer (w symmetric);
     one value per restart for stacked u, w."""
     return np.sum(w * pairwise_outer(u), axis=(-2, -1))
-
-
-def _dot_last(a: np.ndarray, v: np.ndarray):
-    """a @ v as one dot product per restart row of a (a matrix-vector
-    product would sum in another order)."""
-    return (a[..., None, :] @ v[:, None])[..., 0, 0]
-
-
-def surrogate_objective(
-    mh: MultiHypergraph,
-    tables: Sequence[InternalDegreeTable],
-    state: LatentState,
-    consts: Sequence[LayerConstants],
-    incidences: Optional[Sequence[ThetaIncidence]] = None,
-    inter_arrays: Optional[Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]] = None,
-    carry: Optional[RateCarry] = None,
-):
-    """Approximated log-likelihood at the closed-form variational optimum.
-
-    Per layer: -c_l * (global pairwise interaction sum) plus the weighted
-    log-rates of observed hyperedges.  Per layer pair: minus the total
-    cross rate over all node pairs (a column-sum contraction) plus the
-    weighted log-rates of observed inter-edges.  ``incidences`` and
-    ``inter_arrays`` (one ``inter_edge_arrays`` triple per inter-edge set)
-    are built from the data when omitted.  ``carry`` holds rate quantities
-    already computed at ``state``; the rates computed here are added to it.
-    Returns a float for one restart's state and one value per restart for a
-    stacked state.
-    Raises DegenerateStateError, naming the failing restarts, when an
-    observed interaction has zero rate.
-    """
-    if not state.stacked:
-        return float(
-            surrogate_objective(
-                mh, tables, state.as_stack(), consts, incidences, inter_arrays, carry
-            )[0]
-        )
-    if incidences is None:
-        incidences = [ThetaIncidence(layer, table) for layer, table in zip(mh.layers, tables)]
-    if inter_arrays is None:
-        inter_arrays = [inter_edge_arrays(s) for s in mh.inter_edges]
-    if carry is None:
-        carry = RateCarry()
-    total = np.zeros(state.u[0].shape[0])
-    for l, layer in enumerate(mh.layers):
-        u, w = state.u[l], state.w[l]
-        total -= consts[l].c_l * pairwise_interaction_sum(u, w)
-        rates = carry.edge_rates(incidences[l], l, u, w)
-        zero = rates <= 0
-        if zero.any():
-            raise DegenerateStateError(
-                f"zero rate on observed hyperedge in layer {l}", _failing_restarts(zero)
-            )
-        total += _dot_last(np.log(rates), incidences[l].weights)
-    for idx, (s, (rows, cols, vals)) in enumerate(zip(mh.inter_edges, inter_arrays)):
-        ua, ub = state.u[s.layer_a], state.u[s.layer_b]
-        w_cross = state.w_cross[(s.layer_a, s.layer_b)]
-        total -= (ua.sum(axis=-2)[:, None, :] @ w_cross @ ub.sum(axis=-2)[:, :, None])[:, 0, 0]
-        rates = carry.cross_rates(idx, ua, ub, w_cross, rows, cols)
-        zero = rates <= 0
-        if zero.any():
-            failing = _failing_restarts(zero)
-            k = np.flatnonzero(zero[failing[0]])[0]
-            raise DegenerateStateError(
-                f"zero rate on observed inter-edge ({rows[k]}, {cols[k]}) of pair "
-                f"({s.layer_a}, {s.layer_b})",
-                failing,
-            )
-        total += _dot_last(np.log(rates), vals)
-    return total

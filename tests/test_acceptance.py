@@ -126,11 +126,11 @@ def test_em_objective_monotone_on_random_instances():
         mh = random_multi(rng, with_inter=(trial % 2 == 0))
         k = (int(rng.integers(1, 5)), int(rng.integers(1, 5)))
         engine = EMEngine(mh)
-        state = initialize(mh, InferenceConfig(k_per_layer=k), restart_seed=trial)
-        prev = engine.objective(state)
+        state = LatentState.stack([initialize(mh, InferenceConfig(k_per_layer=k), trial)])
+        prev = engine.objective(state)[0]
         for _ in range(6):
             state = engine.sweep(state)
-            obj = engine.objective(state)
+            obj = engine.objective(state)[0]
             assert obj >= prev - 1e-8 * abs(prev)
             prev = obj
     assert time.perf_counter() - start < 30.0
@@ -155,7 +155,7 @@ def test_analytic_fixed_points_survive_a_sweep():
     for b in (1.0, 0.7, 3.0):
         alpha = 1.0 / np.sqrt(2.0 * b)
         state = LatentState((np.full((n, 1), alpha),), (np.array([[b]]),), {})
-        after = engine.sweep(state)
+        after = engine.sweep(LatentState.stack([state])).take(0)
         assert np.max(np.abs(after.u[0] - alpha)) <= 1e-10
         assert abs(after.w[0][0, 0] - b) <= 1e-10
 
@@ -173,7 +173,7 @@ def test_analytic_fixed_points_survive_a_sweep():
         (np.array([[1.0]]), np.array([[1.0]])),
         {(0, 1): np.array([[2.0 * sigma]])},
     )
-    after = engine.sweep(state)
+    after = engine.sweep(LatentState.stack([state])).take(0)
     assert np.max(np.abs(after.u[0] - alpha)) <= 1e-10
     assert np.max(np.abs(after.u[1] - alpha)) <= 1e-10
     assert abs(after.w[0][0, 0] - 1.0) <= 1e-10
@@ -188,9 +188,9 @@ def test_scalar_updates_match_hand_values():
     """Single-edge layouts whose updates land on 3/8, 1/4 and 1/6 exactly."""
     tiny = MultiHypergraph((HypergraphLayer(3, (make_hyperedge([0, 1]),)),))
     engine = EMEngine(tiny)
-    state = LatentState((np.ones((3, 1)),), (np.array([[1.0]]),), {})
+    state = LatentState.stack([LatentState((np.ones((3, 1)),), (np.array([[1.0]]),), {})])
     assert np.allclose(engine.updated_u(state, 0).ravel(), [0.375, 0.375, 0.0], atol=1e-12)
-    assert engine.updated_w(state, 0)[0, 0] == pytest.approx(0.25, abs=1e-12)
+    assert engine.updated_w(state, 0)[0, 0, 0] == pytest.approx(0.25, abs=1e-12)
 
     la = HypergraphLayer(2, (make_hyperedge([0, 1]),))
     lb = HypergraphLayer(3, (make_hyperedge([0, 1, 2]),))
@@ -198,12 +198,12 @@ def test_scalar_updates_match_hand_values():
     dummy = LayerConstants(q_pairs=1, m_count=1, c_l=1.0)
     engine = EMEngine(mh, consts=(dummy, dummy))
     for start in (0.3, 1.0, 5.0):
-        state = LatentState(
+        state = LatentState.stack([LatentState(
             (np.ones((2, 1)), np.ones((3, 1))),
             (np.array([[1.0]]), np.array([[1.0]])),
             {(0, 1): np.array([[start]])},
-        )
-        got = engine.updated_w_cross(state, (0, 1))[0, 0]
+        )])
+        got = engine.updated_w_cross(state, (0, 1))[0, 0, 0]
         assert got == pytest.approx(1.0 / 6.0, abs=1e-12)
 
 

@@ -251,6 +251,17 @@ def test_cli_runtime_errors_exit_1(tmp_path, capsys):
     ])
     assert rc == 1
     assert "single inter-edge budget" in capsys.readouterr().err
+    source = planted_partition(num_nodes=8, num_communities=2, num_layers=1, c_in=1.0,
+                               c_out=0.05, max_size=2, inter_edge_count=0, seed=5).layers[0]
+    write_hyperedge_file(str(tmp_path / "source.txt"), source)
+    write_ground_truth_file(str(tmp_path / "truth.txt"), source.ground_truth)
+    rc = main([
+        "synth", "--preset", "views", "--source", str(tmp_path / "source.txt"),
+        "--truth", str(tmp_path / "truth.txt"), "--inter-edges", "",
+        "--out", str(tmp_path / "o3"),
+    ])
+    assert rc == 1
+    assert "--inter-edges needs at least one count" in capsys.readouterr().err
 
 
 def test_cli_version(capsys):

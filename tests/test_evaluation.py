@@ -386,7 +386,7 @@ def test_inter_edge_prediction_raises_when_cross_pairs_run_out(monkeypatch):
         HypergraphLayer(3, (make_hyperedge([0, 1]), make_hyperedge([1, 2]))) for _ in range(2)
     )
     full = InterEdgeSet(0, 1, [(i, j, 1.0) for i in range(3) for j in range(3)])
-    with pytest.raises(RuntimeError, match="unobserved cross pairs"):
+    with pytest.raises(ValueError, match=r"only 0 unobserved cross pairs of layer pair \(0, 1\)"):
         inter_edge_prediction(
             MultiHypergraph(layers, (full,)), InferenceConfig(k_per_layer=(1, 1)), repeats=1
         )

@@ -18,7 +18,6 @@ from hyperblock.inference import (
     InferenceConfig,
     NonFiniteUpdateError,
     RestartOutcome,
-    _block_product,
     _guarded_ratio,
     _run_restart,
     fit,
@@ -131,7 +130,7 @@ def test_updated_u_scalar_example():
     mh = MultiHypergraph((tiny_layer(),))
     engine = EMEngine(mh)
     assert engine.consts[0].c_l == pytest.approx(4.0 / 3.0)
-    state = LatentState((np.ones((3, 1)),), (np.array([[1.0]]),), {})
+    state = LatentState.stack([LatentState((np.ones((3, 1)),), (np.array([[1.0]]),), {})])
     new_u = engine.updated_u(state, 0)
     assert np.allclose(new_u.ravel(), [3.0 / 8.0, 3.0 / 8.0, 0.0], atol=1e-12)
 
@@ -139,9 +138,9 @@ def test_updated_u_scalar_example():
 def test_updated_w_scalar_example():
     mh = MultiHypergraph((tiny_layer(),))
     engine = EMEngine(mh)
-    state = LatentState((np.ones((3, 1)),), (np.array([[1.0]]),), {})
+    state = LatentState.stack([LatentState((np.ones((3, 1)),), (np.array([[1.0]]),), {})])
     new_w = engine.updated_w(state, 0)
-    assert new_w[0, 0] == pytest.approx(0.25, abs=1e-12)
+    assert new_w[0, 0, 0] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_updated_w_cross_scalar_example():
@@ -154,13 +153,13 @@ def test_updated_w_cross_scalar_example():
     dummy = LayerConstants(q_pairs=1, m_count=1, c_l=1.0)
     engine = EMEngine(mh, consts=(dummy, dummy))
     for start in (0.3, 1.0, 5.0):
-        state = LatentState(
+        state = LatentState.stack([LatentState(
             (np.ones((2, 1)), np.ones((3, 1))),
             (np.array([[1.0]]), np.array([[1.0]])),
             {(0, 1): np.array([[start]])},
-        )
+        )])
         new_cross = engine.updated_w_cross(state, (0, 1))
-        assert new_cross[0, 0] == pytest.approx(1.0 / 6.0, abs=1e-12)
+        assert new_cross[0, 0, 0] == pytest.approx(1.0 / 6.0, abs=1e-12)
 
 
 def test_guarded_ratio():
@@ -188,10 +187,10 @@ def test_zero_membership_row_is_absorbing():
     mh = MultiHypergraph((tiny_layer(),))
     engine = EMEngine(mh)
     u = np.array([[1.0], [1.0], [0.0]])
-    state = LatentState((u,), (np.array([[1.0]]),), {})
+    state = LatentState.stack([LatentState((u,), (np.array([[1.0]]),), {})])
     for _ in range(3):
         state = engine.sweep(state)
-    assert state.u[0][2, 0] == 0.0
+    assert state.u[0][0, 2, 0] == 0.0
 
 
 # -- sweeps ------------------------------------------------------------------
@@ -203,11 +202,11 @@ def test_sweep_monotone_objective():
         mh = random_multi(rng, with_inter=(trial % 2 == 0))
         cfg = InferenceConfig(k_per_layer=(2, 2))
         engine = EMEngine(mh)
-        state = initialize(mh, cfg, restart_seed=trial)
-        prev = engine.objective(state)
+        state = LatentState.stack([initialize(mh, cfg, restart_seed=trial)])
+        prev = engine.objective(state)[0]
         for _ in range(30):
             state = engine.sweep(state)
-            obj = engine.objective(state)
+            obj = engine.objective(state)[0]
             assert obj >= prev - 1e-8 * abs(prev)
             prev = obj
 
@@ -217,7 +216,7 @@ def test_sweep_preserves_validity():
     mh = random_multi(rng)
     cfg = InferenceConfig(k_per_layer=(3, 2))
     engine = EMEngine(mh)
-    state = initialize(mh, cfg, restart_seed=0)
+    state = LatentState.stack([initialize(mh, cfg, restart_seed=0)])
     for _ in range(5):
         state = engine.sweep(state)
     state.validate()
@@ -251,7 +250,7 @@ def test_fixed_point_complete_layer():
     for b in (1.0, 0.7, 3.0):
         alpha = 1.0 / np.sqrt(2.0 * b)
         state = LatentState((np.full((n, 1), alpha),), (np.array([[b]]),), {})
-        after = engine.sweep(state)
+        after = engine.sweep(LatentState.stack([state])).take(0)
         assert np.max(np.abs(after.u[0] - alpha)) <= 1e-10
         assert abs(after.w[0][0, 0] - b) <= 1e-10
 
@@ -265,7 +264,7 @@ def test_fixed_point_two_block_memberships():
     b = 0.5
     alpha = 1.0 / np.sqrt(2.0 * 4.0 * b)  # W = 4b for the all-b 2x2 affinity
     state = LatentState((np.full((n, 2), alpha),), (np.full((2, 2), b),), {})
-    after = engine.sweep(state)
+    after = engine.sweep(LatentState.stack([state])).take(0)
     assert np.max(np.abs(after.u[0] - alpha)) <= 1e-10
     assert np.max(np.abs(after.w[0] - b)) <= 1e-10
 
@@ -286,7 +285,7 @@ def test_fixed_point_joint_cross_layer():
         (np.array([[1.0]]), np.array([[1.0]])),
         {(0, 1): np.array([[gamma]])},
     )
-    after = engine.sweep(state)
+    after = engine.sweep(LatentState.stack([state])).take(0)
     assert np.max(np.abs(after.u[0] - alpha)) <= 1e-10
     assert np.max(np.abs(after.u[1] - beta)) <= 1e-10
     assert abs(after.w[0][0, 0] - 1.0) <= 1e-10
@@ -301,7 +300,7 @@ def test_uncoupled_layers_decouple():
     mh = random_multi(rng, with_inter=False)
     cfg = InferenceConfig(k_per_layer=(2, 3))
     joint = EMEngine(mh)
-    state = initialize(mh, cfg, restart_seed=9)
+    state = LatentState.stack([initialize(mh, cfg, restart_seed=9)])
     singles = [
         EMEngine(MultiHypergraph((mh.layers[l],)), tables=(joint.tables[l],),
                  consts=(joint.consts[l],))
@@ -332,10 +331,13 @@ def test_sweep_node_permutation_equivariance():
     state_a = initialize(mh_a, cfg, restart_seed=1)
     u_b = np.empty_like(state_a.u[0])
     u_b[perm] = state_a.u[0]
-    state_b = LatentState((u_b,), state_a.w, {})
+    state_a, state_b = (
+        LatentState.stack([s]) for s in (state_a, LatentState((u_b,), state_a.w, {}))
+    )
     for _ in range(3):
         state_a = engine_a.sweep(state_a)
         state_b = engine_b.sweep(state_b)
+    state_a, state_b = state_a.take(0), state_b.take(0)
     assert np.allclose(state_b.u[0][perm], state_a.u[0], rtol=1e-9, atol=1e-12)
     assert np.allclose(state_b.w[0], state_a.w[0], rtol=1e-9, atol=1e-12)
 
@@ -449,7 +451,7 @@ def test_fit_warns_when_most_restarts_are_dropped(monkeypatch, caplog):
 def test_updated_w_cross_names_a_pair_without_inter_edges():
     mh = random_multi(np.random.default_rng(2))
     engine = EMEngine(mh)
-    state = initialize(mh, InferenceConfig(k_per_layer=(2, 2)), 0)
+    state = LatentState.stack([initialize(mh, InferenceConfig(k_per_layer=(2, 2)), 0)])
     with pytest.raises(ValueError, match=r"\(1, 0\)"):
         engine.updated_w_cross(state, (1, 0))
 
@@ -569,17 +571,6 @@ def test_stacked_kernels_match_their_reference_forms(seed, restarts, ka, kb, na,
     assert _per_restart_product(mat, ua, 2).tobytes() == np.stack(
         [mat @ m for m in ua]
     ).tobytes()
-
-    # the engine's transposed cross-ratio pattern sums as ratio.T does
-    layers = tuple(HypergraphLayer(n, (make_hyperedge([0, 1]),)) for n in (na, nb))
-    inter = InterEdgeSet(0, 1, tuple((i, j, float(rng.integers(1, 3))) for i, j in pairs))
-    engine = EMEngine(MultiHypergraph(layers, (inter,)))
-    data = rng.random((restarts, len(pairs)))
-    ratio = engine._stacked_matrix(("cross", 0), engine._cross_patterns[0], data)
-    pattern, perm = engine._cross_transposed[0]
-    ratio_t = engine._stacked_matrix(("cross_t", 0), pattern, data[:, perm])
-    x = rng.random((restarts, na, kb))
-    assert _block_product(ratio_t, x).tobytes() == _block_product(ratio.T, x).tobytes()
 
 
 def fit_every_layout(mh, cfg):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hyperblock.core import (
     HypergraphLayer, InterEdgeSet, MultiHypergraph, _draw_fresh, make_hyperedge,
 )
+from hyperblock.inference import EMEngine
 from hyperblock.internal_degree import theta_table
 from hyperblock.likelihood import (
     DegenerateStateError,
@@ -26,7 +27,6 @@ from hyperblock.likelihood import (
     pairwise_interaction_sum,
     pairwise_outer,
     sample_negatives,
-    surrogate_objective,
 )
 from hyperblock.synth import _poisson_layer
 from oracles import compute_theta
@@ -385,7 +385,7 @@ def test_latent_state_validation():
 
 
 def test_incidence_rates_match_per_edge_lambda():
-    # one restart and a stack of three, against the per-edge oracles
+    # a stack of one and a stack of three, against the per-edge oracles
     rng = np.random.default_rng(17)
     n, restarts = 11, 3
     edges = {
@@ -398,7 +398,7 @@ def test_incidence_rates_match_per_edge_lambda():
     w = rng.random((restarts, 3, 3))
     w = w + np.swapaxes(w, -1, -2)
     rates = inc.edge_rates(u, w)
-    assert np.array_equal(inc.edge_rates(u[1], w[1]), rates[1])
+    assert np.array_equal(inc.edge_rates(u[1:2], w[1:2])[0], rates[1])
     for eid, e in enumerate(layer.hyperedges):
         theta = compute_theta(layer, e)
         for r in range(restarts):
@@ -455,8 +455,8 @@ def test_surrogate_scalar_example():
     layer = HypergraphLayer(3, (make_hyperedge([0, 1]),))
     mh = MultiHypergraph((layer,))
     consts = (layer_constants(layer),)
-    state = LatentState((np.ones((3, 1)),), (np.array([[1.0]]),), {})
-    value = surrogate_objective(mh, (theta_table(layer),), state, consts)
+    state = LatentState.stack([LatentState((np.ones((3, 1)),), (np.array([[1.0]]),), {})])
+    value = EMEngine(mh, (theta_table(layer),), consts).objective(state)[0]
     assert value == pytest.approx(-4.0, abs=1e-12)
 
 
@@ -491,7 +491,8 @@ def test_surrogate_matches_scalar_oracle():
             {(0, 1): rng.random((k1, k2)) + 0.05},
         )
         tables = tuple(theta_table(layer) for layer in mh.layers)
-        assert surrogate_objective(mh, tables, state, consts) == pytest.approx(
+        value = EMEngine(mh, tables, consts).objective(LatentState.stack([state]))[0]
+        assert value == pytest.approx(
             scalar_objective(mh, state, consts), rel=1e-9
         )
 
@@ -500,6 +501,6 @@ def test_surrogate_degenerate_state_errors():
     layer = HypergraphLayer(3, (make_hyperedge([0, 1]),))
     mh = MultiHypergraph((layer,))
     consts = (layer_constants(layer),)
-    state = LatentState((np.zeros((3, 1)),), (np.array([[1.0]]),), {})
+    state = LatentState.stack([LatentState((np.zeros((3, 1)),), (np.array([[1.0]]),), {})])
     with pytest.raises(DegenerateStateError):
-        surrogate_objective(mh, (theta_table(layer),), state, consts)
+        EMEngine(mh, (theta_table(layer),), consts).objective(state)
