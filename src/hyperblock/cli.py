@@ -105,19 +105,6 @@ def _inference_config(args, k_per_layer) -> InferenceConfig:
     return cfg
 
 
-def _config_params(cfg: InferenceConfig) -> dict:
-    return {
-        "k_per_layer": list(cfg.k_per_layer),
-        "restarts": cfg.restarts,
-        "max_iters": cfg.max_iters,
-        "tol": cfg.tol,
-        "check_every": cfg.check_every,
-        "assortative": cfg.assortative,
-        "seed": cfg.seed,
-        "m_override": cfg.m_override,
-    }
-
-
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", help="communities per layer, comma-separated or one value for all")
     p.add_argument("--restarts", type=int, default=10)
@@ -171,7 +158,7 @@ def _cmd_fit(args) -> int:
     )
     _write_run_manifest(
         out, "fit",
-        {"manifest": os.path.abspath(args.manifest), **_config_params(cfg)},
+        {"manifest": os.path.abspath(args.manifest), **dataclasses.asdict(cfg)},
     )
     return 0
 
@@ -201,15 +188,13 @@ def _cmd_eval_communities(args) -> int:
             "layer": l,
             "nmi": nmi(pred, labels),
             "f1": community_f1(pred, labels),
-            "cosine_similarity": cosine_similarity(
-                u[nodes], labels, normalize_rows=args.cs_normalize_rows
-            ),
+            "cosine_similarity": cosine_similarity(u[nodes], labels),
         })
     _write_json(os.path.join(out, "metrics.json"), {"layers": per_layer})
     _write_run_manifest(
         out, "eval-communities",
         {"manifest": os.path.abspath(args.manifest), "state": os.path.abspath(args.state),
-         "cs_normalize_rows": args.cs_normalize_rows, "seed": args.seed},
+         "seed": args.seed},
     )
     return 0
 
@@ -236,7 +221,7 @@ def _cmd_predict_hyperedges(args) -> int:
     _write_run_manifest(
         out, "predict-hyperedges",
         {"manifest": os.path.abspath(args.manifest), "folds": args.folds,
-         "max_size": args.max_size, **_config_params(cfg)},
+         "max_size": args.max_size, **dataclasses.asdict(cfg)},
     )
     return 0
 
@@ -263,7 +248,7 @@ def _cmd_predict_interedges(args) -> int:
     _write_run_manifest(
         out, "predict-interedges",
         {"manifest": os.path.abspath(args.manifest), "removal_ratio": ratios,
-         "repeats": args.repeats, **_config_params(cfg)},
+         "repeats": args.repeats, **dataclasses.asdict(cfg)},
     )
     return 0
 
@@ -398,8 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-communities", help="score a fitted state against ground truth")
     p.add_argument("--manifest", required=True)
     p.add_argument("--state", required=True, help="output directory of a previous fit")
-    p.add_argument("--cs-normalize-rows", action="store_true",
-                   help="rescale membership rows to unit sum before cosine")
     _add_common(p)
     p.set_defaults(func=_cmd_eval_communities)
 

@@ -128,14 +128,13 @@ def community_f1(pp, truth=None) -> float:
     return 0.5 * (truth_dir + pred_dir)
 
 
-def cosine_similarity(u: np.ndarray, truth, normalize_rows: bool = False) -> float:
+def cosine_similarity(u: np.ndarray, truth) -> float:
     """Mean per-node cosine between membership rows and one-hot ground truth.
 
     Truth communities are assigned to membership columns by solving the
     optimal one-to-one alignment over all column permutations.  All-zero
-    membership rows contribute 0.  ``normalize_rows`` rescales each row to
-    unit sum first; cosine is scale-invariant per row, so this exists only
-    to mirror protocols that report on normalized memberships.
+    membership rows contribute 0.  Cosine is scale-invariant per row, so
+    rows need no normalisation first.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 2:
@@ -149,9 +148,6 @@ def cosine_similarity(u: np.ndarray, truth, normalize_rows: bool = False) -> flo
         raise ValueError(
             f"{n_comms} ground-truth communities but u has only {u.shape[1]} columns"
         )
-    if normalize_rows:
-        sums = u.sum(axis=1, keepdims=True)
-        u = np.divide(u, sums, out=np.zeros_like(u), where=sums > 0)
     norms = np.linalg.norm(u, axis=1, keepdims=True)
     unit = np.divide(u, norms, out=np.zeros_like(u), where=norms > 0)
     per_comm = np.zeros((n_comms, u.shape[1]))
@@ -429,24 +425,24 @@ def inter_edge_prediction(
             held = np.zeros(s.num_edges, dtype=bool)
             held[rng.permutation(s.num_edges)[:n_test]] = True
             train_sets.append(s.subset(~held))
-            test = zip(s.rows[held].tolist(), s.cols[held].tolist())
-            test_sets.append((s.layer_a, s.layer_b, list(test), shape, full))
+            test_sets.append((s.layer_a, s.layer_b, s.rows[held], s.cols[held], shape, full))
         train_mh = MultiHypergraph(mh.layers, tuple(train_sets))
         result = fit(train_mh, replace(cfg, seed=cfg.seed + rep))
         per_set = []
-        for la, lb, test, shape, full in test_sets:
+        for la, lb, test_rows, test_cols, shape, full in test_sets:
             negatives, _ = _draw_fresh(
                 np.column_stack((full.rows, full.cols)).ravel(),
-                2 * np.arange(full.num_edges + 1), {2: shape[0] * shape[1]}, {2: len(test)},
+                2 * np.arange(full.num_edges + 1), {2: shape[0] * shape[1]},
+                {2: test_rows.size},
                 lambda width, count: rng.integers(shape, size=(count, width)),
             )
             # positives then negatives, scored by one cross_rates call
-            rows, cols = np.concatenate((test, negatives.reshape(-1, 2))).T
             scores = cross_rates(
                 result.state.u[la], result.state.u[lb], result.state.w_cross[(la, lb)],
-                rows, cols,
+                np.concatenate((test_rows, negatives[0::2])),
+                np.concatenate((test_cols, negatives[1::2])),
             ).tolist()
-            per_set.append(auc(scores[: len(test)], scores[len(test):]))
+            per_set.append(auc(scores[: test_rows.size], scores[test_rows.size:]))
         values.append(float(np.mean(per_set)))
     mean, sd = _mean_sd(values)
     return InterEdgePredictionReport(

@@ -275,29 +275,32 @@ class EMEngine:
             self.consts = tuple(
                 layer_constants(layer, m_override=m_override) for layer in mh.layers
             )
-        # per inter-edge set: the CSR pattern of its cross-ratio matrix
+        # (CSR pattern, its CSC view) per (key, restart count): the incidence
+        # of each layer and the cross-ratio matrix of each inter-edge set
         # (stored pairs are sorted, so CSR order is storage order); plus
         # which sets touch a layer and which set joins a layer pair
-        self._cross_patterns = []
+        self._patterns: dict[tuple, tuple] = {
+            (("b", l), 1): (inc.b, inc.b.T) for l, inc in enumerate(self.incidences)
+        }
         self._touching: list[list[tuple[int, bool]]] = [[] for _ in mh.layers]
         self._pair_index = {}
         for idx, s in enumerate(mh.inter_edges):
             shape = (mh.layers[s.layer_a].num_nodes, mh.layers[s.layer_b].num_nodes)
-            self._cross_patterns.append(_csr_pattern(s.rows, s.cols, s.weights, shape))
+            pattern = _csr_pattern(s.rows, s.cols, s.weights, shape)
+            self._patterns[(("cross", idx), 1)] = (pattern, pattern.T)
             self._touching[s.layer_a].append((idx, False))
             self._touching[s.layer_b].append((idx, True))
             self._pair_index[(s.layer_a, s.layer_b)] = idx
-        self._block_patterns: dict[tuple, sparse.csr_matrix] = {}
 
-    def _stacked_matrix(self, key, template: sparse.csr_matrix, data: np.ndarray):
-        """The template's pattern once per restart, holding ``data`` of shape (R, nnz)."""
+    def _stacked_matrix(self, key, data: np.ndarray, transposed: bool = False):
+        """The pattern of ``key`` once per restart, holding ``data`` of shape
+        (R, nnz); its CSC transpose when ``transposed``."""
         copies = data.shape[0]
-        if copies == 1:
-            return _with_data(template, data[0])
-        pattern = self._block_patterns.get((key, copies))
-        if pattern is None:
-            pattern = self._block_patterns[(key, copies)] = _block_pattern(template, copies)
-        return _with_data(pattern, data.ravel())
+        views = self._patterns.get((key, copies))
+        if views is None:
+            pattern = _block_pattern(self._patterns[(key, 1)][0], copies)
+            views = self._patterns[(key, copies)] = (pattern, pattern.T)
+        return _with_data(views[transposed], data.ravel())
 
     # -- rate evaluation -----------------------------------------------------
 
@@ -348,7 +351,7 @@ class EMEngine:
         inc = self.incidences[l]
 
         weighted = self._stacked_matrix(
-            ("b", l), inc.b, inc.b.data * np.take(mult, inc.b.indices, axis=1)
+            ("b", l), inc.b.data * np.take(mult, inc.b.indices, axis=1)
         )
         first = _block_product(weighted, edge_sums)
         second = _per_restart_product(inc.b2, mult, 1)[..., None] * u
@@ -359,8 +362,10 @@ class EMEngine:
 
         for idx, transposed in self._touching[l]:
             s = self.mh.inter_edges[idx]
+            # the second layer reads the CSC view of the same matrix: each
+            # output row sums its entries in ascending row order of the ratio
             ratio = self._stacked_matrix(
-                ("cross", idx), self._cross_patterns[idx], self._cross_ratios(state, idx, carry)
+                ("cross", idx), self._cross_ratios(state, idx, carry), transposed
             )
             w_c = state.w_cross[(s.layer_a, s.layer_b)]
             if not transposed:
@@ -368,10 +373,8 @@ class EMEngine:
                 num += u * _block_product(ratio, other @ np.swapaxes(w_c, -1, -2))
                 den = den + (w_c @ other.sum(axis=-2)[:, :, None])[:, None, :, 0]
             else:
-                # the CSC view of the same matrix: each output row sums its
-                # entries in ascending row order of the ratio matrix
                 other = state.u[s.layer_a]
-                num += u * _block_product(ratio.T, other @ w_c)
+                num += u * _block_product(ratio, other @ w_c)
                 den = den + other.sum(axis=-2)[:, None, :] @ w_c
         return _guarded_ratio(num, den, f"u update of layer {l}")
 
@@ -399,9 +402,7 @@ class EMEngine:
         s = self.mh.inter_edges[idx]
         ua, ub = state.u[s.layer_a], state.u[s.layer_b]
         w = state.w_cross[pair]
-        ratio = self._stacked_matrix(
-            ("cross", idx), self._cross_patterns[idx], self._cross_ratios(state, idx, RateCarry())
-        )
+        ratio = self._stacked_matrix(("cross", idx), self._cross_ratios(state, idx, RateCarry()))
         num = w * (np.swapaxes(ua, -1, -2) @ _block_product(ratio, ub))
         den = ua.sum(axis=-2)[:, :, None] * ub.sum(axis=-2)[:, None, :]
         return _guarded_ratio(num, den, f"cross update of pair {pair}")

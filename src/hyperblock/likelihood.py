@@ -177,15 +177,13 @@ def sample_negatives(
     layer: HypergraphLayer,
     seed: int,
     sizes: Optional[Sequence[int]] = None,
-    forbidden: Optional[HypergraphLayer] = None,
 ) -> HypergraphLayer:
     """A layer of unit-weight node sets, one per requested size (the
     observed size multiset by default), each uniform among the node sets of
-    its size that are no hyperedge of ``forbidden`` (``layer`` by default)
-    and not drawn already; deterministic given the seed.  Raises ValueError
-    naming the size when too few such sets exist."""
+    its size that are no hyperedge of ``layer`` and not drawn already;
+    deterministic given the seed.  Raises ValueError naming the size when
+    too few such sets exist."""
     rng = np.random.default_rng(seed)
-    forbidden = layer if forbidden is None else forbidden
     n = layer.num_nodes
     sizes = np.diff(layer.offsets) if sizes is None else np.asarray(sizes, dtype=np.int64)
     want = {int(d): int(c) for d, c in zip(*np.unique(sizes, return_counts=True))}
@@ -200,7 +198,7 @@ def sample_negatives(
         return np.sort(rows, axis=1)
 
     space = {size: math.comb(n, size) for size in want}
-    nodes, offsets = _draw_fresh(forbidden.nodes, forbidden.offsets, space, want, draw)
+    nodes, offsets = _draw_fresh(layer.nodes, layer.offsets, space, want, draw)
     return HypergraphLayer.from_arrays(n, nodes, offsets, np.ones(offsets.size - 1))
 
 

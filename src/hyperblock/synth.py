@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import HypergraphLayer, InterEdgeSet, MultiHypergraph
+from .core import HypergraphLayer, InterEdgeSet, MultiHypergraph, _draw_fresh
 from .likelihood import LatentState, _pair_sum, mu
 
 __all__ = [
@@ -95,56 +95,52 @@ THREE_VIEW_HIGHSCHOOL = SynthConfig(
 )
 
 
-def _community_aligned_pairs(
-    labels_a: np.ndarray,
-    labels_b: np.ndarray,
+def _aligned_inter_edges(
+    layer_a: int,
+    layer_b: int,
+    codes: np.ndarray,
     budget: int,
-    noise_count: int,
+    noise: int,
     rng: np.random.Generator,
-) -> list[tuple[int, int]]:
-    """Uniform same-community cross pairs plus cross-community noise pairs.
+) -> InterEdgeSet:
+    """Unit-weight inter-edges: ``budget`` uniform same-community node pairs
+    plus ``noise`` uniform cross-community pairs, all distinct.
 
-    All returned pairs are distinct; same-community pairs are drawn without
-    replacement by indexing into the per-community block decomposition.
+    ``codes`` holds each node's community code, or -1 for an unlabelled
+    node, which shares a community with no node.  Same-community pairs are
+    drawn without replacement by indexing into the per-community blocks of
+    pairs; noise pairs are drawn in batches through ``_draw_fresh``.
     """
-    labels_a = np.asarray(labels_a, dtype=float)
-    labels_b = np.asarray(labels_b, dtype=float)
-    # NaN marks unlabeled nodes; NaN != NaN keeps them out of the blocks
-    values = np.intersect1d(np.unique(labels_a), np.unique(labels_b))
-    blocks = []
-    for c in values:
-        ia = np.flatnonzero(labels_a == c)
-        ib = np.flatnonzero(labels_b == c)
-        if ia.size and ib.size:
-            blocks.append((ia, ib))
-    sizes = np.array([ia.size * ib.size for ia, ib in blocks], dtype=np.int64)
-    total_same = int(sizes.sum())
-    if budget > total_same:
+    n = codes.size
+    members = np.argsort(codes, kind="stable")[np.count_nonzero(codes < 0):]
+    counts = np.bincount(codes[codes >= 0])
+    sizes = counts * counts
+    same = int(sizes.sum())
+    if budget > same:
+        raise ValueError(f"budget {budget} exceeds the {same} available same-community pairs")
+    if noise > n * n - same:
         raise ValueError(
-            f"budget {budget} exceeds the {total_same} available same-community pairs"
+            f"noise {noise} exceeds the {n * n - same} available cross-community pairs"
         )
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    flat = rng.choice(total_same, size=budget, replace=False) if budget else np.array([], int)
-    pairs = []
-    for idx in flat:
-        block = int(np.searchsorted(offsets, idx, side="right")) - 1
-        within = int(idx - offsets[block])
-        ia, ib = blocks[block]
-        pairs.append((int(ia[within // ib.size]), int(ib[within % ib.size])))
+    flat = rng.choice(same, size=budget, replace=False)
+    ends = np.cumsum(sizes)
+    block = np.searchsorted(ends, flat, side="right")
+    i, j = np.divmod(flat - (ends - sizes)[block], counts[block])
+    first = (np.cumsum(counts) - counts)[block]
 
-    seen = set(pairs)
-    attempts = 0
-    while len(pairs) < budget + noise_count:
-        i = int(rng.integers(labels_a.size))
-        j = int(rng.integers(labels_b.size))
-        attempts += 1
-        if attempts > 1000 * (noise_count + 1) + 1000:
-            raise RuntimeError("could not sample enough cross-community noise pairs")
-        if labels_a[i] == labels_b[j] or (i, j) in seen:
-            continue
-        seen.add((i, j))
-        pairs.append((i, j))
-    return pairs
+    def draw(width, count):
+        pairs = rng.integers((n, n), size=(count, width))
+        a, b = codes[pairs[:, 0]], codes[pairs[:, 1]]
+        return pairs[(a != b) | (a < 0)]
+
+    pairs, _ = _draw_fresh(
+        np.array([], dtype=np.int64), np.zeros(1, dtype=np.int64),
+        {2: n * n - same}, {2: noise}, draw,
+    )
+    return InterEdgeSet.from_arrays(
+        layer_a, layer_b, np.concatenate((members[first + i], pairs[0::2])),
+        np.concatenate((members[first + j], pairs[1::2])), np.ones(budget + noise),
+    )
 
 
 def build_views(source: HypergraphLayer, cfg: SynthConfig) -> MultiHypergraph:
@@ -160,9 +156,10 @@ def build_views(source: HypergraphLayer, cfg: SynthConfig) -> MultiHypergraph:
     if source.ground_truth is None:
         raise ValueError("source layer has no ground truth to align inter-edges with")
     rng = np.random.default_rng(cfg.seed)
-    labels = np.full(source.num_nodes, np.nan)
-    for node, lab in source.ground_truth.items():
-        labels[node] = lab
+    codes = np.full(source.num_nodes, -1)
+    codes[list(source.ground_truth)] = np.unique(
+        list(source.ground_truth.values()), return_inverse=True
+    )[1]
 
     layers = []
     for l in range(cfg.num_layers):
@@ -175,9 +172,7 @@ def build_views(source: HypergraphLayer, cfg: SynthConfig) -> MultiHypergraph:
     for p, (a, b) in enumerate(cfg.resolved_pairs()):
         budget = cfg.count_for(p)
         noise = _ceil(cfg.noise_fraction * budget)
-        pairs = _community_aligned_pairs(labels, labels, budget, noise, rng)
-        entries = tuple(sorted((i, j, 1.0) for i, j in pairs))
-        inter.append(InterEdgeSet(a, b, entries))
+        inter.append(_aligned_inter_edges(a, b, codes, budget, noise, rng))
     return MultiHypergraph(tuple(layers), tuple(inter))
 
 
@@ -328,9 +323,8 @@ def planted_partition(
             )
         layers.append(layer)
     noise = _ceil(noise_fraction * inter_edge_count)
-    inter = []
-    for a, b in combinations(range(num_layers), 2):
-        pairs = _community_aligned_pairs(labels, labels, inter_edge_count, noise, rng)
-        entries = tuple(sorted((i, j, 1.0) for i, j in pairs))
-        inter.append(InterEdgeSet(a, b, entries))
+    inter = [
+        _aligned_inter_edges(a, b, labels, inter_edge_count, noise, rng)
+        for a, b in combinations(range(num_layers), 2)
+    ]
     return MultiHypergraph(tuple(layers), tuple(inter))

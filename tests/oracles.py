@@ -113,3 +113,31 @@ def entropy_report_oracle(layer, threshold, normalized=True, base=math.e, bins=1
         "size2_total": len(pairs),
         "size2_contained": sum(contained_in_larger(layer, nodes) for nodes in pairs),
     }
+
+
+def community_aligned_pairs(labels, budget, noise_count, rng) -> list:
+    """Inter-edge node pairs in draw order, one candidate at a time:
+    ``budget`` same-community pairs by indexing into the per-community
+    blocks, then uniform pairs until ``noise_count`` distinct
+    cross-community pairs are found.  ``labels`` is a float array, NaN for
+    an unlabelled node (NaN != NaN keeps it out of every block)."""
+    labels = np.asarray(labels, dtype=float)
+    blocks = [np.flatnonzero(labels == c) for c in np.unique(labels[~np.isnan(labels)])]
+    sizes = np.array([ia.size * ia.size for ia in blocks], dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    flat = rng.choice(int(sizes.sum()), size=budget, replace=False) if budget else []
+    pairs = []
+    for idx in flat:
+        block = int(np.searchsorted(offsets, idx, side="right")) - 1
+        within = int(idx - offsets[block])
+        ia = blocks[block]
+        pairs.append((int(ia[within // ia.size]), int(ia[within % ia.size])))
+    seen = set(pairs)
+    while len(pairs) < budget + noise_count:
+        i = int(rng.integers(labels.size))
+        j = int(rng.integers(labels.size))
+        if labels[i] == labels[j] or (i, j) in seen:
+            continue
+        seen.add((i, j))
+        pairs.append((i, j))
+    return pairs

@@ -237,6 +237,10 @@ def test_cli_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fit", "--manifest", "x.cfg", "--threads", "2", "--out", "d"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["eval-communities", "--manifest", "x.cfg", "--state", "s", "--out", "d",
+              "--cs-normalize-rows"])
+    assert exc.value.code == 2
     capsys.readouterr()
 
 

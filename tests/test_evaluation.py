@@ -191,16 +191,6 @@ def test_cosine_similarity_column_permutation_invariant():
         assert cosine_similarity(u[:, perm], truth) == pytest.approx(base, abs=1e-12)
 
 
-def test_cosine_similarity_normalize_rows_is_cosmetic():
-    rng = np.random.default_rng(6)
-    u = rng.random((10, 3))
-    u[4] = 0.0
-    truth = rng.integers(0, 3, size=10)
-    assert cosine_similarity(u, truth, normalize_rows=True) == pytest.approx(
-        cosine_similarity(u, truth, normalize_rows=False), abs=1e-12
-    )
-
-
 # -- AUC ---------------------------------------------------------------------
 
 

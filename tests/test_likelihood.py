@@ -205,41 +205,38 @@ def test_sample_negatives_tiny_space():
 
 @st.composite
 def sampler_cases(draw):
-    """(training layer, full layer, requested sizes): node counts from 5 up
-    to 2**13, so that n**5 overflows int64, and sizes 2 to 5."""
+    """(layer, requested sizes): node counts from 5 up to 2**13, so that
+    n**5 overflows int64, and sizes 2 to 5."""
     n = draw(st.one_of(st.integers(5, 12), st.integers(2**12, 2**13)))
     node_sets = draw(st.lists(
         st.lists(st.integers(0, n - 1), min_size=2, max_size=5, unique=True),
         min_size=1, max_size=40,
     ))
-    full = HypergraphLayer.from_hyperedges(n, [make_hyperedge(e) for e in node_sets])
-    keep = draw(st.lists(st.booleans(), min_size=full.num_hyperedges,
-                         max_size=full.num_hyperedges))
-    sizes = draw(st.lists(st.integers(2, 5), max_size=30))
-    return full.subset(np.array(keep, dtype=bool)), full, sizes
+    layer = HypergraphLayer.from_hyperedges(n, [make_hyperedge(e) for e in node_sets])
+    return layer, draw(st.lists(st.integers(2, 5), max_size=30))
 
 
 @settings(max_examples=100, deadline=None)
 @given(sampler_cases(), st.integers(0, 2**32 - 1))
 def test_sample_negatives_rows_are_fresh_and_match_the_request(case, seed):
-    layer, full, sizes = case
-    observed = full.node_sets()
+    layer, sizes = case
+    observed = layer.node_sets()
     free = {
-        d: math.comb(full.num_nodes, d) - sum(len(e) == d for e in observed) for d in set(sizes)
+        d: math.comb(layer.num_nodes, d) - sum(len(e) == d for e in observed) for d in set(sizes)
     }
     short = [d for d in sorted(free) if sizes.count(d) > free[d]]
     if short:
         with pytest.raises(ValueError, match=f"size {short[0]}"):
-            sample_negatives(layer, seed, sizes=sizes, forbidden=full)
+            sample_negatives(layer, seed, sizes=sizes)
         return
-    negs = sample_negatives(layer, seed, sizes=sizes, forbidden=full)
+    negs = sample_negatives(layer, seed, sizes=sizes)
     rows = negs.node_tuples()
     assert all(list(e) == sorted(set(e)) for e in rows)
     assert len(set(rows)) == len(rows)
     assert not observed & set(rows)
     assert sorted(negs.sizes()) == sorted(sizes)
     assert negs.num_nodes == layer.num_nodes and np.all(negs.weights == 1.0)
-    assert sample_negatives(layer, seed, sizes=sizes, forbidden=full) == negs
+    assert sample_negatives(layer, seed, sizes=sizes) == negs
 
 
 def chi_square_p(counts):

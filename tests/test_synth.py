@@ -1,11 +1,16 @@
 """Benchmark generators: subsampled views, edge removal, model sampling."""
 
 import math
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hyperblock.core import HypergraphLayer, MultiHypergraph, make_hyperedge
+from hyperblock import synth
+from hyperblock.core import HypergraphLayer, InterEdgeSet, MultiHypergraph, make_hyperedge
 from hyperblock.likelihood import LatentState
 from hyperblock.synth import (
     SynthConfig,
@@ -16,6 +21,7 @@ from hyperblock.synth import (
     remove_inter_edges,
     sample_from_model,
 )
+from oracles import community_aligned_pairs
 
 
 def labeled_source(num_nodes=12, num_edges=30, labeled=None, seed=0):
@@ -132,6 +138,66 @@ def test_build_views_skips_unlabeled_nodes():
     mh = build_views(source, cfg)
     for i, j, _ in mh.inter_edges[0].edges:
         assert i < 6 and j < 6
+
+
+def test_build_views_keeps_labels_beyond_float_precision_apart():
+    # 2**53 and 2**53 + 1 are one float; as communities they stay two,
+    # 3 even and 3 odd nodes: 9 + 9 same-community ordered pairs
+    source = labeled_source(num_nodes=6)
+    source = source.with_ground_truth({i: 2**53 + i % 2 for i in range(6)})
+    s = build_views(source, SynthConfig(num_layers=2, inter_edge_count=18)).inter_edges[0]
+    assert s.num_edges == 18
+    assert all((i - j) % 2 == 0 for i, j, _ in s.edges)
+    with pytest.raises(ValueError, match="exceeds the 18 available"):
+        build_views(source, SynthConfig(num_layers=2, inter_edge_count=19))
+
+
+def test_build_views_noise_beyond_the_cross_pairs_is_an_error():
+    # five nodes in one community, one in another: 36 - 25 - 1 = 10 cross pairs
+    source = labeled_source(num_nodes=6, num_edges=10)
+    source = source.with_ground_truth({i: int(i == 5) for i in range(6)})
+    cfg = SynthConfig(num_layers=2, inter_edge_count=26, noise_fraction=0.5)
+    message = "^noise 13 exceeds the 10 available cross-community pairs$"
+    with pytest.raises(ValueError, match=message):
+        build_views(source, cfg)
+    cfg = SynthConfig(num_layers=2, inter_edge_count=20, noise_fraction=0.5)
+    s = build_views(source, cfg).inter_edges[0]
+    assert sum((i == 5) != (j == 5) for i, j, _ in s.edges) == 10
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(st.none(), st.integers(0, 3)), min_size=1, max_size=8),
+    st.data(),
+    st.integers(0, 2**32 - 1),
+)
+def test_aligned_inter_edges_match_the_scalar_sampler(labels, data, seed):
+    """Same-community pairs in the scalar sampler's order, and its noise set,
+    for budgets up to every same-community pair and noise up to every
+    cross pair; None is an unlabelled node."""
+    n = len(labels)
+    known = [i for i, lab in enumerate(labels) if lab is not None]
+    codes = np.full(n, -1)
+    codes[known] = np.unique([labels[i] for i in known], return_inverse=True)[1]
+    same = sum(c * c for c in Counter(labels[i] for i in known).values())
+    budget = data.draw(st.integers(0, same))
+    noise = data.draw(st.integers(0, n * n - same))
+    floats = [np.nan if lab is None else lab for lab in labels]
+    expected = community_aligned_pairs(floats, budget, noise, np.random.default_rng(seed))
+
+    drawn = []
+
+    class Recording:
+        @staticmethod
+        def from_arrays(a, b, rows, cols, weights):
+            drawn.extend(zip(rows.tolist(), cols.tolist()))
+            return InterEdgeSet.from_arrays(a, b, rows, cols, weights)
+
+    with mock.patch.object(synth, "InterEdgeSet", Recording):
+        s = synth._aligned_inter_edges(0, 1, codes, budget, noise, np.random.default_rng(seed))
+    assert drawn[:budget] == expected[:budget]
+    assert sorted(drawn[budget:]) == sorted(expected[budget:])
+    assert s.edges == tuple(sorted((i, j, 1.0) for i, j in expected))
 
 
 def test_build_views_deterministic():
