@@ -133,8 +133,7 @@ def cosine_similarity(u: np.ndarray, truth) -> float:
 
     Truth communities are assigned to membership columns by solving the
     optimal one-to-one alignment over all column permutations.  All-zero
-    membership rows contribute 0.  Cosine is scale-invariant per row, so
-    rows need no normalisation first.
+    membership rows contribute 0.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 2:
