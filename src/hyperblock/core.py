@@ -567,15 +567,14 @@ class MultiHypergraph:
 
 
 # ---------------------------------------------------------------------------
-# Text-file ingestion.  All formats are whitespace-separated UTF-8 with
-# '#' comment lines, and a malformed line raises ``file:line: message``.
-# One token pass (``_Tokens``) reads every data file: it splits the whole
-# file into lines and tokens with numpy and decodes integers by digit
-# column, and each format checks its rules on the arrays.  When a check
-# fails, or the file holds anything the token pass does not read (a
-# non-ASCII character, an over-long integer, a sign other than a label's
-# '-'), that format's per-line scan reads the file and raises the first
-# bad line's error.
+# Text-file ingestion.  Data files (hyperedges, inter-edges, ground truth)
+# are lines of fields separated by ASCII whitespace; a line whose first
+# field starts with '#' is a comment and may hold any text.  Integers are
+# ASCII decimal (an optional sign, then at most 19 digits), and ids, layer
+# indices and labels lie below 2**62 in magnitude.  One token pass (``_Tokens``) splits
+# a file into tokens with numpy and decodes them by digit column; each
+# format checks its rules as masks over the data lines, and a file that
+# breaks one raises ``file:line: message`` for the first bad line.
 # ---------------------------------------------------------------------------
 
 _MAX_DIGITS = 18
@@ -602,7 +601,8 @@ _CLASSES = _byte_classes()
 
 
 class _Tokens:
-    """The data lines of an ASCII file, split into tokens at once.
+    """The data lines of a file, split into tokens at once; a line whose
+    first token starts with '#' is a comment, whatever bytes it holds.
 
     Data line k holds tokens ``first[k]:first[k + 1]``; token t is
     ``data[start[t]:end[t]]``.
@@ -639,21 +639,22 @@ class _Tokens:
         self.start, self.end, self.first = start, end, first
 
     @classmethod
-    def read(cls, path: str) -> Optional["_Tokens"]:
-        """The file's tokens, or None when it is not ASCII."""
+    def read(cls, path: str) -> "_Tokens":
         with open(path, "rb") as fh:
-            data = fh.read()
-        return cls(data) if data.isascii() else None
+            return cls(fh.read())
 
     def counts(self) -> np.ndarray:
         return self.first[1:] - self.first[:-1]
 
     def table(self, width: int):
-        """(start, end) of the tokens as (line, field) arrays, or None when
-        some data line does not hold ``width`` tokens."""
-        if (self.counts() != width).any():
-            return None
-        return self.start.reshape(-1, width), self.end.reshape(-1, width)
+        """(fits, start, end): which data lines hold ``width`` tokens, and the
+        tokens as (line, field) arrays; a short line repeats its last token."""
+        counts = self.counts()
+        fits = counts == width
+        if fits.all():
+            return fits, self.start.reshape(-1, width), self.end.reshape(-1, width)
+        at = self.first[:-1, None] + np.minimum(np.arange(width), counts[:, None] - 1)
+        return fits, self.start[at], self.end[at]
 
     def digits(self, start: np.ndarray, end: np.ndarray):
         """(value, plain) of the tokens ``data[start:end]``, for start and
@@ -682,28 +683,75 @@ class _Tokens:
             value += term
         return value, ~bad
 
-    def ints(self, start: np.ndarray, end: np.ndarray) -> Optional[np.ndarray]:
-        """The tokens' values when every token is plain, else None."""
-        values, plain = self.digits(start, end)
-        return values if plain.all() else None
+    def integers(self, start: np.ndarray, end: np.ndarray):
+        """(value, ok) of integer tokens, for start and end arrays of any
+        one shape: an optional '+' or '-', then at most 19 decimal digits,
+        or more when the first is not 0.  A value at or past ``_MAX_ID`` in
+        magnitude reads as +-``_MAX_ID``.  Past the sign, the last 18 digits
+        read by column and the rest by their largest byte class."""
+        value, ok = self.digits(start, end)
+        if ok.all():
+            return value, ok
+        sign = np.frombuffer(self.data, dtype=np.uint8)[start]
+        start = start + ((sign == ord("+")) | (sign == ord("-")))
+        size = end - start
+        value, ok = self.digits(np.maximum(start, end - _MAX_DIGITS), end)
+        lead = self.classes[np.minimum(start, end - 1)].astype(np.int64)  # a lone sign: 10
+        ok &= (size > 0) & ((size <= 19) | (lead != 0))
+        if (long := size > _MAX_DIGITS).any():
+            heads = np.stack((start[long], end[long] - _MAX_DIGITS), axis=1).ravel()
+            ok[long] &= np.maximum.reduceat(self.classes, heads)[::2] <= 9
+        value = np.minimum(value + (size == 19) * np.minimum(lead, 5) * 10**18, _MAX_ID)
+        value[size > 19] = _MAX_ID
+        value[sign == ord("-")] *= -1
+        return value, ok
 
-    def floats(self, start: np.ndarray, end: np.ndarray) -> np.ndarray:
-        """The tokens' values as ``float()`` reads them; raises ValueError
-        like it."""
-        values, plain = self.digits(start, end)
+    def floats(self, start: np.ndarray, end: np.ndarray):
+        """(value, ok) of the tokens as ``float()`` reads ASCII text; a
+        token it does not read is NaN and not ok."""
+        values, ok = self.digits(start, end)
         out = values.astype(float)
-        for t in np.flatnonzero(~plain).tolist():
-            out[t] = float(self.data[start[t]:end[t]])
-        return out
+        for t in np.flatnonzero(~ok).tolist():
+            try:
+                out[t], ok[t] = float(self.data[start[t]:end[t]]), True  # of bytes: ASCII only
+            except ValueError:
+                out[t] = np.nan
+        return out, ok
 
+    def line(self, k: int) -> str:
+        """Data line k as text, from its first token to its last."""
+        text = self.data[self.start[self.first[k]]:self.end[self.first[k + 1] - 1]]
+        return text.decode("utf-8", "replace")
 
-def _data_lines(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            yield lineno, line
+    def check(self, path: str, rules) -> None:
+        """Raise ``path:line: message`` for the first data line that a rule
+        flags, with the message of the first rule that flags it.  ``rules``
+        are (mask over the data lines, message of line k) pairs in checking
+        order; a mask may be wrong after a flagged line, or on a line that an
+        earlier rule flags."""
+        hits = [k for k in (_first_or_none(mask) for mask, _ in rules) if k is not None]
+        if hits:
+            k = min(hits)
+            at, count = int(self.start[self.first[k]]), self.data.count  # '\r\n' ends one line
+            number = 1 + count(b"\n", 0, at) + count(b"\r", 0, at) - count(b"\r\n", 0, at)
+            message = next(message for mask, message in rules if mask[k])
+            raise ValueError(f"{path}:{number}: {message(k)}") from None
+
+    def field_error(self, k: int, kinds) -> str:
+        """The message for data line k's first field that does not read as
+        its kind (``kinds[f]``, the last kind serving the later fields):
+        Python's error when ``int()`` or ``float()`` rejects it too."""
+        for f, t in enumerate(range(self.first[k], self.first[k + 1])):
+            kind = kinds[min(f, len(kinds) - 1)]
+            read = self.floats if kind is float else self.integers
+            if not read(self.start[t:t + 1], self.end[t:t + 1])[1][0]:
+                text = self.data[self.start[t]:self.end[t]].decode("utf-8", "replace")
+                try:
+                    kind(text)
+                except ValueError as exc:
+                    return str(exc)
+                rule = "a number" if kind is float else "an integer of at most 19 digits"
+                return f"expected {rule} in ASCII, got {text!r}"
 
 
 def parse_hyperedge_file(path: str, num_nodes: Optional[int] = None) -> HypergraphLayer:
@@ -715,73 +763,65 @@ def parse_hyperedge_file(path: str, num_nodes: Optional[int] = None) -> Hypergra
     straight into the layer's flat arrays; a malformed line raises
     ValueError naming ``file:line``.
     """
-    layer = _read_hyperedges(path, num_nodes)
-    return layer if layer is not None else _scan_hyperedge_file(path, num_nodes)
-
-
-def _read_hyperedges(path: str, num_nodes: Optional[int]):
-    """The layer by the token pass, or None when some line needs the
-    per-line scan."""
     tokens = _Tokens.read(path)
-    if tokens is None:
-        return None
-    sizes = tokens.counts() - 1
-    if sizes.size == 0 or np.any(sizes < 2):
-        return None
-    head = tokens.first[:-1]
+    sizes, weights, weight_ok, ids, id_ok = fields = _hyperedge_fields(tokens)
+    top = int(ids.max(initial=-1))
+    if np.any(sizes < 2) or not (weight_ok.all() and id_ok.all()) or top >= _MAX_ID:
+        tokens.check(path, _hyperedge_rules(tokens, num_nodes, *fields))
+    first = tokens.first  # line k's ids start at first[k] - k, after k weights
+    del tokens, fields  # free the token arrays before the sorts
+    if sizes.size == 0 and num_nodes is None:
+        raise ValueError(f"{path}: empty hyperedge file and no num_nodes given")
+    ids = ids[_order_by(np.repeat(np.arange(sizes.size), sizes), ids, top)]
     try:
-        weights = tokens.floats(tokens.start[head], tokens.end[head])
-    except ValueError:
-        return None
+        return HypergraphLayer.from_arrays(
+            top + 1 if num_nodes is None else num_nodes, ids, first - np.arange(first.size), weights
+        )
+    except ValueError:  # a line's fault, or else the merged weights'
+        tokens = _Tokens.read(path)
+        tokens.check(path, _hyperedge_rules(tokens, num_nodes, *_hyperedge_fields(tokens)))
+        raise
+
+
+def _hyperedge_fields(tokens: _Tokens):
+    """(id count, weight, weight ok) per data line, and (id, id ok) per id."""
+    head = tokens.first[:-1]
+    weights, weight_ok = tokens.floats(tokens.start[head], tokens.end[head])
     id_at = np.ones(tokens.start.size, dtype=bool)
     id_at[head] = False
-    ids = tokens.ints(tokens.start[id_at], tokens.end[id_at])
-    del tokens, id_at  # free the token arrays before the sorts
-    if ids is None:
-        return None
-    top = int(ids.max())
-    ids = ids[_order_by(np.repeat(np.arange(sizes.size), sizes), ids, top)]
-    if num_nodes is None:
-        num_nodes = top + 1
-    try:
-        return HypergraphLayer.from_arrays(num_nodes, ids, _offsets(sizes), weights)
-    except ValueError:
-        return None
+    ids, id_ok = tokens.integers(tokens.start[id_at], tokens.end[id_at])
+    return tokens.counts() - 1, weights, weight_ok, ids, id_ok
 
 
-def _scan_hyperedge_file(path: str, num_nodes: Optional[int]) -> HypergraphLayer:
-    """Line-by-line reading of a hyperedge file: the first bad line raises
-    its error, and a good file gives the same layer as the token pass."""
-    edges = []
-    max_id = -1
-    for lineno, line in _data_lines(path):
-        fields = line.split()
-        if len(fields) < 3:
-            raise ValueError(f"{path}:{lineno}: expected 'weight id id ...', got {line!r}")
-        try:
-            weight = float(fields[0])
-            ids = [int(f) for f in fields[1:]]
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        if weight <= 0:
-            raise ValueError(f"{path}:{lineno}: hyperedge weight must be positive, got {weight}")
-        if min(ids) < 0:
-            raise ValueError(f"{path}:{lineno}: negative node id")
-        try:
-            edges.append(make_hyperedge(ids, weight))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        top = max(ids)
-        if num_nodes is not None and top >= num_nodes:
-            raise ValueError(f"{path}:{lineno}: node id {top} >= declared num_nodes {num_nodes}")
-        if top >= _MAX_ID:
-            raise ValueError(f"{path}:{lineno}: node id {top} too large")
-        max_id = max(max_id, top)
-    if num_nodes is None:
-        if max_id < 0:
-            raise ValueError(f"{path}: empty hyperedge file and no num_nodes given")
-        num_nodes = max_id + 1
-    return HypergraphLayer.from_hyperedges(num_nodes, edges)
+def _hyperedge_rules(tokens, num_nodes, sizes, weights, weight_ok, ids, id_ok):
+    """The rules of a hyperedge file, as masks over its data lines."""
+    line = np.repeat(np.arange(sizes.size), sizes)  # of each id
+    # ids equal to the one before them in their line's sorted ids; ids past
+    # the bound all read as _MAX_ID, so they fail as too large instead
+    order = np.lexsort((ids, line))
+    same = np.zeros(ids.size, dtype=bool)
+    same[order[1:]] = (ids[order[1:]] == ids[order[:-1]]) & (line[order[1:]] == line[order[:-1]])
+
+    def any_id(flags):
+        return np.bincount(line[flags], minlength=sizes.size) > 0
+
+    def values(k):
+        weight, *node_ids = tokens.line(k).split()
+        return float(weight), sorted(map(int, node_ids))
+
+    return [
+        (sizes < 2, lambda k: f"expected 'weight id id ...', got {tokens.line(k)!r}"),
+        (~weight_ok | any_id(~id_ok), lambda k: tokens.field_error(k, (float, int))),
+        (weights <= 0, lambda k: f"hyperedge weight must be positive, got {values(k)[0]}"),
+        (any_id(ids < 0), lambda k: "negative node id"),
+        (any_id(same & (ids < _MAX_ID)),
+         lambda k: f"duplicate node ids in hyperedge: {tuple(values(k)[1])}"),
+        (~np.isfinite(weights),
+         lambda k: f"hyperedge weight must be finite and > 0, got {values(k)[0]}"),
+        (any_id(ids >= (np.inf if num_nodes is None else num_nodes)),
+         lambda k: f"node id {values(k)[1][-1]} >= declared num_nodes {num_nodes}"),
+        (any_id(ids >= _MAX_ID), lambda k: f"node id {values(k)[1][-1]} too large"),
+    ]
 
 
 def parse_inter_edge_file(
@@ -796,10 +836,7 @@ def parse_inter_edge_file(
     and node id is checked against it.  A malformed line raises ValueError
     naming ``file:line``.
     """
-    fields = _read_inter_fields(path, layer_sizes)
-    if fields is None:
-        fields = _scan_inter_edge_file(path, layer_sizes)
-    la, lb, i, j, w = fields
+    la, lb, i, j, w = _inter_fields(path, layer_sizes)
     out = []
     for a in np.unique(la).tolist():
         for b in np.unique(lb[la == a]).tolist():
@@ -808,133 +845,80 @@ def parse_inter_edge_file(
     return out
 
 
-def _read_inter_fields(path: str, layer_sizes):
-    """Normalized (layer_a, layer_b, i, j, weight) arrays in file order by
-    the token pass, or None when some line needs the per-line scan."""
+def _inter_fields(path: str, layer_sizes: Optional[Sequence[int]]):
+    """Normalized (layer_a, layer_b, i, j, weight) arrays in file order."""
     tokens = _Tokens.read(path)
-    table = None if tokens is None else tokens.table(5)
-    if table is None:
-        return None
-    start, end = table
-    ints = tokens.ints(start[:, :4], end[:, :4])
-    if ints is None:
-        return None
+    fits, start, end = tokens.table(5)
+    ints, ok = tokens.integers(start[:, :4], end[:, :4])
+    w, w_ok = tokens.floats(start[:, 4], end[:, 4])
     la, lb, i, j = ints.T
-    try:
-        w = tokens.floats(start[:, 4], end[:, 4])
-    except ValueError:
-        return None
-    if np.any(la == lb) or not np.all(np.isfinite(w) & (w >= 0)):
-        return None
     swap = la > lb
     la, lb = np.where(swap, lb, la), np.where(swap, la, lb)
     i, j = np.where(swap, j, i), np.where(swap, i, j)
+
+    def values(k):  # line k's (layer_a, layer_b, i, j), normalized, and its weight
+        *ids, weight = tokens.line(k).split()
+        a, b, x, y = map(int, ids)
+        return ((b, a, y, x) if a > b else (a, b, x, y)), float(weight)
+
+    rules = [
+        (~fits, lambda k: f"expected 'layer_a layer_b i j weight', got {tokens.line(k)!r}"),
+        (~(ok[:, 0] & ok[:, 1] & ok[:, 2] & ok[:, 3] & w_ok),
+         lambda k: tokens.field_error(k, (int, int, int, int, float))),
+        # a layer index past the bound reads as _MAX_ID and fails as missing or too large
+        ((la == lb) & (np.abs(lb) < _MAX_ID), lambda k: f"self-pair layer {values(k)[0][0]}"),
+        (w < 0, lambda k: f"negative weight {values(k)[1]}"),
+        (~np.isfinite(w), lambda k: f"inter-edge weight must be finite, got {values(k)[1]}"),
+        (np.minimum(np.minimum(la, lb), np.minimum(i, j)) < 0, lambda k: "negative index"),
+    ]
     if layer_sizes is not None:
-        sizes = np.asarray(layer_sizes, dtype=np.int64)
-        if lb.size and lb.max() >= sizes.size:
-            return None
-        if np.any(i >= sizes[la]) or np.any(j >= sizes[lb]):
-            return None
+        count = len(layer_sizes)
+        sizes = np.append(np.asarray(layer_sizes, dtype=np.int64), 0)  # 0 past the last layer
+        rules += [
+            (lb >= count, lambda k: "inter-edge names missing layer {} (there are {} layers)"
+                .format(values(k)[0][1], count)),
+            ((i >= sizes[np.clip(la, 0, count)]) | (j >= sizes[np.clip(lb, 0, count)]),
+             lambda k: "inter-edge ({2}, {3}) out of range for pair ({0}, {1})"
+                .format(*values(k)[0])),
+        ]
+    rules.append((np.maximum(lb, np.maximum(i, j)) >= _MAX_ID,
+                  lambda k: f"index {max(values(k)[0][1:])} too large"))
+    tokens.check(path, rules)
     return la, lb, i, j, w
-
-
-def _scan_inter_edge_file(path: str, layer_sizes):
-    """Line-by-line reading of an inter-edge file: the first bad line raises
-    its error, and a good file gives the token pass's fields."""
-    rows = []
-    for lineno, line in _data_lines(path):
-        fields = line.split()
-        if len(fields) != 5:
-            raise ValueError(f"{path}:{lineno}: expected 'layer_a layer_b i j weight', got {line!r}")
-        try:
-            la, lb, i, j = (int(f) for f in fields[:4])
-            w = float(fields[4])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        if la == lb:
-            raise ValueError(f"{path}:{lineno}: self-pair layer {la}")
-        if w < 0:
-            raise ValueError(f"{path}:{lineno}: negative weight {w}")
-        if not np.isfinite(w):
-            raise ValueError(f"{path}:{lineno}: inter-edge weight must be finite, got {w}")
-        if min(la, lb, i, j) < 0:
-            raise ValueError(f"{path}:{lineno}: negative index")
-        if la > lb:
-            la, lb, i, j = lb, la, j, i
-        if layer_sizes is not None:
-            if lb >= len(layer_sizes):
-                raise ValueError(
-                    f"{path}:{lineno}: inter-edge names missing layer {lb} "
-                    f"(there are {len(layer_sizes)} layers)"
-                )
-            if i >= layer_sizes[la] or j >= layer_sizes[lb]:
-                raise ValueError(
-                    f"{path}:{lineno}: inter-edge ({i}, {j}) out of range for pair ({la}, {lb})"
-                )
-        if max(lb, i, j) >= _MAX_ID:
-            raise ValueError(f"{path}:{lineno}: index {max(lb, i, j)} too large")
-        rows.append((la, lb, i, j, w))
-    columns = list(zip(*rows)) or [(), (), (), (), ()]
-    return tuple(
-        np.array(col, dtype=float if c == 4 else np.int64) for c, col in enumerate(columns)
-    )
 
 
 def parse_ground_truth_file(path: str, num_nodes: Optional[int] = None) -> dict[int, int]:
     """Read ``node_id community_id`` lines into a node -> label map.
 
     Node ids are non-negative, and with ``num_nodes`` they must lie in
-    [0, num_nodes); labels are any integers.  The map keeps file order.  A
-    malformed line raises ValueError naming ``file:line``.
+    [0, num_nodes); ids and labels are below 2**62 in magnitude.  The map
+    keeps file order.  A malformed line raises ValueError naming
+    ``file:line``.
     """
-    truth = _read_ground_truth(path, num_nodes)
-    return truth if truth is not None else _scan_ground_truth_file(path, num_nodes)
-
-
-def _read_ground_truth(path: str, num_nodes: Optional[int]):
-    """The node -> label map by the token pass, or None when some line
-    needs the per-line scan.  A label may be a '-' and plain digits."""
     tokens = _Tokens.read(path)
-    table = None if tokens is None else tokens.table(2)
-    if table is None:
-        return None
-    start, end = table
-    minus = np.frombuffer(tokens.data, dtype=np.uint8)[start] == ord("-")
-    minus[:, 0] = False  # node ids take no sign
-    pairs, plain = tokens.digits(start + minus, end)
-    if not (plain & (end > start + minus)).all():
-        return None
-    node, label = np.where(minus, -pairs, pairs).T
-    ranked = np.sort(node)
-    if (ranked[1:] == ranked[:-1]).any():
-        return None
-    if num_nodes is not None and ranked.size and ranked[-1] >= num_nodes:
-        return None
+    fits, start, end = tokens.table(2)
+    pairs, ok = tokens.integers(start, end)
+    node, label = pairs.T
+    # nodes equal to one on an earlier line; nodes past the bound all read
+    # as _MAX_ID, so they fail as out of range or too large instead
+    order = np.argsort(node, kind="stable")
+    repeat = np.zeros(node.size, dtype=bool)
+    repeat[order[1:]] = node[order[1:]] == node[order[:-1]]
+
+    def values(k):
+        return tuple(map(int, tokens.line(k).split()))
+
+    tokens.check(path, [
+        (~fits, lambda k: f"expected 'node_id community_id', got {tokens.line(k)!r}"),
+        (~(ok[:, 0] & ok[:, 1]), lambda k: tokens.field_error(k, (int,))),
+        (node < 0, lambda k: "negative node id"),
+        (repeat & (node < _MAX_ID), lambda k: f"duplicate node {values(k)[0]}"),
+        (node >= (np.inf if num_nodes is None else num_nodes),
+         lambda k: f"ground-truth node {values(k)[0]} out of range for {num_nodes} nodes"),
+        (node >= _MAX_ID, lambda k: f"node id {values(k)[0]} too large"),
+        (np.abs(label) >= _MAX_ID, lambda k: f"label {values(k)[1]} out of range"),
+    ])
     return dict(zip(node.tolist(), label.tolist()))
-
-
-def _scan_ground_truth_file(path: str, num_nodes: Optional[int]) -> dict[int, int]:
-    """Line-by-line reading of a ground-truth file: the first bad line
-    raises its error, and a good file gives the token pass's map."""
-    truth: dict[int, int] = {}
-    for lineno, line in _data_lines(path):
-        fields = line.split()
-        if len(fields) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'node_id community_id', got {line!r}")
-        try:
-            node, label = int(fields[0]), int(fields[1])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        if node < 0:
-            raise ValueError(f"{path}:{lineno}: negative node id")
-        if node in truth:
-            raise ValueError(f"{path}:{lineno}: duplicate node {node}")
-        if num_nodes is not None and not 0 <= node < num_nodes:
-            raise ValueError(
-                f"{path}:{lineno}: ground-truth node {node} out of range for {num_nodes} nodes"
-            )
-        truth[node] = label
-    return truth
 
 
 def write_hyperedge_file(path: str, layer: HypergraphLayer) -> None:
@@ -967,12 +951,18 @@ def write_matrix(path: str, m: np.ndarray) -> None:
 
 
 def read_matrix(path: str) -> np.ndarray:
-    rows = []
+    """Read a matrix that ``write_matrix`` wrote; a row that is not as many
+    finite numbers as the first raises ValueError naming ``file:line``."""
+    rows: list[list[float]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
+        for lineno, line in enumerate(map(str.strip, fh), start=1):
             if line:
-                rows.append([float(v) for v in line.split(",")])
+                try:
+                    rows.append([float(v) for v in line.split(",")])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                if len(rows[-1]) != len(rows[0]) or not np.all(np.isfinite(rows[-1])):
+                    raise ValueError(f"{path}:{lineno}: expected {len(rows[0])} finite numbers")
     return np.array(rows, dtype=float)
 
 
@@ -984,7 +974,15 @@ def parse_manifest(path: str) -> dict[str, str]:
 def _manifest_lines(path: str) -> dict[str, tuple[int, str]]:
     """The manifest's entries as key -> (line number, value)."""
     entries: dict[str, tuple[int, str]] = {}
-    for lineno, line in _data_lines(path):
+    with open(path, "rb") as fh:  # lines end at '\n', '\r' and '\r\n', as in text mode
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
+        if not line or line.startswith("#"):
+            continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")

@@ -2,9 +2,11 @@
 checked against."""
 
 import math
+from typing import Optional
 
 import numpy as np
 
+from hyperblock.core import _MAX_ID, HypergraphLayer, make_hyperedge
 from hyperblock.internal_degree import SubHyperedgeCounter
 from hyperblock.likelihood import lambda_e, mu
 
@@ -141,3 +143,119 @@ def community_aligned_pairs(labels, budget, noise_count, rng) -> list:
         seen.add((i, j))
         pairs.append((i, j))
     return pairs
+
+
+# -- line-by-line file readers ----------------------------------------------
+# The per-line scans that the library's token pass replaced: each file format's
+# results and file:line messages are checked against them.
+
+
+def data_lines(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            yield lineno, line
+
+
+def scan_hyperedge_file(path: str, num_nodes: Optional[int]) -> HypergraphLayer:
+    """Line-by-line reading of a hyperedge file: the first bad line raises
+    its error, and a good file gives the same layer as the token pass."""
+    edges = []
+    max_id = -1
+    for lineno, line in data_lines(path):
+        fields = line.split()
+        if len(fields) < 3:
+            raise ValueError(f"{path}:{lineno}: expected 'weight id id ...', got {line!r}")
+        try:
+            weight = float(fields[0])
+            ids = [int(f) for f in fields[1:]]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if weight <= 0:
+            raise ValueError(f"{path}:{lineno}: hyperedge weight must be positive, got {weight}")
+        if min(ids) < 0:
+            raise ValueError(f"{path}:{lineno}: negative node id")
+        try:
+            edges.append(make_hyperedge(ids, weight))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        top = max(ids)
+        if num_nodes is not None and top >= num_nodes:
+            raise ValueError(f"{path}:{lineno}: node id {top} >= declared num_nodes {num_nodes}")
+        if top >= _MAX_ID:
+            raise ValueError(f"{path}:{lineno}: node id {top} too large")
+        max_id = max(max_id, top)
+    if num_nodes is None:
+        if max_id < 0:
+            raise ValueError(f"{path}: empty hyperedge file and no num_nodes given")
+        num_nodes = max_id + 1
+    return HypergraphLayer.from_hyperedges(num_nodes, edges)
+
+
+def scan_inter_edge_file(path: str, layer_sizes):
+    """Line-by-line reading of an inter-edge file: the first bad line raises
+    its error, and a good file gives the token pass's fields."""
+    rows = []
+    for lineno, line in data_lines(path):
+        fields = line.split()
+        if len(fields) != 5:
+            raise ValueError(f"{path}:{lineno}: expected 'layer_a layer_b i j weight', got {line!r}")
+        try:
+            la, lb, i, j = (int(f) for f in fields[:4])
+            w = float(fields[4])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if la == lb:
+            raise ValueError(f"{path}:{lineno}: self-pair layer {la}")
+        if w < 0:
+            raise ValueError(f"{path}:{lineno}: negative weight {w}")
+        if not np.isfinite(w):
+            raise ValueError(f"{path}:{lineno}: inter-edge weight must be finite, got {w}")
+        if min(la, lb, i, j) < 0:
+            raise ValueError(f"{path}:{lineno}: negative index")
+        if la > lb:
+            la, lb, i, j = lb, la, j, i
+        if layer_sizes is not None:
+            if lb >= len(layer_sizes):
+                raise ValueError(
+                    f"{path}:{lineno}: inter-edge names missing layer {lb} "
+                    f"(there are {len(layer_sizes)} layers)"
+                )
+            if i >= layer_sizes[la] or j >= layer_sizes[lb]:
+                raise ValueError(
+                    f"{path}:{lineno}: inter-edge ({i}, {j}) out of range for pair ({la}, {lb})"
+                )
+        if max(lb, i, j) >= _MAX_ID:
+            raise ValueError(f"{path}:{lineno}: index {max(lb, i, j)} too large")
+        rows.append((la, lb, i, j, w))
+    columns = list(zip(*rows)) or [(), (), (), (), ()]
+    return tuple(
+        np.array(col, dtype=float if c == 4 else np.int64) for c, col in enumerate(columns)
+    )
+
+
+def scan_ground_truth_file(path: str, num_nodes: Optional[int]) -> dict[int, int]:
+    """Line-by-line reading of a ground-truth file: the first bad line
+    raises its error, and a good file gives the token pass's map."""
+    truth: dict[int, int] = {}
+    for lineno, line in data_lines(path):
+        fields = line.split()
+        if len(fields) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 'node_id community_id', got {line!r}")
+        try:
+            node, label = int(fields[0]), int(fields[1])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if node < 0:
+            raise ValueError(f"{path}:{lineno}: negative node id")
+        if node in truth:
+            raise ValueError(f"{path}:{lineno}: duplicate node {node}")
+        if num_nodes is not None and not 0 <= node < num_nodes:
+            raise ValueError(
+                f"{path}:{lineno}: ground-truth node {node} out of range for {num_nodes} nodes"
+            )
+        truth[node] = label
+    return truth
+

@@ -3,6 +3,7 @@
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 
@@ -134,6 +135,24 @@ def test_eval_communities_end_to_end(pipeline, tmp_path):
         assert entry["f1"] >= 0.9
         assert entry["cosine_similarity"] >= 0.55
     assert os.path.exists(os.path.join(out, "run_manifest.json"))
+
+
+def test_eval_communities_rejects_a_label_past_the_bound(pipeline, tmp_path, capsys):
+    _, synth_dir, fit_dir = pipeline
+    data = tmp_path / "data"
+    shutil.copytree(synth_dir, data)
+    truth = data / "truth_0.txt"
+    lines = truth.read_text().splitlines()
+    lines[1] = lines[1].split()[0] + " 100000000000000000000"
+    truth.write_text("\n".join(lines) + "\n")
+    rc = main([
+        "eval-communities", "--manifest", str(data / "manifest.cfg"),
+        "--state", fit_dir, "--out", str(tmp_path / "eval"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "truth_0.txt:2: label 100000000000000000000 out of range" in err
+    assert "Traceback" not in err
 
 
 def test_predict_hyperedges_cli(pipeline, tmp_path):

@@ -30,6 +30,7 @@ from hyperblock.core import (
 from hyperblock.evaluation import hyperedge_prediction_cv
 from hyperblock.inference import InferenceConfig, fit
 from hyperblock.synth import planted_partition
+from oracles import scan_ground_truth_file, scan_hyperedge_file, scan_inter_edge_file
 
 
 def test_make_hyperedge_sorts_nodes():
@@ -211,6 +212,20 @@ def test_matrix_round_trip_is_exact(tmp_path):
         write_matrix(str(p), np.array([[np.inf]]))
 
 
+@pytest.mark.parametrize("text, at, message", [
+    ("1,2\n3\n", 2, "expected 2 finite numbers"),
+    ("1,2\n3,4,5\n", 2, "expected 2 finite numbers"),
+    ("1,2\n3,x\n", 2, "could not convert string to float: 'x'"),
+    ("1,2\n\n3,nan\n", 3, "expected 2 finite numbers"),
+    ("inf,2\n", 1, "expected 2 finite numbers"),
+])
+def test_read_matrix_names_the_line_of_a_bad_row(tmp_path, text, at, message):
+    p = tmp_path / "u.csv"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"u.csv:{at}: {message}")):
+        read_matrix(str(p))
+
+
 def test_manifest_loading(tmp_path):
     (tmp_path / "e0.txt").write_text("1 0 1\n1 1 2\n")
     (tmp_path / "e1.txt").write_text("1 0 1\n")
@@ -269,6 +284,14 @@ def test_manifest_errors(tmp_path):
         man.write_text("\n".join(["# a comment"] + lines) + "\n")
         with pytest.raises(ValueError, match=re.escape(f"m.cfg:{at + 1}: {message}")):
             load_manifest(str(man))
+
+
+def test_manifest_names_a_line_that_is_not_utf8(tmp_path):
+    (tmp_path / "e0.txt").write_text("1 0 1\n")
+    man = tmp_path / "m.cfg"
+    man.write_bytes(b"layer.0.edges = e0.txt\n# caf\xff\nlayer.0.k = 2\n")
+    with pytest.raises(ValueError, match=r"m\.cfg:2: not UTF-8 text"):
+        load_manifest(str(man))
 
 
 def test_manifest_requires_k(tmp_path):
@@ -485,8 +508,8 @@ def with_line(text, at, line):
 
 
 def node_ids():
-    """Node ids of 1 to 19 decimal digits: the decoder reads up to 18, and
-    the scan reads 19-digit ids (below 2**62)."""
+    """Node ids of 1 to 19 decimal digits: the digit columns read up to 18,
+    and 19-digit ids (below 2**62) take the longer decode."""
     return st.integers(1, 19).flatmap(
         lambda d: st.integers(10 ** (d - 1) if d > 1 else 0, min(10**d, core._MAX_ID) - 1)
     )
@@ -540,7 +563,7 @@ def test_hyperedge_file_parses_to_the_merged_layer(tmp_path, case):
     p = tmp_path / "edges.txt"
     p.write_bytes(text.encode())
     assert parse_hyperedge_file(str(p), num_nodes=n) == expected
-    assert core._scan_hyperedge_file(str(p), n) == expected
+    assert scan_hyperedge_file(str(p), n) == expected
     write_hyperedge_file(str(p), expected)
     assert parse_hyperedge_file(str(p), num_nodes=n) == expected
 
@@ -610,7 +633,7 @@ def test_hyperedge_file_errors_match_the_line_scan(tmp_path, case, bad, data):
     at = data.draw(st.integers(0, len(text.splitlines())))
     p = tmp_path / "edges.txt"
     p.write_bytes(with_line(text, at, bad.format(n=n)).encode())
-    message = scan_error(core._scan_hyperedge_file, str(p), n)
+    message = scan_error(scan_hyperedge_file, str(p), n)
     assert f"edges.txt:{at + 1}: " in message
     with pytest.raises(ValueError) as info:
         parse_hyperedge_file(str(p), num_nodes=n)
@@ -631,7 +654,7 @@ def test_inter_edge_file_errors_match_the_line_scan(tmp_path, case, bad, data):
     at = data.draw(st.integers(0, len(text.splitlines())))
     p = tmp_path / "inter.txt"
     p.write_bytes(with_line(text, at, bad.format(n0=sizes[0])).encode())
-    message = scan_error(core._scan_inter_edge_file, str(p), sizes)
+    message = scan_error(scan_inter_edge_file, str(p), sizes)
     assert f"inter.txt:{at + 1}: " in message
     with pytest.raises(ValueError) as info:
         parse_inter_edge_file(str(p), layer_sizes=sizes)
@@ -667,22 +690,39 @@ def truth_files(draw):
     return num_nodes, with_noise(draw, lines), truth
 
 
+def past_the_bound(field):
+    """True for an integer field the oracle scan reads and the token pass
+    rejects: over 19 digits after its sign, or 2**62 or more in magnitude."""
+    digits = field.lstrip("+-")
+    return digits.isascii() and digits.isdigit() and (
+        len(digits) > 19 or int(digits) >= core._MAX_ID
+    )
+
+
+def first_line_past_the_bound(text):
+    """The file line number of the first data line holding such a field."""
+    for number, line in enumerate(text.splitlines(), start=1):
+        if "#" not in line and any(past_the_bound(f) for f in line.split()):
+            return number
+    return None
+
+
 @FILE_SETTINGS
 @given(truth_files())
 def test_truth_file_parses_to_the_scanned_map(tmp_path, case):
     n, text, expected = case
     p = tmp_path / "truth.txt"
     p.write_bytes(text.encode())
-    truth = parse_ground_truth_file(str(p), num_nodes=n)
-    assert list(truth.items()) == list(expected.items())
-    assert list(core._scan_ground_truth_file(str(p), n).items()) == list(expected.items())
-    # the token pass reads every file whose fields are at most 18 digits,
-    # after a label's '-'
-    fields = [f for line in text.splitlines() if "#" not in line for f in line.split()]
-    read = core._read_ground_truth(str(p), n)
-    assert (read is not None) == all(len(f.lstrip("-")) <= 18 for f in fields)
-    if read is not None:
-        assert list(read.items()) == list(expected.items())
+    assert list(scan_ground_truth_file(str(p), n).items()) == list(expected.items())
+    # the token pass reads every field of at most 19 digits below 2**62,
+    # and raises at the first line holding any other
+    bad = first_line_past_the_bound(text)
+    if bad is None:
+        truth = parse_ground_truth_file(str(p), num_nodes=n)
+        assert list(truth.items()) == list(expected.items())
+    else:
+        with pytest.raises(ValueError, match=f"truth.txt:{bad}: "):
+            parse_ground_truth_file(str(p), num_nodes=n)
 
 
 # {n} is the node count and {top} the first id above every node of the file
@@ -698,17 +738,52 @@ def test_truth_file_errors_match_the_line_scan(tmp_path, case, bad, data):
     top = max(truth, default=-1) + 1
     at = data.draw(st.integers(0, len(text.splitlines())))
     p = tmp_path / "truth.txt"
-    p.write_bytes(with_line(text, at, bad.format(n=top + 1, top=top)).encode())
-    message = scan_error(core._scan_ground_truth_file, str(p), top + 1)
-    assert f"truth.txt:{at + 1 + bad.count(chr(10))}: " in message
+    text = with_line(text, at, bad.format(n=top + 1, top=top))
+    p.write_bytes(text.encode())
+    message = scan_error(scan_ground_truth_file, str(p), top + 1)
+    line = at + 1 + bad.count(chr(10))
+    assert f"truth.txt:{line}: " in message
     with pytest.raises(ValueError) as info:
         parse_ground_truth_file(str(p), num_nodes=top + 1)
-    assert str(info.value) == message
+    # a field past the bound on an earlier line fails first
+    early = first_line_past_the_bound(text)
+    if early is not None and early < line:
+        assert f"truth.txt:{early}: " in str(info.value)
+    else:
+        assert str(info.value) == message
+
+
+# lines the oracle scans read and the token pass rejects: '_' separators,
+# Unicode digits and whitespace, an integer over 19 digits with a leading
+# zero, a label past 2**62
+SCAN_ONLY_LINES = [
+    ("edges", "1 0 1_0"), ("edges", "1 0 \u0661"), ("edges", "1 0\xa01 2"),
+    ("edges", "1 0 " + "0" * 19 + "1"), ("truth", "0 100000000000000000000"),
+]
+
+
+@pytest.mark.parametrize("kind, line", SCAN_ONLY_LINES)
+def test_lines_only_the_scan_reads_raise_at_their_line(tmp_path, kind, line):
+    scan, parse, good = {
+        "edges": (scan_hyperedge_file, parse_hyperedge_file, "1 0 2"),
+        "truth": (scan_ground_truth_file, parse_ground_truth_file, "1 0"),
+    }[kind]
+    p = tmp_path / f"{kind}.txt"
+    p.write_text(f"# a comment\n{good}\n{line}\n", encoding="utf-8")
+    scan(str(p), None)
+    with pytest.raises(ValueError, match=f"{kind}.txt:3: "):
+        parse(str(p))
+
+
+def test_comment_lines_may_hold_any_bytes(tmp_path):
+    p = tmp_path / "edges.txt"
+    p.write_bytes(b"# caf\xff \xe9\n1 0 1\n  #\xff\n")
+    assert parse_hyperedge_file(str(p)) == HypergraphLayer(2, (Hyperedge((0, 1), 1.0),))
 
 
 def test_parsers_peak_memory_per_input_byte(tmp_path):
-    """tracemalloc's peak while a parser reads a 20k-line file stays within
-    24 bytes per byte of the file."""
+    """tracemalloc's peak while a parser reads a 20k-line file, or raises
+    for its last line, stays within 24 bytes per byte of the file."""
     rng = np.random.default_rng(0)
     n, m = 10_000, 20_000
     sizes = rng.integers(2, 6, m)
@@ -721,9 +796,17 @@ def test_parsers_peak_memory_per_input_byte(tmp_path):
     inter = tmp_path / "inter.txt"
     pairs = rng.integers(0, n, (m, 2)).tolist()
     inter.write_text("".join(f"0 1 {i} {j} 1\n" for i, j in pairs))
+    bad = tmp_path / "bad.txt"  # found only once the ids are sorted
+    bad.write_bytes(edges.read_bytes() + b"1 0 0\n")
+
+    def parse_bad():
+        with pytest.raises(ValueError, match=f"bad.txt:{m + 1}: duplicate node ids"):
+            parse_hyperedge_file(str(bad), num_nodes=n)
+
     for path, parse in [
         (edges, lambda: parse_hyperedge_file(str(edges), num_nodes=n)),
         (inter, lambda: parse_inter_edge_file(str(inter), layer_sizes=[n, n])),
+        (bad, parse_bad),
     ]:
         gc.collect()
         tracemalloc.start()
@@ -762,7 +845,7 @@ def test_ground_truth_nodes_are_checked_once(monkeypatch):
 
 def test_files_the_array_path_does_not_read_still_parse(tmp_path):
     p = tmp_path / "edges.txt"
-    p.write_text("# café\n+2 +1 0\n1 0 2\n", encoding="utf-8")
+    p.write_text("# café\n+2 +1 0\n1 0 2\n", encoding="utf-8")
     assert parse_hyperedge_file(str(p)) == HypergraphLayer(
         3, (Hyperedge((0, 1), 2.0), Hyperedge((0, 2), 1.0))
     )
