@@ -648,7 +648,7 @@ class _Tokens:
 
     def table(self, width: int):
         """(fits, start, end): which data lines hold ``width`` tokens, and the
-        tokens as (line, field) arrays; a short line repeats its last token."""
+        tokens as (line, field) arrays; short lines repeat their last token."""
         counts = self.counts()
         fits = counts == width
         if fits.all():
@@ -774,9 +774,8 @@ def parse_hyperedge_file(path: str, num_nodes: Optional[int] = None) -> Hypergra
         raise ValueError(f"{path}: empty hyperedge file and no num_nodes given")
     ids = ids[_order_by(np.repeat(np.arange(sizes.size), sizes), ids, top)]
     try:
-        return HypergraphLayer.from_arrays(
-            top + 1 if num_nodes is None else num_nodes, ids, first - np.arange(first.size), weights
-        )
+        n = top + 1 if num_nodes is None else num_nodes
+        return HypergraphLayer.from_arrays(n, ids, first - np.arange(first.size), weights)
     except ValueError:  # a line's fault, or else the merged weights'
         tokens = _Tokens.read(path)
         tokens.check(path, _hyperedge_rules(tokens, num_nodes, *_hyperedge_fields(tokens)))

@@ -146,8 +146,8 @@ def community_aligned_pairs(labels, budget, noise_count, rng) -> list:
 
 
 # -- line-by-line file readers ----------------------------------------------
-# The per-line scans that the library's token pass replaced: each file format's
-# results and file:line messages are checked against them.
+# Per-line readers of the three data-file formats: the library's token pass is
+# checked against their results and their file:line messages.
 
 
 def data_lines(path: str):
