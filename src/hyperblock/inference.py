@@ -263,11 +263,11 @@ class EMEngine:
         m_override: Optional[int] = None,
     ):
         self.mh = mh
-        self.tables = tuple(tables) if tables is not None else tuple(
-            theta_table(layer) for layer in mh.layers
-        )
+        if tables is None:
+            tables = [theta_table(layer) for layer in mh.layers]
+        # each incidence holds its own copy of the table, so none is kept
         self.incidences = [
-            ThetaIncidence(layer, table) for layer, table in zip(mh.layers, self.tables)
+            ThetaIncidence(layer, table) for layer, table in zip(mh.layers, tables)
         ]
         if consts is not None:
             self.consts = tuple(consts)

@@ -258,8 +258,11 @@ class ThetaIncidence:
             )
         shape = (layer.num_nodes, layer.num_hyperedges)
         # the table is the incidence in column-major form
-        self.b = sparse.csc_matrix((table.values, table.nodes, table.offsets), shape=shape).tocsr()
-        self.b2 = self.b.multiply(self.b).tocsr()
+        self.b = b = sparse.csc_matrix(
+            (table.values, table.nodes, table.offsets), shape=shape
+        ).tocsr()
+        # every node of an edge contributes > 0, so b2 shares b's index arrays
+        self.b2 = sparse.csr_matrix((b.data * b.data, b.indices, b.indptr), shape=shape)
         # transposed views, built once; their products sum each edge's nodes
         # in ascending order
         self.bt, self.b2t = self.b.T, self.b2.T

@@ -1,10 +1,15 @@
 """Metrics and prediction protocols, checked against direct-computation oracles."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import hyperblock
 from hyperblock.core import HypergraphLayer, InterEdgeSet, MultiHypergraph, make_hyperedge
 from hyperblock.evaluation import (
     HyperedgePredictionReport,
@@ -189,6 +194,41 @@ def test_cosine_similarity_column_permutation_invariant():
     base = cosine_similarity(u, truth)
     for perm in ([1, 0, 2], [2, 1, 0], [1, 2, 0]):
         assert cosine_similarity(u[:, perm], truth) == pytest.approx(base, abs=1e-12)
+
+
+def test_scipy_optimize_loads_only_to_align_communities():
+    # a fresh interpreter runs the paper's three tasks without the assignment
+    # solver; the first cosine_similarity call loads it
+    u = np.random.default_rng(5).random((12, 3))
+    truth = [int(t) for t in np.random.default_rng(6).integers(0, 3, size=12)]
+    script = textwrap.dedent(f"""
+        import sys
+        import numpy as np
+        import hyperblock, hyperblock.cli
+        from hyperblock.evaluation import (
+            cosine_similarity, hyperedge_prediction_cv, inter_edge_prediction)
+        from hyperblock.inference import InferenceConfig, fit
+        from hyperblock.synth import planted_partition
+
+        mh = planted_partition(num_nodes=30, num_communities=2, num_layers=2, c_in=0.5,
+                               c_out=0.05, max_size=3, inter_edge_count=60, seed=0)
+        cfg = InferenceConfig(k_per_layer=(2, 2), restarts=1, max_iters=3)
+        fit(mh, cfg)
+        hyperedge_prediction_cv(mh, cfg, folds=2)
+        inter_edge_prediction(mh, cfg, repeats=1)
+        print("scipy.optimize" in sys.modules)
+        print(repr(cosine_similarity(np.array({u.tolist()!r}), {truth!r})))
+        print("scipy.optimize" in sys.modules)
+    """)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hyperblock.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, value, after = proc.stdout.split()
+    assert before == "False"
+    assert float(value) == cosine_similarity(u, truth)
+    assert after == "True"
 
 
 # -- AUC ---------------------------------------------------------------------

@@ -23,6 +23,7 @@ from hyperblock.inference import (
     fit,
     initialize,
 )
+from hyperblock.internal_degree import theta_table
 from hyperblock.likelihood import (
     DegenerateStateError,
     LatentState,
@@ -302,8 +303,8 @@ def test_uncoupled_layers_decouple():
     joint = EMEngine(mh)
     state = LatentState.stack([initialize(mh, cfg, restart_seed=9)])
     singles = [
-        EMEngine(MultiHypergraph((mh.layers[l],)), tables=(joint.tables[l],),
-                 consts=(joint.consts[l],))
+        EMEngine(MultiHypergraph((mh.layers[l],)),
+                 tables=(theta_table(mh.layers[l]),), consts=(joint.consts[l],))
         for l in range(2)
     ]
     parts = [LatentState((state.u[l],), (state.w[l],), {}) for l in range(2)]
