@@ -31,7 +31,6 @@ from .likelihood import (
     LayerConstants,
     RateCarry,
     lambda_e,
-    lambda_ij,
     layer_constants,
     mu,
     sample_negatives,
@@ -47,7 +46,6 @@ from .inference import (
     initialize,
 )
 from .evaluation import (
-    PartitionPair,
     auc,
     community_f1,
     cosine_similarity,
@@ -87,7 +85,6 @@ __all__ = [
     "RateCarry",
     "mu",
     "lambda_e",
-    "lambda_ij",
     "sample_negatives",
     "layer_constants",
     "InferenceConfig",
@@ -98,7 +95,6 @@ __all__ = [
     "NonFiniteUpdateError",
     "initialize",
     "fit",
-    "PartitionPair",
     "hard_labels",
     "nmi",
     "community_f1",

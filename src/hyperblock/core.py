@@ -416,6 +416,10 @@ class InterEdgeSet(_Frozen):
     are read-only and sorted by node pair, with no pair twice; absent pairs
     mean weight 0.  ``edges`` is a tuple of (i, j, weight) triples built on
     first access, for API callers and tests.  Sets compare by value.
+
+    The constructor takes (i, j, weight) triples already in that canonical
+    form and rejects any other; ``from_arrays`` takes flat arrays in any
+    order, merges duplicate pairs and drops pairs of total weight 0.
     """
 
     def __init__(self, layer_a: int, layer_b: int, edges: Iterable[tuple[int, int, float]] = ()):
@@ -447,19 +451,6 @@ class InterEdgeSet(_Frozen):
         s = cls.__new__(cls)
         s._init(layer_a, layer_b, rows, cols, weights)
         return s
-
-    @classmethod
-    def from_entries(
-        cls, layer_a: int, layer_b: int, entries: Iterable[tuple[int, int, float]]
-    ) -> "InterEdgeSet":
-        """Merge duplicate pairs by weight summation; drop zero-total pairs."""
-        entries = list(entries)
-        return cls.from_arrays(
-            layer_a, layer_b,
-            np.array([e[0] for e in entries], dtype=np.int64),
-            np.array([e[1] for e in entries], dtype=np.int64),
-            np.array([e[2] for e in entries], dtype=float),
-        )
 
     @classmethod
     def from_arrays(
@@ -506,9 +497,6 @@ class InterEdgeSet(_Frozen):
     @property
     def num_edges(self) -> int:
         return self.rows.size
-
-    def total_weight(self) -> float:
-        return float(sum(self.weights.tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, InterEdgeSet):

@@ -14,19 +14,18 @@ resident memory and about 0.25 s, which fits, CV and inter-edge runs skip.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import HypergraphLayer, MultiHypergraph, _draw_fresh
 from .inference import InferenceConfig, FitResult, fit
-from .internal_degree import SubHyperedgeCounter, _as_candidates
+from .internal_degree import SubHyperedgeCounter
 from .likelihood import _pair_sum, cross_rates, mu, sample_negatives
 # scores no candidate here; bench/measure.py traces it under this module
 from .likelihood import lambda_e  # noqa: F401
 
 __all__ = [
-    "PartitionPair",
     "hard_labels",
     "nmi",
     "community_f1",
@@ -41,64 +40,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PartitionPair:
-    """Aligned hard labelings of the same node set; label values are opaque."""
-
-    predicted: np.ndarray
-    truth: np.ndarray
-
-    def __post_init__(self):
-        pred = np.asarray(self.predicted)
-        tru = np.asarray(self.truth)
-        if pred.ndim != 1 or tru.ndim != 1 or pred.shape != tru.shape:
-            raise ValueError("predicted and truth must be equal-length label vectors")
-        if pred.size == 0:
-            raise ValueError("empty partition")
-        object.__setattr__(self, "predicted", pred)
-        object.__setattr__(self, "truth", tru)
-
-    @classmethod
-    def from_mappings(cls, predicted: Mapping, truth: Mapping) -> "PartitionPair":
-        if set(predicted) != set(truth):
-            raise ValueError("predicted and truth cover different node sets")
-        nodes = sorted(truth)
-        return cls(
-            np.asarray([predicted[v] for v in nodes]),
-            np.asarray([truth[v] for v in nodes]),
-        )
-
-
 def hard_labels(u: np.ndarray) -> np.ndarray:
     """Community per node by row argmax; ties go to the lowest index."""
     return np.argmax(np.asarray(u, dtype=float), axis=1)
 
 
-def _as_pair(pp, truth=None) -> PartitionPair:
-    if truth is not None:
-        return PartitionPair(np.asarray(pp), np.asarray(truth))
-    if isinstance(pp, PartitionPair):
-        return pp
-    raise TypeError("expected a PartitionPair or (predicted, truth) label vectors")
-
-
-def _contingency(pp: PartitionPair):
-    """Truth-by-predicted count matrix."""
-    _, ti = np.unique(pp.truth, return_inverse=True)
-    _, pi = np.unique(pp.predicted, return_inverse=True)
+def _contingency(predicted, truth) -> np.ndarray:
+    """Truth-by-predicted count matrix of two aligned hard labelings of the
+    same node set; label values are opaque.  Raises ValueError unless both
+    are 1-D and of one non-zero length."""
+    pred, tru = np.asarray(predicted), np.asarray(truth)
+    if pred.ndim != 1 or tru.ndim != 1 or pred.shape != tru.shape:
+        raise ValueError("predicted and truth must be equal-length label vectors")
+    if pred.size == 0:
+        raise ValueError("empty partition")
+    _, ti = np.unique(tru, return_inverse=True)
+    _, pi = np.unique(pred, return_inverse=True)
     nt, npred = ti.max() + 1, pi.max() + 1
     counts = np.zeros((nt, npred), dtype=np.int64)
     np.add.at(counts, (ti, pi), 1)
     return counts
 
 
-def nmi(pp, truth=None) -> float:
-    """Mutual information normalized by the arithmetic mean of entropies.
+def nmi(predicted, truth) -> float:
+    """Mutual information of two aligned label vectors, normalized by the
+    arithmetic mean of their entropies.
 
     Returns 1.0 for two identical trivial (single-cluster) partitions.
     """
-    pair = _as_pair(pp, truth)
-    counts = _contingency(pair)
+    counts = _contingency(predicted, truth)
     n = counts.sum()
     pxy = counts / n
     px = pxy.sum(axis=1)
@@ -112,16 +82,16 @@ def nmi(pp, truth=None) -> float:
     return float(np.clip(2.0 * mi / (hx + hy), 0.0, 1.0))
 
 
-def community_f1(pp, truth=None) -> float:
-    """Size-weighted best-match set F1, averaged over both match directions.
+def community_f1(predicted, truth) -> float:
+    """Size-weighted best-match set F1 of two aligned label vectors,
+    averaged over both match directions.
 
     Each truth community is matched to the predicted community maximizing
     2|A∩B| / (|A|+|B|); the scores are averaged weighted by community size.
     The same is done with roles swapped and the two directions averaged,
     making the metric symmetric in its arguments.
     """
-    pair = _as_pair(pp, truth)
-    counts = _contingency(pair)
+    counts = _contingency(predicted, truth)
     n = counts.sum()
     row_sizes = counts.sum(axis=1)
     col_sizes = counts.sum(axis=0)
@@ -178,30 +148,26 @@ def auc(pos_scores, neg_scores) -> float:
     return (2 * wins + ties) / (2 * pos.size * neg.size)
 
 
-def score_hyperedge(candidates, counter, u: np.ndarray, w: np.ndarray):
+def score_hyperedge(candidates: HypergraphLayer, counter: SubHyperedgeCounter,
+                    u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Poisson rates of candidate hyperedges under a fitted layer state,
-    divided by their pair counts ``mu``.
+    divided by their pair counts ``mu``: one value per row of the
+    ``HypergraphLayer`` of candidates.
 
-    ``candidates`` is a ``HypergraphLayer`` of candidate node sets, scored
-    one value per row, or one candidate (node ids or a ``Hyperedge``),
-    scored as a batch of one and returned as a float.  Node contributions
-    come from the containment counts of the given counter's layer (the
-    training data, or a ``HypergraphLayer`` to count against), uniform
-    where a candidate contains no observed sub-hyperedge.  Each size's
-    rates are one ``_pair_sum`` over that size's rows.
+    Node contributions come from the containment counts of the counter's
+    layer (the training data), uniform where a candidate contains no
+    observed sub-hyperedge.  Each size's rates are one ``_pair_sum`` over
+    that size's rows.
     """
-    if isinstance(counter, HypergraphLayer):
-        counter = SubHyperedgeCounter(counter)
-    batch = _as_candidates(candidates, counter.layer.num_nodes)
-    table = counter.theta(batch)
-    x = table.values[:, None] * u[batch.nodes]
-    starts, sizes = batch.offsets[:-1], np.diff(batch.offsets)
+    table = counter.theta(candidates)
+    x = table.values[:, None] * u[candidates.nodes]
+    starts, sizes = candidates.offsets[:-1], np.diff(candidates.offsets)
     scores = np.empty(sizes.size)
     for size in np.unique(sizes).tolist():
         rows = np.flatnonzero(sizes == size)
         block = x[(starts[rows, None] + np.arange(size)).ravel()].reshape(rows.size, size, -1)
         scores[rows] = _pair_sum(block, w) / mu(size)
-    return scores if batch is candidates else float(scores[0])
+    return scores
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .likelihood import (
     LayerConstants,
     RateCarry,
     ThetaIncidence,
+    _column_sums,
     _failing_restarts,
     _per_restart_product,
     layer_constants,
@@ -357,7 +358,7 @@ class EMEngine:
         second = _per_restart_product(inc.b2, mult, 1)[..., None] * u
         num = u * ((first - second) @ w)
 
-        col_sums = u.sum(axis=-2)
+        col_sums = _column_sums(u)
         den = self.consts[l].c_l * ((col_sums[:, None, :] @ w) - u @ w)
 
         for idx, transposed in self._touching[l]:
@@ -371,11 +372,11 @@ class EMEngine:
             if not transposed:
                 other = state.u[s.layer_b]
                 num += u * _block_product(ratio, other @ np.swapaxes(w_c, -1, -2))
-                den = den + (w_c @ other.sum(axis=-2)[:, :, None])[:, None, :, 0]
+                den = den + (w_c @ _column_sums(other)[:, :, None])[:, None, :, 0]
             else:
                 other = state.u[s.layer_a]
                 num += u * _block_product(ratio, other @ w_c)
-                den = den + other.sum(axis=-2)[:, None, :] @ w_c
+                den = den + _column_sums(other)[:, None, :] @ w_c
         return _guarded_ratio(num, den, f"u update of layer {l}")
 
     def updated_w(
@@ -404,7 +405,7 @@ class EMEngine:
         w = state.w_cross[pair]
         ratio = self._stacked_matrix(("cross", idx), self._cross_ratios(state, idx, RateCarry()))
         num = w * (np.swapaxes(ua, -1, -2) @ _block_product(ratio, ub))
-        den = ua.sum(axis=-2)[:, :, None] * ub.sum(axis=-2)[:, None, :]
+        den = _column_sums(ua)[:, :, None] * _column_sums(ub)[:, None, :]
         return _guarded_ratio(num, den, f"cross update of pair {pair}")
 
     # -- sweeps and objective ------------------------------------------------
@@ -471,7 +472,8 @@ class EMEngine:
         for idx, s in enumerate(self.mh.inter_edges):
             ua, ub = state.u[s.layer_a], state.u[s.layer_b]
             w_cross = state.w_cross[(s.layer_a, s.layer_b)]
-            total -= (ua.sum(axis=-2)[:, None, :] @ w_cross @ ub.sum(axis=-2)[:, :, None])[:, 0, 0]
+            sa, sb = _column_sums(ua), _column_sums(ub)
+            total -= (sa[:, None, :] @ w_cross @ sb[:, :, None])[:, 0, 0]
             rates = carry.cross_rates(idx, ua, ub, w_cross, s.rows, s.cols)
             zero = rates <= 0
             if zero.any():

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .core import Hyperedge, HypergraphLayer, make_hyperedge
+from .core import HypergraphLayer
 
 __all__ = [
     "SubHyperedgeCounter",
@@ -58,30 +58,15 @@ def _incidence(layer: HypergraphLayer) -> sparse.csr_matrix:
     )
 
 
-def _as_candidates(candidates, num_nodes: int) -> HypergraphLayer:
-    """A layer of candidate node sets over ``num_nodes`` nodes as it is, or
-    one candidate (node ids in any order, or a ``Hyperedge``) as a layer of
-    one.  Raises ValueError on repeated ids, ids outside [0, num_nodes) and
-    a layer over another number of nodes."""
-    if isinstance(candidates, HypergraphLayer):
-        if candidates.num_nodes != num_nodes:
-            raise ValueError(
-                f"candidates cover {candidates.num_nodes} nodes, the layer {num_nodes}"
-            )
-        return candidates
-    e = candidates if isinstance(candidates, Hyperedge) else make_hyperedge(candidates)
-    nodes = np.array(e.nodes, dtype=np.int64)
-    return HypergraphLayer.from_arrays(num_nodes, nodes, np.array([0, nodes.size]), np.ones(1))
-
-
 class SubHyperedgeCounter:
     """Containment queries against one training layer.
 
     A node's containment count in a query node set q is the number of
     training hyperedges that hold the node and are subsets of q.  The counter
-    holds the layer's binary edge-by-node incidence B; a batch of queries
-    (a ``HypergraphLayer`` of candidates) is answered by one blocked sparse
-    pass, ``_containment_counts``, and a single query is a batch of one.
+    holds the layer's binary edge-by-node incidence B; queries come as a
+    ``HypergraphLayer`` of candidates over the same nodes and are answered
+    by one blocked sparse pass, ``_containment_counts``.  To query one node
+    set, pass a layer of one row.
     """
 
     def __init__(self, layer: HypergraphLayer):
@@ -90,32 +75,33 @@ class SubHyperedgeCounter:
         self._members_t = self.members.T.tocsr()
         self._sizes = np.diff(layer.offsets)
 
-    def counts(self, candidates):
-        """Containment count of every node of every candidate (0 allowed):
-        an array aligned with ``candidates.nodes`` for a layer of
-        candidates, a dict keyed by node for one candidate."""
-        batch = _as_candidates(candidates, self.layer.num_nodes)
-        queries = self.members if batch is self.layer else _incidence(batch)
-        counts = _containment_counts(queries, self.members, self._members_t, self._sizes)
-        if batch is candidates:
-            return counts
-        return dict(zip(batch.nodes.tolist(), counts.tolist()))
+    def counts(self, candidates: HypergraphLayer) -> np.ndarray:
+        """Containment count of every node of every candidate (0 allowed),
+        aligned with ``candidates.nodes``.  Raises TypeError on anything but
+        a ``HypergraphLayer`` and ValueError on a layer over another number
+        of nodes."""
+        if not isinstance(candidates, HypergraphLayer):
+            raise TypeError(
+                f"candidates must be a HypergraphLayer, got {type(candidates).__name__}"
+            )
+        n = self.layer.num_nodes
+        if candidates.num_nodes != n:
+            raise ValueError(f"candidates cover {candidates.num_nodes} nodes, the layer {n}")
+        queries = self.members if candidates is self.layer else _incidence(candidates)
+        return _containment_counts(queries, self.members, self._members_t, self._sizes)
 
-    def theta(self, candidates):
+    def theta(self, candidates: HypergraphLayer) -> InternalDegreeTable:
         """Contributions summing to |e| per candidate, uniform 1 where its
-        counts are all 0: an ``InternalDegreeTable`` over the rows of a layer
-        of candidates, a dict keyed by node for one candidate."""
-        batch = _as_candidates(candidates, self.layer.num_nodes)
-        offsets = batch.offsets
+        counts are all 0, as an ``InternalDegreeTable`` over the candidates'
+        rows."""
+        counts = self.counts(candidates)
+        offsets = candidates.offsets
         sizes = np.diff(offsets)
-        counts = self.counts(batch)
         totals = np.add.reduceat(counts, offsets[:-1])
         values = counts * np.repeat(sizes / np.maximum(totals, 1), sizes)
         values[np.repeat(totals == 0, sizes)] = 1.0
-        if batch is not candidates:
-            return dict(zip(batch.nodes.tolist(), values.tolist()))
         values.flags.writeable = False
-        return InternalDegreeTable(batch.nodes, offsets, values)
+        return InternalDegreeTable(candidates.nodes, offsets, values)
 
 
 def _containment_counts(queries: sparse.csr_matrix, members: sparse.csr_matrix,

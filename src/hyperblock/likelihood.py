@@ -32,7 +32,6 @@ __all__ = [
     "ThetaIncidence",
     "mu",
     "lambda_e",
-    "lambda_ij",
     "sample_negatives",
     "layer_constants",
     "cross_rates",
@@ -162,17 +161,6 @@ def lambda_e(e: Union[Hyperedge, Sequence[int]], theta, u: np.ndarray, w: np.nda
     return float(_pair_sum(x, w))
 
 
-def lambda_ij(u_i: np.ndarray, u_j: np.ndarray, w_cross: np.ndarray) -> float:
-    """Inter-layer edge rate u_i w_cross u_j."""
-    u_i = np.asarray(u_i, dtype=float)
-    u_j = np.asarray(u_j, dtype=float)
-    if w_cross.shape != (u_i.shape[0], u_j.shape[0]):
-        raise ValueError(
-            f"w_cross has shape {w_cross.shape}, expected {(u_i.shape[0], u_j.shape[0])}"
-        )
-    return float(u_i @ w_cross @ u_j)
-
-
 def sample_negatives(
     layer: HypergraphLayer,
     seed: int,
@@ -238,6 +226,20 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_k a[..., k] * b[..., k] as one multiply-reduce; about 3x faster
     than ``(a * b).sum(axis=-1)`` over a short last axis."""
     return np.einsum("...k,...k->...", a, b)
+
+
+def _column_sums(u: np.ndarray) -> np.ndarray:
+    """``u.sum(axis=-2)`` with the same bytes.
+
+    The reduction runs numpy's inner loop over the short last axis, once per
+    row; ``einsum`` adds whole rows in the same order at a fraction of the
+    cost.  It matches bit for bit only when that axis is contiguous and has
+    two or more entries; otherwise ``einsum`` sums the rows pairwise, so
+    ``sum`` is kept.
+    """
+    if u.flags.c_contiguous and u.shape[-1] >= 2:
+        return np.einsum("...nk->...k", u)
+    return u.sum(axis=-2)
 
 
 class ThetaIncidence:
@@ -342,7 +344,7 @@ def cross_rates(
 def pairwise_outer(u: np.ndarray) -> np.ndarray:
     """Symmetrized sum of u_i (x) u_j over all unordered node pairs (per
     restart when u has a leading restart axis)."""
-    s = u.sum(axis=-2)
+    s = _column_sums(u)
     return 0.5 * (s[..., :, None] * s[..., None, :] - np.swapaxes(u, -1, -2) @ u)
 
 

@@ -6,21 +6,42 @@ from typing import Optional
 
 import numpy as np
 
-from hyperblock.core import _MAX_ID, HypergraphLayer, make_hyperedge
+from hyperblock.core import _MAX_ID, Hyperedge, HypergraphLayer, make_hyperedge
 from hyperblock.internal_degree import SubHyperedgeCounter
 from hyperblock.likelihood import lambda_e, mu
 
 
+def _layer_of_one(layer, e) -> HypergraphLayer:
+    """One candidate (node ids in any order, or a ``Hyperedge``) as a layer
+    of one row over the nodes of ``layer``."""
+    e = e if isinstance(e, Hyperedge) else make_hyperedge(e)
+    nodes = np.array(e.nodes, dtype=np.int64)
+    return HypergraphLayer.from_arrays(layer.num_nodes, nodes, [0, nodes.size], [1.0])
+
+
 def count_sub_hyperedges(layer, e) -> dict:
-    """Containment count of every node of one candidate, keyed by node: a
-    batch of one through the library's counter."""
-    return SubHyperedgeCounter(layer).counts(e)
+    """Containment count of every node of one candidate, keyed by node,
+    through the library's counter."""
+    batch = _layer_of_one(layer, e)
+    return dict(zip(batch.nodes.tolist(), SubHyperedgeCounter(layer).counts(batch).tolist()))
 
 
 def compute_theta(layer, e) -> dict:
-    """Contributions of every node of one candidate, keyed by node: a batch
-    of one through the library's counter."""
-    return SubHyperedgeCounter(layer).theta(e)
+    """Contributions of every node of one candidate, keyed by node, through
+    the library's counter."""
+    table = SubHyperedgeCounter(layer).theta(_layer_of_one(layer, e))
+    return dict(zip(table.nodes.tolist(), table.values.tolist()))
+
+
+def lambda_ij(u_i: np.ndarray, u_j: np.ndarray, w_cross: np.ndarray) -> float:
+    """Inter-layer edge rate u_i w_cross u_j of one node pair."""
+    u_i = np.asarray(u_i, dtype=float)
+    u_j = np.asarray(u_j, dtype=float)
+    if w_cross.shape != (u_i.shape[0], u_j.shape[0]):
+        raise ValueError(
+            f"w_cross has shape {w_cross.shape}, expected {(u_i.shape[0], u_j.shape[0])}"
+        )
+    return float(u_i @ w_cross @ u_j)
 
 
 class IndexCounter:

@@ -34,8 +34,8 @@ def test_measure_hooks_install_and_restore(monkeypatch):
         measure.install(tracer, [], [])
         measure.install_setup(tracer)
         # the scoring counter is wrapped per instance, on construction
-        theta = evaluation.SubHyperedgeCounter(layer).theta((0, 1))
-    assert theta == {0: 1.0, 1: 1.0}
+        theta = evaluation.SubHyperedgeCounter(layer).theta(layer)
+    assert theta.values.tolist() == [1.0, 1.0]
     assert [span[0] for span in tracer.take()] == ["internal_degree.counter_theta"]
     after = attributes()
     assert after.keys() == before.keys()

@@ -81,7 +81,7 @@ def test_from_hyperedges_merges_duplicates():
 def test_inter_edge_set_validation():
     s = InterEdgeSet(0, 1, ((0, 0, 1.0), (0, 1, 2.0)))
     assert s.num_edges == 2
-    assert s.total_weight() == 3.0
+    assert s.weights.tolist() == [1.0, 2.0]
     with pytest.raises(ValueError):
         InterEdgeSet(1, 0, ())
     with pytest.raises(ValueError):
@@ -90,8 +90,8 @@ def test_inter_edge_set_validation():
         InterEdgeSet(0, 1, ((0, 0, 0.0),))
 
 
-def test_inter_edge_from_entries_merges_and_drops_zeros():
-    s = InterEdgeSet.from_entries(0, 2, [(1, 1, 0.5), (1, 1, 0.5), (0, 0, 0.0)])
+def test_inter_edge_from_arrays_merges_and_drops_zeros():
+    s = InterEdgeSet.from_arrays(0, 2, [1, 1, 0], [1, 1, 0], [0.5, 0.5, 0.0])
     assert s.edges == ((1, 1, 1.0),)
 
 

@@ -13,7 +13,6 @@ import hyperblock
 from hyperblock.core import HypergraphLayer, InterEdgeSet, MultiHypergraph, make_hyperedge
 from hyperblock.evaluation import (
     HyperedgePredictionReport,
-    PartitionPair,
     auc,
     community_f1,
     cosine_similarity,
@@ -90,17 +89,16 @@ def test_hard_labels_ties_go_low():
     assert hard_labels(u).tolist() == [1, 0, 0]
 
 
-def test_partition_pair_validation():
-    with pytest.raises(ValueError):
-        PartitionPair(np.array([0, 1]), np.array([0, 1, 2]))
-    with pytest.raises(ValueError):
-        PartitionPair(np.array([]), np.array([]))
-    with pytest.raises(ValueError, match="different node sets"):
-        PartitionPair.from_mappings({0: 1, 1: 0}, {0: 1, 2: 0})
-    pp = PartitionPair.from_mappings({3: 1, 1: 0}, {1: 0, 3: 1})
-    assert pp.predicted.tolist() == [0, 1]
-    with pytest.raises(TypeError):
-        nmi([0, 1])
+def test_label_vector_validation():
+    for metric in (nmi, community_f1):
+        with pytest.raises(ValueError, match="equal-length"):
+            metric(np.array([0, 1]), np.array([0, 1, 2]))
+        with pytest.raises(ValueError, match="equal-length"):
+            metric(np.array([[0, 1]]), np.array([[0, 1]]))
+        with pytest.raises(ValueError, match="empty"):
+            metric(np.array([]), np.array([]))
+        with pytest.raises(TypeError):
+            metric([0, 1])
 
 
 # -- NMI ---------------------------------------------------------------------
@@ -273,27 +271,23 @@ def test_auc_monotone_transform_invariant():
 
 def test_score_hyperedge_values():
     layer = HypergraphLayer(3, (make_hyperedge([0, 1, 2]),))
+    counter = SubHyperedgeCounter(layer)
     u = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     w = np.array([[1.0, 2.0], [2.0, 3.0]])
+
+    def score(nodes, w=w):
+        batch = HypergraphLayer.from_arrays(3, nodes, [0, len(nodes)], [1.0])
+        (value,) = score_hyperedge(batch, counter, u, w).tolist()
+        return value
+
     # the candidate's only sub-hyperedge is itself, so contributions are 1
-    assert score_hyperedge([0, 1, 2], layer, u, w) == pytest.approx(10.0 / 3.0, abs=1e-12)
-    assert score_hyperedge([2, 0, 1], layer, u, w) == pytest.approx(10.0 / 3.0, abs=1e-12)
-    counter = SubHyperedgeCounter(layer)
-    assert score_hyperedge([0, 1, 2], counter, u, w) == pytest.approx(10.0 / 3.0, abs=1e-12)
+    assert score([0, 1, 2]) == pytest.approx(10.0 / 3.0, abs=1e-12)
     # candidates without observed sub-hyperedges fall back to uniform contributions
-    assert score_hyperedge([0, 1], layer, u, w) == pytest.approx(2.0, abs=1e-12)
-    assert score_hyperedge([0, 1], layer, u, np.zeros((2, 2))) == 0.0
-    assert score_hyperedge(make_hyperedge([0, 1, 2]), layer, u, w) == pytest.approx(10.0 / 3.0)
-    # repeated ids and ids outside the layer's nodes are rejected, not wrapped
-    for nodes, message in [([-1, 0], "out of range"), ([0, 0, 1], "duplicate"),
-                           ([0, 3], "out of range")]:
-        with pytest.raises(ValueError, match=message):
-            score_hyperedge(nodes, layer, u, w)
+    assert score([0, 1]) == pytest.approx(2.0, abs=1e-12)
+    assert score([0, 1], np.zeros((2, 2))) == 0.0
     # a layer of candidates scores one value per row, as each row alone
     batch = HypergraphLayer.from_hyperedges(3, [make_hyperedge([0, 1, 2]), make_hyperedge([0, 1])])
-    assert score_hyperedge(batch, counter, u, w).tolist() == [
-        score_hyperedge([0, 1], counter, u, w), score_hyperedge([0, 1, 2], counter, u, w)
-    ]
+    assert score_hyperedge(batch, counter, u, w).tolist() == [score([0, 1]), score([0, 1, 2])]
 
 
 # -- hyperedge prediction CV -------------------------------------------------

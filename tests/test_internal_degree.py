@@ -77,13 +77,16 @@ def test_counts_match_bruteforce_on_random_layers():
     for _ in range(30):
         layer = random_layer(rng, int(rng.integers(5, 13)), int(rng.integers(3, 30)))
         counter = SubHyperedgeCounter(layer)
-        for e in layer.hyperedges:
-            assert counter.counts(e.nodes) == brute_force_counts(layer, e.nodes)
-        # candidate sets too
+        fresh = []
         for _ in range(5):
             size = int(rng.integers(2, min(5, layer.num_nodes) + 1))
-            nodes = tuple(sorted(rng.choice(layer.num_nodes, size=size, replace=False).tolist()))
-            assert counter.counts(nodes) == brute_force_counts(layer, nodes)
+            fresh.append(make_hyperedge(rng.choice(layer.num_nodes, size=size, replace=False)))
+        # the layer's own edges, then candidate sets too
+        for batch in (layer, HypergraphLayer.from_hyperedges(layer.num_nodes, fresh)):
+            counts = counter.counts(batch).tolist()
+            for eid, nodes in enumerate(batch.node_tuples()):
+                got = counts[batch.offsets[eid]:batch.offsets[eid + 1]]
+                assert dict(zip(nodes, got)) == brute_force_counts(layer, nodes)
 
 
 def test_theta_sums_to_size():
@@ -126,13 +129,15 @@ def test_theta_table_matches_counter(layer):
 def test_counter_rejects_invalid_candidates():
     layer = HypergraphLayer(3, (make_hyperedge([0, 1, 2]),))
     counter = SubHyperedgeCounter(layer)
-    for nodes, message in [((0, 0, 1), "duplicate"), ((-1, 0), "out of range"),
-                           ((0, 3), "out of range"), ((1,), "at least 2")]:
-        for query in (counter.theta, counter.counts):
-            with pytest.raises(ValueError, match=message):
-                query(nodes)
-    with pytest.raises(ValueError, match="4 nodes"):
-        counter.theta(HypergraphLayer(4, (make_hyperedge([0, 1]),)))
+    u, w = np.ones((3, 1)), np.ones((1, 1))
+    queries = (counter.counts, counter.theta, lambda c: score_hyperedge(c, counter, u, w))
+    # candidates come as a layer only: one node set is a layer of one row
+    for query in queries:
+        for single in ((0, 1), [0, 1], make_hyperedge([0, 1])):
+            with pytest.raises(TypeError, match="HypergraphLayer"):
+                query(single)
+        with pytest.raises(ValueError, match="4 nodes"):
+            query(HypergraphLayer(4, (make_hyperedge([0, 1]),)))
 
 
 @st.composite
@@ -183,12 +188,10 @@ def test_batch_theta_and_scores_match_the_oracle(case):
         assert counter.counts(candidates).tolist() == counts
         table = counter.theta(candidates)
         got = score_hyperedge(candidates, counter, u, w)
-        single = [score_hyperedge(nodes, counter, u, w) for nodes in rows[:3]]
     assert np.array_equal(table.nodes, candidates.nodes)
     assert np.array_equal(table.offsets, candidates.offsets)
     assert table.values.tobytes() == theta.tobytes()
     assert got.tobytes() == scores.tobytes()
-    assert single == scores[:3].tolist()
 
 
 def test_theta_table_empty_layer():

@@ -8,6 +8,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hyperblock.core import (
     HypergraphLayer, InterEdgeSet, MultiHypergraph, _draw_fresh, make_hyperedge,
@@ -18,10 +19,10 @@ from hyperblock.likelihood import (
     DegenerateStateError,
     LatentState,
     ThetaIncidence,
+    _column_sums,
     _pair_sum,
     cross_rates,
     lambda_e,
-    lambda_ij,
     layer_constants,
     mu,
     pairwise_interaction_sum,
@@ -29,7 +30,7 @@ from hyperblock.likelihood import (
     sample_negatives,
 )
 from hyperblock.synth import _poisson_layer
-from oracles import compute_theta
+from oracles import compute_theta, lambda_ij
 
 
 def naive_lambda_e(nodes, theta, u, w):
@@ -424,6 +425,18 @@ def test_pairwise_outer_identity():
             direct += 0.5 * (np.outer(u[i], u[j]) + np.outer(u[j], u[i]))
     assert np.allclose(pairwise_outer(u), direct, atol=1e-12)
     assert pairwise_interaction_sum(u, w) == pytest.approx(naive_pairwise_sum(u, w), rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hnp.arrays(float, st.tuples(*[st.integers(1, 16)] * 3), elements=st.floats(1e-3, 1e3)),
+    st.sampled_from(["C", "F"]),
+)
+def test_column_sums_match_sum(u, order):
+    # the same bytes as the reduction they replace in the sweep, for every
+    # layout: einsum where it adds rows in order, sum where it would not
+    u = np.asarray(u, order=order)
+    assert _column_sums(u).tobytes() == u.sum(axis=-2).tobytes()
 
 
 def scalar_objective(mh, state, consts):
