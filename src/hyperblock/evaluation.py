@@ -267,32 +267,24 @@ def hyperedge_prediction_cv(
             fold_candidates.append((positives, negatives))
         candidates.append(fold_candidates)
 
-    fold_scores = []
+    num_layers = mh.num_layers
+    fold_auc = [[float("nan")] * folds for _ in range(num_layers)]
+    size_auc = {d: [[float("nan")] * folds for _ in range(num_layers)] for d in size_grid}
     for f in range(folds):
         train = MultiHypergraph(
             tuple(layer.subset(assignments[l] != f) for l, layer in enumerate(mh.layers)),
             mh.inter_edges,
         )
         result = fit(train, replace(cfg, seed=cfg.seed + f))
-        layer_scores = []
         for l, layer in enumerate(train.layers):
-            positives, negatives = candidates[f][l]
             counter = SubHyperedgeCounter(layer)
             u, w = result.state.u[l], result.state.w[l]
             # the AUC reads the scores of each size as a multiset, so the
             # candidates' row order does not matter
-            layer_scores.append(tuple(
+            (pos_sizes, pos), (neg_sizes, neg) = (
                 (np.diff(c.offsets), score_hyperedge(c, counter, u, w))
-                for c in (positives, negatives)
-            ))
-        fold_scores.append(layer_scores)
-
-    num_layers = mh.num_layers
-    fold_auc = [[float("nan")] * folds for _ in range(num_layers)]
-    size_auc = {d: [[float("nan")] * folds for _ in range(num_layers)] for d in size_grid}
-    for f in range(folds):
-        for l in range(num_layers):
-            (pos_sizes, pos), (neg_sizes, neg) = fold_scores[f][l]
+                for c in candidates[f][l]
+            )
             if pos.size and neg.size:
                 fold_auc[l][f] = auc(pos, neg)
             for d in size_grid:

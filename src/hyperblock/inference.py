@@ -16,9 +16,7 @@ from __future__ import annotations
 import copy
 import logging
 import os
-import queue
-import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -26,7 +24,7 @@ import numpy as np
 from scipy import sparse
 
 from .core import MultiHypergraph
-from .internal_degree import InternalDegreeTable, theta_table
+from .internal_degree import theta_table
 from .likelihood import (
     DegenerateStateError,
     LatentState,
@@ -247,29 +245,26 @@ class EMEngine:
     Precomputes, once and from the data alone, the per-layer
     contribution-weighted incidences, the closed-form penalty constants and
     the sparsity structure of every cross-ratio matrix; all restarts share
-    them.  Update methods and the objective are pure functions of the
-    passed-in state, a stack of R restarts (see ``LatentState``; one
-    restart is a stack of one): a stack advances as a whole, with each
-    sparse product run once for all restarts, and every restart gets bit
-    for bit the values it would get alone.  Products whose values differ
-    per restart use R diagonal copies of the frozen pattern, built once
-    per R.
+    them; ``consts``, one per layer, replaces the penalty constants.  Update
+    methods and the objective are pure functions of the passed-in state, a
+    stack of R restarts (see ``LatentState``; one restart is a stack of
+    one): a stack advances as a whole, with each sparse product run once
+    for all restarts, and every restart gets bit for bit the values it
+    would get alone.  Products whose values differ per restart use R
+    diagonal copies of the frozen pattern, built once per R.  They read
+    the rates of observed interactions from a ``RateCarry``, which computes
+    each rate array once and checks that every rate is positive.
     """
 
     def __init__(
         self,
         mh: MultiHypergraph,
-        tables: Optional[Sequence[InternalDegreeTable]] = None,
         consts: Optional[Sequence[LayerConstants]] = None,
         m_override: Optional[int] = None,
     ):
         self.mh = mh
-        if tables is None:
-            tables = [theta_table(layer) for layer in mh.layers]
         # each incidence holds its own copy of the table, so none is kept
-        self.incidences = [
-            ThetaIncidence(layer, table) for layer, table in zip(mh.layers, tables)
-        ]
+        self.incidences = [ThetaIncidence(layer, theta_table(layer)) for layer in mh.layers]
         if consts is not None:
             self.consts = tuple(consts)
         else:
@@ -303,39 +298,6 @@ class EMEngine:
             views = self._patterns[(key, copies)] = (pattern, pattern.T)
         return _with_data(views[transposed], data.ravel())
 
-    # -- rate evaluation -----------------------------------------------------
-
-    def _edge_multipliers(self, state: LatentState, l: int, carry: RateCarry):
-        """(A_e / rate_e, per-edge membership sums) for the layer's hyperedges."""
-        inc = self.incidences[l]
-        s = carry.edge_sums(inc, l, state.u[l])
-        rates = carry.edge_rates(inc, l, state.u[l], state.w[l])
-        zero = rates <= 0
-        if zero.any():
-            raise DegenerateStateError(
-                f"zero rate on observed hyperedge in layer {l}", _failing_restarts(zero)
-            )
-        return inc.weights / rates, s
-
-    def _cross_ratios(self, state: LatentState, idx: int, carry: RateCarry) -> np.ndarray:
-        """S_ij / rate_ij over the stored inter-edges of one pair, shape (R, nnz):
-        the data of the cross-ratio matrix, kept in ``carry.ratios``."""
-        if idx in carry.ratios:
-            return carry.ratios[idx]
-        s = self.mh.inter_edges[idx]
-        ua, ub = state.u[s.layer_a], state.u[s.layer_b]
-        rates = carry.cross_rates(
-            idx, ua, ub, state.w_cross[(s.layer_a, s.layer_b)], s.rows, s.cols
-        )
-        zero = rates <= 0
-        if zero.any():
-            raise DegenerateStateError(
-                f"zero rate on observed inter-edge of pair ({s.layer_a}, {s.layer_b})",
-                _failing_restarts(zero),
-            )
-        carry.ratios[idx] = s.weights / rates
-        return carry.ratios[idx]
-
     # -- update rules --------------------------------------------------------
 
     def updated_u(
@@ -348,8 +310,9 @@ class EMEngine:
         """
         carry = RateCarry() if carry is None else carry
         u, w = state.u[l], state.w[l]
-        mult, edge_sums = self._edge_multipliers(state, l, carry)
         inc = self.incidences[l]
+        edge_sums = carry.edge_sums(inc, l, u)
+        mult = inc.weights / carry.edge_rates(inc, l, u, w)
 
         weighted = self._stacked_matrix(
             ("b", l), inc.b.data * np.take(mult, inc.b.indices, axis=1)
@@ -366,7 +329,7 @@ class EMEngine:
             # the second layer reads the CSC view of the same matrix: each
             # output row sums its entries in ascending row order of the ratio
             ratio = self._stacked_matrix(
-                ("cross", idx), self._cross_ratios(state, idx, carry), transposed
+                ("cross", idx), carry.cross_ratios(idx, s, state), transposed
             )
             w_c = state.w_cross[(s.layer_a, s.layer_b)]
             if not transposed:
@@ -385,8 +348,9 @@ class EMEngine:
         """Affinity update of layer l; ``carry`` as for ``updated_u``."""
         carry = RateCarry() if carry is None else carry
         u, w = state.u[l], state.w[l]
-        mult, edge_sums = self._edge_multipliers(state, l, carry)
         inc = self.incidences[l]
+        edge_sums = carry.edge_sums(inc, l, u)
+        mult = inc.weights / carry.edge_rates(inc, l, u, w)
 
         first = np.swapaxes(edge_sums, -1, -2) @ (edge_sums * mult[..., None])
         per_node = _per_restart_product(inc.b2, mult, 1)
@@ -403,7 +367,7 @@ class EMEngine:
         s = self.mh.inter_edges[idx]
         ua, ub = state.u[s.layer_a], state.u[s.layer_b]
         w = state.w_cross[pair]
-        ratio = self._stacked_matrix(("cross", idx), self._cross_ratios(state, idx, RateCarry()))
+        ratio = self._stacked_matrix(("cross", idx), RateCarry().cross_ratios(idx, s, state))
         num = w * (np.swapaxes(ua, -1, -2) @ _block_product(ratio, ub))
         den = _column_sums(ua)[:, :, None] * _column_sums(ub)[:, None, :]
         return _guarded_ratio(num, den, f"cross update of pair {pair}")
@@ -426,8 +390,8 @@ class EMEngine:
         """
         known = RateCarry() if carry is None else carry
         # every u update reads these: a zero cross rate fails the sweep first
-        for idx in range(len(self.mh.inter_edges)):
-            self._cross_ratios(state, idx, known)
+        for idx, s in enumerate(self.mh.inter_edges):
+            known.cross_ratios(idx, s, state)
         new_u = tuple(self.updated_u(state, l, known) for l in range(self.mh.num_layers))
         # free the old edge sums before the w updates build the new ones
         for part in (known.sums, known.rates, known.cross, known.ratios):
@@ -462,29 +426,13 @@ class EMEngine:
         for l, inc in enumerate(self.incidences):
             u, w = state.u[l], state.w[l]
             total -= self.consts[l].c_l * pairwise_interaction_sum(u, w)
-            rates = carry.edge_rates(inc, l, u, w)
-            zero = rates <= 0
-            if zero.any():
-                raise DegenerateStateError(
-                    f"zero rate on observed hyperedge in layer {l}", _failing_restarts(zero)
-                )
-            total += _dot_last(np.log(rates), inc.weights)
+            total += _dot_last(np.log(carry.edge_rates(inc, l, u, w)), inc.weights)
         for idx, s in enumerate(self.mh.inter_edges):
             ua, ub = state.u[s.layer_a], state.u[s.layer_b]
             w_cross = state.w_cross[(s.layer_a, s.layer_b)]
             sa, sb = _column_sums(ua), _column_sums(ub)
             total -= (sa[:, None, :] @ w_cross @ sb[:, :, None])[:, 0, 0]
-            rates = carry.cross_rates(idx, ua, ub, w_cross, s.rows, s.cols)
-            zero = rates <= 0
-            if zero.any():
-                failing = _failing_restarts(zero)
-                k = np.flatnonzero(zero[failing[0]])[0]
-                raise DegenerateStateError(
-                    f"zero rate on observed inter-edge ({s.rows[k]}, {s.cols[k]}) of pair "
-                    f"({s.layer_a}, {s.layer_b})",
-                    failing,
-                )
-            total += _dot_last(np.log(rates), s.weights)
+            total += _dot_last(np.log(carry.cross_rates(idx, s, state)), s.weights)
         return total
 
 
@@ -589,40 +537,24 @@ def _run_batches(engine: EMEngine, mh: MultiHypergraph, cfg: InferenceConfig, ba
                  threads: int):
     """The ``_Run`` lists of the batches, in batch order.
 
-    With one thread the batches run one after another.  With more, each
-    thread takes the next batch not yet taken, the calling thread among
-    them.  The engine is shared read-only: it writes its pattern cache
-    (``_stacked_matrix``) only for stacks of two or more restarts, and only
-    one-restart batches run side by side.
+    With one thread the batches run one after another, on the calling
+    thread.  With more, a pool of that many threads runs them, started in
+    batch order; when one fails, the batches not yet started are cancelled,
+    the running ones finish, and the error of the first failed batch in
+    batch order is raised.  The engine is shared read-only: it writes its
+    pattern cache (``_stacked_matrix``) only for stacks of two or more
+    restarts, and only one-restart batches run side by side.
     """
     if threads == 1:
         return [_run_batch(engine, mh, cfg, restarts) for restarts in batches]
-    pending = queue.SimpleQueue()
-    for i in range(len(batches)):
-        pending.put(i)
-    runs = [None] * len(batches)
-    failed = threading.Event()
-
-    def work():
-        while not failed.is_set():
-            try:
-                i = pending.get_nowait()
-            except queue.Empty:
-                return
-            try:
-                runs[i] = _run_batch(engine, mh, cfg, batches[i])
-            except BaseException:
-                failed.set()  # the other threads stop after their current batch
-                raise
-
-    with ThreadPoolExecutor(threads - 1) as pool:
-        helpers = [pool.submit(work) for _ in range(threads - 1)]
-        try:
-            work()
-        finally:
-            for helper in helpers:
-                helper.result()
-    return runs
+    pool = ThreadPoolExecutor(threads)
+    try:
+        futures = [pool.submit(_run_batch, engine, mh, cfg, restarts) for restarts in batches]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    # a cancelled batch comes after every started one, failed ones included
+    return [future.result() for future in futures]
 
 
 def fit(mh: MultiHypergraph, cfg: InferenceConfig) -> FitResult:

@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 from scipy import sparse
 
-from .core import Hyperedge, HypergraphLayer, _draw_fresh
+from .core import Hyperedge, HypergraphLayer, InterEdgeSet, _draw_fresh
 from .internal_degree import InternalDegreeTable
 
 __all__ = [
@@ -45,6 +45,7 @@ W_SYMMETRY_TOL = 1e-12
 class DegenerateStateError(RuntimeError):
     """A zero Poisson rate was assigned to an observed interaction.
 
+    ``RateCarry`` raises it where it computes the rates of a state.
     ``restarts`` holds the positions, along the restart axis of a stacked
     state, of every restart that failed the check.
     """
@@ -295,12 +296,19 @@ class RateCarry:
     ``sums[l]`` holds layer l's edge sums, ``rates[l]`` its hyperedge rates,
     ``cross[i]`` the rates of the stored pairs of inter-edge set i and
     ``ratios[i]`` their weights divided by those rates (the data of the
-    one cross-ratio matrix of the set, filled by ``EMEngine``, whose u
-    updates read it for both layers), each with a leading restart axis; a
-    missing key is not computed yet.  A carry describes one state: the
-    methods below compute what is missing at the state they are given and
-    keep it, so the caller passes a carry only with the state it was
-    filled for.  ``EMEngine.sweep`` refills it for the state it returns.
+    one cross-ratio matrix of the set, whose u updates read it for both
+    layers), each with a leading restart axis; a missing key is not
+    computed yet.  A carry describes one state: the methods below compute
+    what is missing at the state they are given and keep it, so the caller
+    passes a carry only with the state it was filled for.
+    ``EMEngine.sweep`` refills it for the state it returns.
+
+    The carry is the one place that computes the rates of observed
+    interactions, so it is the one place that checks them: where a rate
+    array is first computed, any rate <= 0 raises DegenerateStateError
+    naming the failing restarts.  The array is kept before the error is
+    raised, so a caller drops those restarts with ``take`` and reuses the
+    carry for the rest.
     """
 
     sums: dict = field(default_factory=dict)
@@ -322,13 +330,37 @@ class RateCarry:
 
     def edge_rates(self, inc: ThetaIncidence, l: int, u: np.ndarray, w: np.ndarray):
         if l not in self.rates:
-            self.rates[l] = inc.edge_rates(u, w, sums=self.edge_sums(inc, l, u))
+            rates = self.rates[l] = inc.edge_rates(u, w, sums=self.edge_sums(inc, l, u))
+            zero = rates <= 0
+            if zero.any():
+                raise DegenerateStateError(
+                    f"zero rate on observed hyperedge in layer {l}", _failing_restarts(zero)
+                )
         return self.rates[l]
 
-    def cross_rates(self, idx: int, ua, ub, w_cross, rows, cols) -> np.ndarray:
+    def cross_rates(self, idx: int, s: InterEdgeSet, state: LatentState) -> np.ndarray:
+        """Rates of the stored pairs of ``s``, inter-edge set ``idx``."""
         if idx not in self.cross:
-            self.cross[idx] = cross_rates(ua, ub, w_cross, rows, cols)
+            rates = self.cross[idx] = cross_rates(
+                state.u[s.layer_a], state.u[s.layer_b], state.w_cross[(s.layer_a, s.layer_b)],
+                s.rows, s.cols,
+            )
+            zero = rates <= 0
+            if zero.any():
+                failing = _failing_restarts(zero)
+                k = np.flatnonzero(zero[failing[0]])[0]
+                raise DegenerateStateError(
+                    f"zero rate on observed inter-edge ({s.rows[k]}, {s.cols[k]}) of pair "
+                    f"({s.layer_a}, {s.layer_b})",
+                    failing,
+                )
         return self.cross[idx]
+
+    def cross_ratios(self, idx: int, s: InterEdgeSet, state: LatentState) -> np.ndarray:
+        """S_ij / rate_ij over the stored pairs of ``s``, shape (R, nnz)."""
+        if idx not in self.ratios:
+            self.ratios[idx] = s.weights / self.cross_rates(idx, s, state)
+        return self.ratios[idx]
 
 
 def cross_rates(

@@ -2,6 +2,7 @@
 
 import logging
 import sys
+import threading
 import weakref
 from dataclasses import replace
 
@@ -23,7 +24,6 @@ from hyperblock.inference import (
     fit,
     initialize,
 )
-from hyperblock.internal_degree import theta_table
 from hyperblock.likelihood import (
     DegenerateStateError,
     LatentState,
@@ -303,8 +303,7 @@ def test_uncoupled_layers_decouple():
     joint = EMEngine(mh)
     state = LatentState.stack([initialize(mh, cfg, restart_seed=9)])
     singles = [
-        EMEngine(MultiHypergraph((mh.layers[l],)),
-                 tables=(theta_table(mh.layers[l]),), consts=(joint.consts[l],))
+        EMEngine(MultiHypergraph((mh.layers[l],)), consts=(joint.consts[l],))
         for l in range(2)
     ]
     parts = [LatentState((state.u[l],), (state.w[l],), {}) for l in range(2)]
@@ -455,6 +454,23 @@ def test_updated_w_cross_names_a_pair_without_inter_edges():
     state = LatentState.stack([initialize(mh, InferenceConfig(k_per_layer=(2, 2)), 0)])
     with pytest.raises(ValueError, match=r"\(1, 0\)"):
         engine.updated_w_cross(state, (1, 0))
+
+
+def test_every_phase_names_the_same_zero_cross_rate():
+    # restart 1 of 3 has w_cross = 0, so every observed inter-edge has rate 0
+    layer = HypergraphLayer(3, (make_hyperedge([0, 1]), make_hyperedge([0, 1, 2])))
+    inter = InterEdgeSet(0, 1, ((0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)))
+    mh = MultiHypergraph((layer, layer), (inter,))
+    engine = EMEngine(mh)
+    cfg = InferenceConfig(k_per_layer=(2, 2))
+    stack = LatentState.stack([initialize(mh, cfg, r) for r in range(3)])
+    stack.w_cross[(0, 1)][1] = 0.0
+    for call in (engine.objective, engine.sweep,
+                 lambda state: engine.updated_w_cross(state, (0, 1))):
+        with pytest.raises(DegenerateStateError) as caught:
+            call(stack)
+        assert caught.value.restarts == (1,)
+        assert str(caught.value) == "zero rate on observed inter-edge (0, 1) of pair (0, 1)"
 
 
 def assert_same_state(a, b):
@@ -695,6 +711,31 @@ def test_fit_raises_the_error_of_a_concurrent_batch(monkeypatch):
         fit(mh, InferenceConfig(k_per_layer=(2, 2), restarts=6, max_iters=5))
     # each thread stops after its current batch
     assert 1 in started and len(started) < 6
+
+
+def test_threaded_fit_leaves_no_thread_behind(monkeypatch):
+    import hyperblock.inference as inf
+
+    real_run_batch = inf._run_batch
+    fail = []
+
+    def run_batch(engine, mh, cfg, restarts):
+        if restarts[0] in fail:
+            raise RuntimeError("injected")
+        return real_run_batch(engine, mh, cfg, restarts)
+
+    monkeypatch.setattr(inf, "_run_batch", run_batch)
+    monkeypatch.setattr(inf, "_BATCH_ENTRIES", 1)
+    monkeypatch.setattr(inf, "_cores", lambda: 3)
+    mh = random_multi(np.random.default_rng(4))
+    cfg = InferenceConfig(k_per_layer=(2, 2), restarts=6, max_iters=5)
+    before = threading.active_count()
+    fit(mh, cfg)
+    assert threading.active_count() == before
+    fail.append(2)
+    with pytest.raises(RuntimeError, match="injected"):
+        fit(mh, cfg)
+    assert threading.active_count() == before
 
 
 def test_fit_at_the_batch_bound_matches_each_restart_alone(monkeypatch, caplog):

@@ -466,7 +466,7 @@ def test_surrogate_scalar_example():
     mh = MultiHypergraph((layer,))
     consts = (layer_constants(layer),)
     state = LatentState.stack([LatentState((np.ones((3, 1)),), (np.array([[1.0]]),), {})])
-    value = EMEngine(mh, (theta_table(layer),), consts).objective(state)[0]
+    value = EMEngine(mh, consts=consts).objective(state)[0]
     assert value == pytest.approx(-4.0, abs=1e-12)
 
 
@@ -500,8 +500,7 @@ def test_surrogate_matches_scalar_oracle():
             (0.5 * (w1 + w1.T), 0.5 * (w2 + w2.T)),
             {(0, 1): rng.random((k1, k2)) + 0.05},
         )
-        tables = tuple(theta_table(layer) for layer in mh.layers)
-        value = EMEngine(mh, tables, consts).objective(LatentState.stack([state]))[0]
+        value = EMEngine(mh, consts=consts).objective(LatentState.stack([state]))[0]
         assert value == pytest.approx(
             scalar_objective(mh, state, consts), rel=1e-9
         )
@@ -513,4 +512,4 @@ def test_surrogate_degenerate_state_errors():
     consts = (layer_constants(layer),)
     state = LatentState.stack([LatentState((np.zeros((3, 1)),), (np.array([[1.0]]),), {})])
     with pytest.raises(DegenerateStateError):
-        EMEngine(mh, (theta_table(layer),), consts).objective(state)
+        EMEngine(mh, consts=consts).objective(state)
