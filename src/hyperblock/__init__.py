@@ -10,12 +10,10 @@ importable here; the ``hyperblock`` executable wires them into a CLI.
 """
 
 from .core import (
-    Hyperedge,
     HypergraphLayer,
     InterEdgeSet,
     MultiHypergraph,
     load_manifest,
-    make_hyperedge,
     parse_ground_truth_file,
     parse_hyperedge_file,
     parse_inter_edge_file,
@@ -30,7 +28,6 @@ from .likelihood import (
     LatentState,
     LayerConstants,
     RateCarry,
-    lambda_e,
     layer_constants,
     mu,
     sample_negatives,
@@ -67,11 +64,9 @@ from .synth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Hyperedge",
     "HypergraphLayer",
     "InterEdgeSet",
     "MultiHypergraph",
-    "make_hyperedge",
     "parse_hyperedge_file",
     "parse_inter_edge_file",
     "parse_ground_truth_file",
@@ -84,7 +79,6 @@ __all__ = [
     "LayerConstants",
     "RateCarry",
     "mu",
-    "lambda_e",
     "sample_negatives",
     "layer_constants",
     "InferenceConfig",

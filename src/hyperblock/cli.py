@@ -279,6 +279,8 @@ def _cmd_synth(args) -> int:
     if args.preset == "planted":
         if len(counts) != 1:
             raise ValueError("the planted preset takes a single inter-edge budget")
+        if args.nodes is None:
+            args.nodes = 60
         mh = planted_partition(
             num_nodes=args.nodes,
             num_communities=args.communities,
@@ -294,7 +296,7 @@ def _cmd_synth(args) -> int:
     else:
         if not args.source:
             raise ValueError("--source is required for the views preset")
-        source = parse_hyperedge_file(args.source, num_nodes=args.nodes or None)
+        source = parse_hyperedge_file(args.source, num_nodes=args.nodes)
         if not args.truth:
             raise ValueError("--truth is required for the views preset")
         truth = parse_ground_truth_file(args.truth, num_nodes=source.num_nodes)
@@ -406,7 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate benchmark data plus a ready manifest")
     p.add_argument("--preset", choices=("views", "planted"), required=True)
-    p.add_argument("--nodes", type=int, default=60)
+    p.add_argument("--nodes", type=int, default=None,
+                   help="node count (planted: default 60; views: default the source's "
+                        "largest node id + 1)")
     p.add_argument("--communities", type=int, default=3)
     p.add_argument("--layers", type=int, default=2)
     p.add_argument("--c-in", type=float, default=0.1)

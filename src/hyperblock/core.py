@@ -190,7 +190,8 @@ def _merge_sorted(order: np.ndarray, same: np.ndarray, weights: np.ndarray):
     first = ~same
     merged = ranked[first]
     dup = np.flatnonzero(same)
-    np.add.at(merged, np.cumsum(first)[dup] - 1, ranked[dup])
+    with np.errstate(over="ignore"):  # the callers reject a sum that overflows
+        np.add.at(merged, np.cumsum(first)[dup] - 1, ranked[dup])
     return order[first], merged
 
 
@@ -236,62 +237,22 @@ class HypergraphLayer(_Frozen):
     ``InternalDegreeTable``: hyperedge ``eid`` owns positions
     ``offsets[eid]:offsets[eid + 1]`` of ``nodes`` (its node ids, strictly
     increasing) and has weight ``weights[eid] > 0``.  Hyperedges are
-    distinct node sets sorted lexicographically; ``from_hyperedges`` and
-    ``from_arrays`` merge raw input into that form.  ``hyperedges`` is a
-    tuple of ``Hyperedge`` objects built on first access, for API callers
-    and tests; nothing on the fit path reads it.  ``ground_truth``
-    optionally maps node id to a community label.
-
-    ``HypergraphLayer(num_nodes, hyperedges, ground_truth)`` takes
-    hyperedges already in canonical order.  Layers compare by value.
+    distinct node sets sorted lexicographically; ``from_arrays`` validates
+    raw input and merges it into that form, and ``from_hyperedges`` converts
+    ``Hyperedge`` objects into that call.  ``ground_truth`` optionally maps
+    node id to a community label.  Layers compare by value.
     """
-
-    def __init__(
-        self,
-        num_nodes: int,
-        hyperedges: Iterable[Hyperedge] = (),
-        ground_truth: Optional[Mapping[int, int]] = None,
-    ):
-        hyperedges = tuple(hyperedges)
-        nodes, offsets, weights = self._edge_arrays(num_nodes, hyperedges)
-        order, same = _row_order(nodes, offsets)
-        if same.any() or np.any(order != np.arange(order.size)):
-            raise ValueError("hyperedges must be sorted lexicographically and distinct")
-        self._init(num_nodes, nodes, offsets, weights, ground_truth)
-        _check_truth_nodes(ground_truth, num_nodes)
-        self.__dict__["hyperedges"] = hyperedges
-
-    @staticmethod
-    def _edge_arrays(num_nodes: int, hyperedges: Sequence[Hyperedge]):
-        if num_nodes <= 0:
-            raise ValueError(f"num_nodes must be positive, got {num_nodes}")
-        m = len(hyperedges)
-        offsets = _offsets(np.fromiter((len(e.nodes) for e in hyperedges), np.int64, m))
-        nodes = np.fromiter(
-            chain.from_iterable(e.nodes for e in hyperedges), np.int64, int(offsets[-1])
-        )
-        weights = np.fromiter((e.weight for e in hyperedges), float, m)
-        bad = _first_or_none((nodes < 0) | (nodes >= num_nodes))
-        if bad is not None:
-            e = hyperedges[int(np.searchsorted(offsets, bad, side="right")) - 1]
-            raise ValueError(f"hyperedge {e.nodes} out of range for {num_nodes} nodes")
-        return nodes, offsets, weights
-
-    def _init(self, num_nodes, nodes, offsets, weights, ground_truth) -> None:
-        if num_nodes <= 0:
-            raise ValueError(f"num_nodes must be positive, got {num_nodes}")
-        _read_only(nodes, offsets, weights)
-        self._set(
-            num_nodes=num_nodes, nodes=nodes, offsets=offsets, weights=weights,
-            ground_truth=ground_truth,
-        )
 
     @classmethod
     def _from_canonical(cls, num_nodes, nodes, offsets, weights, ground_truth=None):
         """A layer from arrays and a ground truth already in canonical form
         (not re-checked)."""
+        _read_only(nodes, offsets, weights)
         layer = cls.__new__(cls)
-        layer._init(num_nodes, nodes, offsets, weights, ground_truth)
+        layer._set(
+            num_nodes=num_nodes, nodes=nodes, offsets=offsets, weights=weights,
+            ground_truth=ground_truth,
+        )
         return layer
 
     @classmethod
@@ -301,9 +262,12 @@ class HypergraphLayer(_Frozen):
         edges: Iterable[Hyperedge],
         ground_truth: Optional[Mapping[int, int]] = None,
     ) -> "HypergraphLayer":
-        """Merge duplicate node sets by weight summation and canonicalize order."""
-        nodes, offsets, weights = cls._edge_arrays(num_nodes, tuple(edges))
-        return cls._canonical(num_nodes, nodes, offsets, weights, ground_truth)
+        """``from_arrays`` on the node ids and weights of ``Hyperedge`` objects."""
+        edges = tuple(edges)
+        offsets = _offsets(np.fromiter((len(e.nodes) for e in edges), np.int64, len(edges)))
+        nodes = np.fromiter(chain.from_iterable(e.nodes for e in edges), np.int64, int(offsets[-1]))
+        weights = np.fromiter((e.weight for e in edges), float, len(edges))
+        return cls.from_arrays(num_nodes, nodes, offsets, weights, ground_truth)
 
     @classmethod
     def from_arrays(
@@ -321,6 +285,8 @@ class HypergraphLayer(_Frozen):
         positive.  Duplicate node sets merge by weight summation, in input
         order.
         """
+        if num_nodes <= 0:
+            raise ValueError(f"num_nodes must be positive, got {num_nodes}")
         nodes = np.asarray(nodes, dtype=np.int64)
         offsets = np.asarray(offsets, dtype=np.int64)
         weights = np.asarray(weights, dtype=float)
@@ -339,10 +305,6 @@ class HypergraphLayer(_Frozen):
         rising[offsets[1:-1] - 1] = True  # an edge boundary needs no order
         if not rising.all():
             raise ValueError("node ids must be strictly increasing within each hyperedge")
-        return cls._canonical(num_nodes, nodes, offsets, weights, ground_truth)
-
-    @classmethod
-    def _canonical(cls, num_nodes, nodes, offsets, weights, ground_truth):
         order, same = _row_order(nodes, offsets)
         rows, merged = _merge_sorted(order, same, weights)
         if not np.all(np.isfinite(merged)):
@@ -370,6 +332,8 @@ class HypergraphLayer(_Frozen):
 
     @cached_property
     def hyperedges(self) -> tuple[Hyperedge, ...]:
+        """The rows as ``Hyperedge`` objects, built on first access; nothing
+        in the library reads them."""
         # the arrays were validated when the layer was built
         return tuple(map(Hyperedge._unchecked, self.node_tuples(), self.weights.tolist()))
 
@@ -414,8 +378,7 @@ class InterEdgeSet(_Frozen):
     ``layer_a < layer_b``; edge k joins node ``rows[k]`` of layer a to node
     ``cols[k]`` of layer b with weight ``weights[k] > 0``.  The three arrays
     are read-only and sorted by node pair, with no pair twice; absent pairs
-    mean weight 0.  ``edges`` is a tuple of (i, j, weight) triples built on
-    first access, for API callers and tests.  Sets compare by value.
+    mean weight 0.  Sets compare by value.
 
     The constructor takes (i, j, weight) triples already in that canonical
     form and rejects any other; ``from_arrays`` takes flat arrays in any
@@ -438,7 +401,6 @@ class InterEdgeSet(_Frozen):
         if not rising.all():
             raise ValueError("inter-edges must be sorted by node pair and distinct")
         self._init(layer_a, layer_b, rows, cols, weights)
-        self.__dict__["edges"] = edges
 
     def _init(self, layer_a, layer_b, rows, cols, weights) -> None:
         if layer_a >= layer_b:
@@ -489,10 +451,6 @@ class InterEdgeSet(_Frozen):
         return self._from_canonical(
             self.layer_a, self.layer_b, self.rows[keep], self.cols[keep], self.weights[keep]
         )
-
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int, float], ...]:
-        return tuple(zip(self.rows.tolist(), self.cols.tolist(), self.weights.tolist()))
 
     @property
     def num_edges(self) -> int:

@@ -108,10 +108,14 @@ class InferenceConfig:
             raise ValueError("community counts must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not self.tol > 0:  # NaN too
+            raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iters < 1 or self.check_every < 1:
             raise ValueError("max_iters and check_every must be >= 1")
+        if self.m_override is not None and self.m_override <= 0:
+            raise ValueError(f"m_override must be positive, got {self.m_override}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

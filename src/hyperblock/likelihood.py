@@ -202,6 +202,8 @@ def layer_constants(layer: HypergraphLayer, m_override: Optional[int] = None) ->
     if q == 0:
         raise ValueError("layer has no hyperedges")
     m = int(m_override) if m_override is not None else layer.num_hyperedges
+    if m <= 0:
+        raise ValueError(f"m_override must be positive, got {m}")
     n = layer.num_nodes
     c_l = m * (1.0 / q + 2.0 / (n * (n - 1)))
     return LayerConstants(q_pairs=q, m_count=m, c_l=c_l)

@@ -217,7 +217,7 @@ def _poisson_layer(
         sizes.append(np.full(int(hit.sum()), size))
         weights.append(draws[hit].astype(float))
     if not nodes:
-        return HypergraphLayer(n, (), ground_truth)
+        return HypergraphLayer.from_arrays(n, [], [0], [], ground_truth)
     offsets = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
     return HypergraphLayer.from_arrays(
         n, np.concatenate(nodes), offsets, np.concatenate(weights), ground_truth

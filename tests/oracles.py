@@ -11,6 +11,16 @@ from hyperblock.internal_degree import SubHyperedgeCounter
 from hyperblock.likelihood import lambda_e, mu
 
 
+def layer(n, node_sets, weights=None, truth=None) -> HypergraphLayer:
+    """A layer of ``n`` nodes from node sets (ids in any order) and their
+    weights (default 1), through ``HypergraphLayer.from_arrays``."""
+    rows = [sorted(int(i) for i in nodes) for nodes in node_sets]
+    offsets = np.cumsum([0] + [len(row) for row in rows])
+    nodes = np.array([i for row in rows for i in row], dtype=np.int64)
+    weights = np.ones(len(rows)) if weights is None else weights
+    return HypergraphLayer.from_arrays(n, nodes, offsets, weights, truth)
+
+
 def _layer_of_one(layer, e) -> HypergraphLayer:
     """One candidate (node ids in any order, or a ``Hyperedge``) as a layer
     of one row over the nodes of ``layer``."""

@@ -32,6 +32,7 @@ from hyperblock.synth import (
     remove_inter_edges,
     sample_from_model,
 )
+import oracles
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -45,8 +46,8 @@ def random_layer(rng, num_nodes, num_edges, max_size):
     for _ in range(num_edges):
         size = int(rng.integers(2, max_size + 1))
         seen.add(tuple(sorted(rng.choice(num_nodes, size=size, replace=False).tolist())))
-    edges = tuple(make_hyperedge(s, float(rng.integers(1, 4))) for s in sorted(seen))
-    return HypergraphLayer(num_nodes, edges)
+    rows = sorted(seen)
+    return oracles.layer(num_nodes, rows, [float(rng.integers(1, 4)) for _ in rows])
 
 
 # -- 1: hyperedge rate oracle ------------------------------------------------
@@ -187,14 +188,14 @@ def test_analytic_fixed_points_survive_a_sweep():
 
 def test_scalar_updates_match_hand_values():
     """Single-edge layouts whose updates land on 3/8, 1/4 and 1/6 exactly."""
-    tiny = MultiHypergraph((HypergraphLayer(3, (make_hyperedge([0, 1]),)),))
+    tiny = MultiHypergraph((oracles.layer(3, [[0, 1]]),))
     engine = EMEngine(tiny)
     state = LatentState.stack([LatentState((np.ones((3, 1)),), (np.array([[1.0]]),), {})])
     assert np.allclose(engine.updated_u(state, 0).ravel(), [0.375, 0.375, 0.0], atol=1e-12)
     assert engine.updated_w(state, 0)[0, 0, 0] == pytest.approx(0.25, abs=1e-12)
 
-    la = HypergraphLayer(2, (make_hyperedge([0, 1]),))
-    lb = HypergraphLayer(3, (make_hyperedge([0, 1, 2]),))
+    la = oracles.layer(2, [[0, 1]])
+    lb = oracles.layer(3, [[0, 1, 2]])
     mh = MultiHypergraph((la, lb), (InterEdgeSet(0, 1, ((0, 0, 1.0),)),))
     dummy = LayerConstants(q_pairs=1, m_count=1, c_l=1.0)
     engine = EMEngine(mh, consts=(dummy, dummy))

@@ -10,9 +10,9 @@ import hyperblock.core as core
 import hyperblock.evaluation as evaluation
 import hyperblock.inference as inference
 import hyperblock.likelihood as likelihood
-from hyperblock.core import HypergraphLayer, make_hyperedge
 from hyperblock.inference import InferenceConfig
 from hyperblock.synth import planted_partition
+import oracles
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -29,7 +29,7 @@ def test_measure_hooks_install_and_restore(monkeypatch):
     from tracer import Tracer
 
     before = attributes()
-    layer = HypergraphLayer(3, (make_hyperedge([0, 1]),))
+    layer = oracles.layer(3, [[0, 1]])
     with Tracer() as tracer:
         measure.install(tracer, [], [])
         measure.install_setup(tracer)
@@ -59,7 +59,8 @@ def test_setup_hooks_trace_the_parsers(monkeypatch, tmp_path):
     with Tracer() as tracer:
         measure.install_setup(tracer)
         mh, _ = core.load_manifest(str(manifest))
-    assert mh.inter_edges[0].edges == ((0, 1, 1.0),)
+    s = mh.inter_edges[0]
+    assert tuple(zip(s.rows, s.cols, s.weights)) == ((0, 1, 1.0),)
     assert [span[0] for span in tracer.take()] == (
         ["core.parse_hyperedge_file"] * 2 + ["core.parse_inter_edge_file"]
     )
@@ -84,3 +85,28 @@ def test_cv_traces_one_scoring_span_per_candidate_batch(monkeypatch):
     st = self_times(tracer.take())
     assert st["internal_degree.counter_theta"][1] == st["evaluation.score_hyperedge"][1] == 8
     assert "likelihood.lambda_e" not in st
+
+
+def test_gen_builds_counts_and_writes_its_instances(monkeypatch, tmp_path):
+    # bench/gen.py builds instances through the object model (make_hyperedge,
+    # from_hyperedges, InterEdgeSet triples, layer.hyperedges, node_sets);
+    # deleting any of that fails here, not only in bench/test_bench.py
+    monkeypatch.syspath_prepend(BENCH)
+    import gen
+
+    for name, mh, k in [
+        ("nested", gen.nested_instance(40, 60, 2, 20, 1), (2, 2)),
+        ("planted", gen.planted_instance(1), (3, 3)),
+    ]:
+        counts = gen.instance_counts(mh)
+        assert [layer["edges"] for layer in counts["layers"]] == [
+            layer.num_hyperedges for layer in mh.layers
+        ]
+        assert counts["inter_edges"] == mh.inter_edges[0].num_edges
+        written = []
+        for run in ("a", "b"):
+            out = tmp_path / f"{name}_{run}"
+            manifest = gen.write_instance(mh, k, str(out))
+            written.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert written[0] == written[1]
+        assert core.load_manifest(manifest) == (mh, list(k))

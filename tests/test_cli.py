@@ -13,13 +13,12 @@ import scipy
 
 from hyperblock.cli import main
 from hyperblock.core import (
-    HypergraphLayer,
     load_manifest,
-    make_hyperedge,
     write_ground_truth_file,
     write_hyperedge_file,
 )
 from hyperblock.synth import planted_partition
+import oracles
 
 
 def read_json(path):
@@ -101,6 +100,16 @@ def test_fit_rerun_is_byte_identical(pipeline, tmp_path):
         with open(os.path.join(again, name), "rb") as fh:
             second = fh.read()
         assert first == second, name
+
+
+def test_fit_rejects_a_nan_tol(pipeline, tmp_path, capsys):
+    _, synth_dir, _ = pipeline
+    rc = main([
+        "fit", "--manifest", os.path.join(synth_dir, "manifest.cfg"), "--tol", "nan",
+        "--restarts", "1", "--max-iters", "5", "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 1
+    assert "tol must be positive, got nan" in capsys.readouterr().err
 
 
 def test_synth_rerun_is_byte_identical(pipeline, tmp_path):
@@ -215,6 +224,24 @@ def test_synth_views_preset(tmp_path):
     assert built.inter_edges[0].num_edges == 10
 
 
+def test_synth_views_takes_the_node_count_from_the_source(tmp_path):
+    # without --nodes, the views keep the source's node count: the planted
+    # preset's default of 60 neither rejects a larger source nor pads a
+    # smaller one with isolated nodes
+    for n in (100, 20):
+        source = oracles.layer(n, [(i, i + 1) for i in range(n - 1)])
+        edges_path, truth_path = str(tmp_path / f"source{n}.txt"), str(tmp_path / f"truth{n}.txt")
+        write_hyperedge_file(edges_path, source)
+        write_ground_truth_file(truth_path, {i: i % 2 for i in range(n)})
+        out = str(tmp_path / f"views{n}")
+        assert main([
+            "synth", "--preset", "views", "--source", edges_path, "--truth", truth_path,
+            "--inter-edges", "10", "--seed", "1", "--out", out,
+        ]) == 0
+        built, _ = load_manifest(os.path.join(out, "manifest.cfg"))
+        assert [layer.num_nodes for layer in built.layers] == [n, n]
+
+
 def test_entropy_report_cli(tmp_path):
     mh = planted_partition(num_nodes=15, num_communities=3, num_layers=1,
                            c_in=1.5, c_out=0.1, max_size=3, inter_edge_count=0, seed=6)
@@ -236,7 +263,7 @@ def test_entropy_report_cli(tmp_path):
     assert len(rows) == 1 + payload["num_considered"]
     # a lone edge with uniform counts has normalized entropy 1, the top of
     # the histogram range
-    write_hyperedge_file(edges_path, HypergraphLayer(5, (make_hyperedge(range(5)),)))
+    write_hyperedge_file(edges_path, oracles.layer(5, [range(5)]))
     assert main(["entropy-report", "--edges", edges_path, "--threshold", "0.6",
                  "--out", out]) == 0
     payload = read_json(os.path.join(out, "entropy.json"))

@@ -30,6 +30,7 @@ from hyperblock.core import (
 from hyperblock.evaluation import hyperedge_prediction_cv
 from hyperblock.inference import InferenceConfig, fit
 from hyperblock.synth import planted_partition
+import oracles
 from oracles import scan_ground_truth_file, scan_hyperedge_file, scan_inter_edge_file
 
 
@@ -57,18 +58,6 @@ def test_hyperedge_rejects_bad_input():
         Hyperedge((0, 1), 0.0)
 
 
-def test_layer_requires_canonical_order():
-    a = make_hyperedge([0, 1])
-    b = make_hyperedge([0, 2])
-    HypergraphLayer(3, (a, b))
-    with pytest.raises(ValueError):
-        HypergraphLayer(3, (b, a))
-    with pytest.raises(ValueError):
-        HypergraphLayer(3, (a, a))
-    with pytest.raises(ValueError):
-        HypergraphLayer(2, (b,))
-
-
 def test_from_hyperedges_merges_duplicates():
     layer = HypergraphLayer.from_hyperedges(
         4, [make_hyperedge([1, 3], 1.0), make_hyperedge([3, 1], 2.0), make_hyperedge([0, 2], 1.0)]
@@ -76,6 +65,53 @@ def test_from_hyperedges_merges_duplicates():
     assert layer.num_hyperedges == 2
     assert layer.hyperedges[0].nodes == (0, 2)
     assert layer.hyperedges[1] == Hyperedge((1, 3), 3.0)
+
+
+@st.composite
+def edge_rows(draw):
+    """(num_nodes, rows of (increasing ids, weight), ground truth) whose rows
+    repeat node sets.  Some inputs are malformed: num_nodes below the ids'
+    range or not positive, a truth node out of range, or repeated weights
+    that sum past the largest float."""
+    top = draw(st.integers(2, 8))
+    ids = st.lists(st.integers(0, top - 1), min_size=2, max_size=4, unique=True).map(sorted)
+    pool = draw(st.lists(ids, min_size=1, max_size=4))
+    weight = st.floats(1e-3, 1e3) | st.sampled_from([0.5, 1.0, 3.25, 1e308])
+    rows = draw(st.lists(st.tuples(st.sampled_from(pool), weight), max_size=12))
+    truth = draw(st.none() | st.dictionaries(st.integers(0, top), st.integers(0, 2), max_size=3))
+    num_nodes = draw(st.just(top) | st.integers(-1, top - 1))
+    return num_nodes, rows, truth
+
+
+@given(edge_rows())
+def test_from_hyperedges_is_from_arrays_on_the_same_rows(case):
+    n, rows, truth = case
+    edges = [Hyperedge(tuple(ids), w) for ids, w in rows]
+    nodes = np.array([i for ids, _ in rows for i in ids], dtype=np.int64)
+    offsets = core._offsets(np.array([len(ids) for ids, _ in rows], dtype=np.int64))
+    weights = np.array([w for _, w in rows])
+    built = []
+    for build in (
+        lambda: HypergraphLayer.from_hyperedges(n, edges, truth),
+        lambda: HypergraphLayer.from_arrays(n, nodes, offsets, weights, truth),
+    ):
+        try:
+            built.append(build())
+        except ValueError as err:
+            built.append(f"ValueError: {err}")
+    objects, arrays = built
+    if isinstance(arrays, str) or isinstance(objects, str):
+        assert objects == arrays  # the same error
+        return
+    for name in ("nodes", "offsets", "weights"):
+        a, b = getattr(objects, name), getattr(arrays, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert objects.ground_truth == arrays.ground_truth
+    merged = {}
+    for ids, w in rows:  # a running sum in input order
+        merged[tuple(ids)] = merged[tuple(ids)] + w if tuple(ids) in merged else w
+    assert arrays.node_tuples() == sorted(merged)
+    assert arrays.weights.tolist() == [merged[k] for k in sorted(merged)]
 
 
 def test_inter_edge_set_validation():
@@ -92,11 +128,11 @@ def test_inter_edge_set_validation():
 
 def test_inter_edge_from_arrays_merges_and_drops_zeros():
     s = InterEdgeSet.from_arrays(0, 2, [1, 1, 0], [1, 1, 0], [0.5, 0.5, 0.0])
-    assert s.edges == ((1, 1, 1.0),)
+    assert tuple(zip(s.rows, s.cols, s.weights)) == ((1, 1, 1.0),)
 
 
 def test_multi_hypergraph_checks_pairs():
-    layer = HypergraphLayer(2, (make_hyperedge([0, 1]),))
+    layer = oracles.layer(2, [[0, 1]])
     s = InterEdgeSet(0, 1, ((0, 1, 1.0),))
     mh = MultiHypergraph((layer, layer), (s,))
     assert mh.num_layers == 2
@@ -149,7 +185,8 @@ def test_parse_inter_edge_file_normalizes_layer_order(tmp_path):
     assert len(sets) == 1
     assert sets[0].layer_a == 0 and sets[0].layer_b == 1
     # the first line swaps to (i=5, j=4); the second stays as written
-    assert sets[0].edges == ((5, 4, 3.0),)
+    s = sets[0]
+    assert tuple(zip(s.rows, s.cols, s.weights)) == ((5, 4, 3.0),)
 
     p.write_text("0 0 1 2 1.0\n")
     with pytest.raises(ValueError, match="self-pair"):
@@ -246,7 +283,8 @@ def test_manifest_loading(tmp_path):
     assert mh.num_layers == 2
     assert mh.layers[0].ground_truth == {0: 0, 1: 0, 2: 1}
     assert mh.layers[1].num_nodes == 4
-    assert mh.inter_edges[0].edges == ((2, 0, 1.5),)
+    s = mh.inter_edges[0]
+    assert tuple(zip(s.rows, s.cols, s.weights)) == ((2, 0, 1.5),)
 
 
 def test_manifest_errors(tmp_path):
@@ -372,11 +410,11 @@ def test_layer_holds_read_only_arrays_and_a_hyperedge_view():
     for arr in (layer.nodes, layer.offsets, layer.weights):
         assert not arr.flags.writeable
     assert layer.hyperedges == (Hyperedge((0, 1, 2), 2.5), Hyperedge((3, 4), 1.0))
-    assert layer == HypergraphLayer(5, layer.hyperedges)
+    assert layer == HypergraphLayer.from_hyperedges(5, layer.hyperedges)
     assert layer.sizes() == [3, 2] and layer.node_sets() == {(0, 1, 2), (3, 4)}
     with pytest.raises(AttributeError):
         layer.num_nodes = 6
-    assert layer.subset(np.array([False, True])) == HypergraphLayer(5, (Hyperedge((3, 4)),))
+    assert layer.subset(np.array([False, True])) == oracles.layer(5, [(3, 4)])
     labelled = layer.with_ground_truth({0: 1})
     assert labelled.ground_truth == {0: 1} and labelled.nodes is layer.nodes
     assert labelled != layer
@@ -424,9 +462,9 @@ def test_inter_edge_set_holds_read_only_arrays():
     s = InterEdgeSet.from_arrays(0, 1, [2, 0, 2], [1, 3, 1], [0.5, 1.0, 0.25])
     assert (s.rows.tolist(), s.cols.tolist(), s.weights.tolist()) == ([0, 2], [3, 1], [1.0, 0.75])
     assert not s.rows.flags.writeable
-    assert s.edges == ((0, 3, 1.0), (2, 1, 0.75))
-    assert s == InterEdgeSet(0, 1, s.edges)
-    assert s.subset(np.array([False, True])).edges == ((2, 1, 0.75),)
+    assert s == InterEdgeSet(0, 1, ((0, 3, 1.0), (2, 1, 0.75)))
+    part = s.subset(np.array([False, True]))
+    assert tuple(zip(part.rows, part.cols, part.weights)) == ((2, 1, 0.75),)
     with pytest.raises(ValueError):
         InterEdgeSet.from_arrays(0, 1, [0], [0], [np.nan])
 
@@ -521,7 +559,7 @@ def merged_layer(n, rows):
     for ids, weight in rows:
         key = tuple(sorted(ids))
         merged[key] = merged[key] + float(weight) if key in merged else float(weight)
-    return HypergraphLayer(n, tuple(Hyperedge(k, merged[k]) for k in sorted(merged)))
+    return oracles.layer(n, sorted(merged), [merged[k] for k in sorted(merged)])
 
 
 @st.composite
@@ -778,7 +816,7 @@ def test_lines_only_the_scan_reads_raise_at_their_line(tmp_path, kind, line):
 def test_comment_lines_may_hold_any_bytes(tmp_path):
     p = tmp_path / "edges.txt"
     p.write_bytes(b"# caf\xff \xe9\n1 0 1\n  #\xff\n")
-    assert parse_hyperedge_file(str(p)) == HypergraphLayer(2, (Hyperedge((0, 1), 1.0),))
+    assert parse_hyperedge_file(str(p)) == oracles.layer(2, [(0, 1)])
 
 
 def test_parsers_peak_memory_per_input_byte(tmp_path):
@@ -820,10 +858,9 @@ def test_parsers_peak_memory_per_input_byte(tmp_path):
 
 def test_ground_truth_nodes_are_checked_once(monkeypatch):
     edges = (Hyperedge((0, 1)), Hyperedge((1, 2)))
-    layer = HypergraphLayer(3, edges)
+    layer = HypergraphLayer.from_hyperedges(3, edges)
     bad = {0: 1, 4: 0, -1: 2}
     for build in (
-        lambda: HypergraphLayer(3, edges, bad),
         lambda: HypergraphLayer.from_hyperedges(3, edges, bad),
         lambda: HypergraphLayer.from_arrays(3, layer.nodes, layer.offsets, layer.weights, bad),
         lambda: layer.with_ground_truth(bad),
@@ -846,9 +883,7 @@ def test_ground_truth_nodes_are_checked_once(monkeypatch):
 def test_files_the_array_path_does_not_read_still_parse(tmp_path):
     p = tmp_path / "edges.txt"
     p.write_text("# café\n+2 +1 0\n1 0 2\n", encoding="utf-8")
-    assert parse_hyperedge_file(str(p)) == HypergraphLayer(
-        3, (Hyperedge((0, 1), 2.0), Hyperedge((0, 2), 1.0))
-    )
+    assert parse_hyperedge_file(str(p)) == oracles.layer(3, [(0, 1), (0, 2)], [2.0, 1.0])
 
 
 def test_loading_and_fitting_build_no_hyperedge_objects(tmp_path, monkeypatch):

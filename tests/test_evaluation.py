@@ -26,6 +26,7 @@ from hyperblock.evaluation import (
 from hyperblock.inference import InferenceConfig
 from hyperblock.internal_degree import SubHyperedgeCounter
 from hyperblock.synth import planted_partition
+import oracles
 
 
 # -- oracles: independent direct computations --------------------------------
@@ -270,7 +271,7 @@ def test_auc_monotone_transform_invariant():
 
 
 def test_score_hyperedge_values():
-    layer = HypergraphLayer(3, (make_hyperedge([0, 1, 2]),))
+    layer = oracles.layer(3, [[0, 1, 2]])
     counter = SubHyperedgeCounter(layer)
     u = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     w = np.array([[1.0, 2.0], [2.0, 3.0]])
@@ -363,9 +364,7 @@ def test_cv_deterministic(planted_separable):
 def test_cv_validation(planted_easy):
     with pytest.raises(ValueError, match="folds"):
         hyperedge_prediction_cv(planted_easy, cv_cfg(), folds=1)
-    tiny = MultiHypergraph(
-        (HypergraphLayer(5, (make_hyperedge([0, 1]), make_hyperedge([2, 3]))),)
-    )
+    tiny = MultiHypergraph((oracles.layer(5, [[0, 1], [2, 3]]),))
     with pytest.raises(ValueError, match="too few"):
         hyperedge_prediction_cv(tiny, InferenceConfig(k_per_layer=(1,)), folds=3)
 
@@ -406,9 +405,7 @@ def test_inter_edge_prediction_raises_when_cross_pairs_run_out(monkeypatch):
     import hyperblock.evaluation as evaluation
 
     monkeypatch.setattr(evaluation, "fit", lambda *args: pytest.fail("fit before the check"))
-    layers = tuple(
-        HypergraphLayer(3, (make_hyperedge([0, 1]), make_hyperedge([1, 2]))) for _ in range(2)
-    )
+    layers = tuple(oracles.layer(3, [[0, 1], [1, 2]]) for _ in range(2))
     full = InterEdgeSet(0, 1, [(i, j, 1.0) for i in range(3) for j in range(3)])
     with pytest.raises(ValueError, match=r"only 0 unobserved cross pairs of layer pair \(0, 1\)"):
         inter_edge_prediction(
@@ -422,9 +419,7 @@ def test_cv_raises_before_fitting_when_node_sets_run_out(monkeypatch):
     import hyperblock.evaluation as evaluation
 
     monkeypatch.setattr(evaluation, "fit", lambda *args: pytest.fail("fit before the check"))
-    full = HypergraphLayer(
-        5, tuple(make_hyperedge([i, j]) for i in range(5) for j in range(i + 1, 5))
-    )
+    full = oracles.layer(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
     with pytest.raises(ValueError, match="only 0 unobserved candidates of size 2"):
         hyperedge_prediction_cv(MultiHypergraph((full,)), InferenceConfig(k_per_layer=(1,)))
 

@@ -33,11 +33,12 @@ from hyperblock.likelihood import (
     _row_dots,
     cross_rates,
 )
+import oracles
 
 
 def tiny_layer():
     """Three nodes, a single pairwise hyperedge; node 2 is isolated."""
-    return HypergraphLayer(3, (make_hyperedge([0, 1]),))
+    return oracles.layer(3, [[0, 1]])
 
 
 def random_multi(rng, num_layers=2, with_inter=True, n_lo=8, n_hi=14):
@@ -48,11 +49,8 @@ def random_multi(rng, num_layers=2, with_inter=True, n_lo=8, n_hi=14):
         for _ in range(3 * n):
             size = int(rng.integers(2, 4))
             seen.add(tuple(sorted(rng.choice(n, size=size, replace=False).tolist())))
-        layers.append(
-            HypergraphLayer(
-                n, tuple(make_hyperedge(s, float(rng.integers(1, 3))) for s in sorted(seen))
-            )
-        )
+        rows = sorted(seen)
+        layers.append(oracles.layer(n, rows, [float(rng.integers(1, 3)) for _ in rows]))
     inter = ()
     if with_inter and num_layers >= 2:
         na, nb = layers[0].num_nodes, layers[1].num_nodes
@@ -147,8 +145,8 @@ def test_updated_w_scalar_example():
 def test_updated_w_cross_scalar_example():
     # 2-node and 3-node layers, one unit inter-edge, all-ones memberships:
     # the update lands on 1/6 from any positive starting value
-    la = HypergraphLayer(2, (make_hyperedge([0, 1]),))
-    lb = HypergraphLayer(3, (make_hyperedge([0, 1, 2]),))
+    la = oracles.layer(2, [[0, 1]])
+    lb = oracles.layer(3, [[0, 1, 2]])
     inter = InterEdgeSet(0, 1, ((0, 0, 1.0),))
     mh = MultiHypergraph((la, lb), (inter,))
     dummy = LayerConstants(q_pairs=1, m_count=1, c_l=1.0)
@@ -458,7 +456,7 @@ def test_updated_w_cross_names_a_pair_without_inter_edges():
 
 def test_every_phase_names_the_same_zero_cross_rate():
     # restart 1 of 3 has w_cross = 0, so every observed inter-edge has rate 0
-    layer = HypergraphLayer(3, (make_hyperedge([0, 1]), make_hyperedge([0, 1, 2])))
+    layer = oracles.layer(3, [[0, 1], [0, 1, 2]])
     inter = InterEdgeSet(0, 1, ((0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)))
     mh = MultiHypergraph((layer, layer), (inter,))
     engine = EMEngine(mh)
@@ -789,9 +787,24 @@ def test_fit_validates_config_and_data():
         fit(mh, InferenceConfig(k_per_layer=(1,), tol=0.0))
     with pytest.raises(ValueError, match="max_iters"):
         fit(mh, InferenceConfig(k_per_layer=(1,), max_iters=0))
-    empty = MultiHypergraph((HypergraphLayer(4, ()),))
+    empty = MultiHypergraph((oracles.layer(4, []),))
     with pytest.raises(ValueError, match="no hyperedges"):
         fit(empty, InferenceConfig(k_per_layer=(1,)))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tol", float("nan")),   # compares False with 0, so the fit never converged
+    ("m_override", 0),       # made every restart degenerate
+    ("m_override", -3),
+    ("seed", -1),            # numpy raised from inside the first batch
+])
+def test_fit_rejects_a_bad_config_value_before_engine_setup(monkeypatch, field, value):
+    import hyperblock.inference as inf
+
+    monkeypatch.setattr(inf, "EMEngine", lambda *args, **kwargs: pytest.fail("engine set up"))
+    cfg = InferenceConfig(k_per_layer=(1,), **{field: value})
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        fit(MultiHypergraph((tiny_layer(),)), cfg)
 
 
 def test_fit_on_complete_pairwise_layer():

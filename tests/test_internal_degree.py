@@ -17,6 +17,7 @@ from hyperblock.internal_degree import (
     entropy_report,
     theta_table,
 )
+import oracles
 from oracles import (
     IndexCounter,
     compute_theta,
@@ -43,8 +44,8 @@ def random_layer(rng, num_nodes, max_edges):
         size = int(rng.integers(2, min(6, num_nodes) + 1))
         nodes = tuple(sorted(rng.choice(num_nodes, size=size, replace=False).tolist()))
         seen.add(nodes)
-    edges = tuple(make_hyperedge(n, float(rng.integers(1, 3))) for n in sorted(seen))
-    return HypergraphLayer(num_nodes, edges)
+    rows = sorted(seen)
+    return oracles.layer(num_nodes, rows, [float(rng.integers(1, 3)) for _ in rows])
 
 
 def test_worked_example():
@@ -61,12 +62,12 @@ def test_worked_example():
 
 
 def test_edge_counts_itself():
-    layer = HypergraphLayer(3, (make_hyperedge([1, 2]),))
+    layer = oracles.layer(3, [[1, 2]])
     assert count_sub_hyperedges(layer, make_hyperedge([1, 2])) == {1: 1, 2: 1}
 
 
 def test_candidate_with_no_subsets():
-    layer = HypergraphLayer(5, (make_hyperedge([1, 2]),))
+    layer = oracles.layer(5, [[1, 2]])
     e = make_hyperedge([3, 4])
     assert count_sub_hyperedges(layer, e) == {3: 0, 4: 0}
     assert compute_theta(layer, e) == {3: 1.0, 4: 1.0}
@@ -127,7 +128,7 @@ def test_theta_table_matches_counter(layer):
 
 
 def test_counter_rejects_invalid_candidates():
-    layer = HypergraphLayer(3, (make_hyperedge([0, 1, 2]),))
+    layer = oracles.layer(3, [[0, 1, 2]])
     counter = SubHyperedgeCounter(layer)
     u, w = np.ones((3, 1)), np.ones((1, 1))
     queries = (counter.counts, counter.theta, lambda c: score_hyperedge(c, counter, u, w))
@@ -137,7 +138,7 @@ def test_counter_rejects_invalid_candidates():
             with pytest.raises(TypeError, match="HypergraphLayer"):
                 query(single)
         with pytest.raises(ValueError, match="4 nodes"):
-            query(HypergraphLayer(4, (make_hyperedge([0, 1]),)))
+            query(oracles.layer(4, [[0, 1]]))
 
 
 @st.composite
@@ -195,7 +196,7 @@ def test_batch_theta_and_scores_match_the_oracle(case):
 
 
 def test_theta_table_empty_layer():
-    table = theta_table(HypergraphLayer(4, ()))
+    table = theta_table(oracles.layer(4, []))
     assert table.offsets.tolist() == [0]
     assert table.nodes.size == table.values.size == 0
 
@@ -231,10 +232,10 @@ def test_entropy_values():
 
 
 def test_entropy_uniform_and_degenerate():
-    uniform = HypergraphLayer(3, (make_hyperedge([0, 1, 2]),))
+    uniform = oracles.layer(3, [[0, 1, 2]])
     assert math.isclose(entropies(uniform)[0], 1.0, abs_tol=1e-12)
     assert math.isclose(entropies(uniform, normalized=False)[0], math.log(3), abs_tol=1e-12)
-    empty = entropy_report(HypergraphLayer(4, ()), threshold=0.5)
+    empty = entropy_report(oracles.layer(4, []), threshold=0.5)
     assert empty.num_considered == empty.num_below == empty.histogram_counts.sum() == 0
     assert empty.size2_total == empty.size2_contained == 0
     assert math.isnan(empty.size2_containment_rate)
@@ -307,7 +308,7 @@ def test_entropy_report_fields():
     assert np.max(rep.entropies) == pytest.approx(1.0, abs=1e-12)
     # uniform counts over five nodes come to one ulp above 1 before the
     # clip, which np.histogram would drop
-    lone = entropy_report(HypergraphLayer(6, (make_hyperedge([0, 1, 2, 3, 4]),)), 0.95)
+    lone = entropy_report(oracles.layer(6, [[0, 1, 2, 3, 4]]), 0.95)
     assert lone.num_considered == 1
     assert lone.entropies.tolist() == [1.0]
     assert lone.histogram_counts.sum() == 1

@@ -30,6 +30,7 @@ from hyperblock.likelihood import (
     sample_negatives,
 )
 from hyperblock.synth import _poisson_layer
+import oracles
 from oracles import compute_theta, lambda_ij
 
 
@@ -193,7 +194,7 @@ def test_sample_negatives_contract():
 
 
 def test_sample_negatives_tiny_space():
-    layer = HypergraphLayer(3, (make_hyperedge([0, 1]),))
+    layer = oracles.layer(3, [[0, 1]])
     negs = sample_negatives(layer, seed=0).node_tuples()
     assert negs[0] in {(0, 2), (1, 2)}
 
@@ -298,14 +299,14 @@ def test_sample_negatives_of_large_sizes_finish_with_uniform_nodes():
     # sizes 60 of 200 and 400 of 1,700 nodes: no row of distinct nodes is
     # rejected, so a call takes one round; each node is in a size-60 set
     # with probability 60 / 200
-    layer = HypergraphLayer(200, (make_hyperedge(range(60)),))
+    layer = oracles.layer(200, [range(60)])
     hits = np.zeros(200)
     for seed in range(100):
         negs = sample_negatives(layer, seed, sizes=[60] * 10)
         assert negs.num_hyperedges == 10 and np.all(np.diff(negs.offsets) == 60)
         hits += np.bincount(negs.nodes, minlength=200)
     assert chi_square_p(hits) > 1e-3
-    big = HypergraphLayer(1700, (make_hyperedge(range(400)),))
+    big = oracles.layer(1700, [range(400)])
     rows = sample_negatives(big, seed=0, sizes=[400] * 4).node_tuples()
     assert len(set(rows)) == 4 and all(len(set(e)) == 400 for e in rows)
 
@@ -328,14 +329,14 @@ def test_sample_negatives_exhausts_exactly():
 
 
 def test_layer_constants_values():
-    layer = HypergraphLayer(3, (make_hyperedge([0, 1]),))
+    layer = oracles.layer(3, [[0, 1]])
     consts = layer_constants(layer)
     assert consts.q_pairs == 1
     assert consts.m_count == 1
     assert consts.c_l == pytest.approx(4.0 / 3.0, abs=1e-15)
 
     # one size-6 hyperedge on 7 nodes: q = 15, c = 1/15 + 2/42 = 4/35
-    big = HypergraphLayer(7, (make_hyperedge(range(6)),))
+    big = oracles.layer(7, [range(6)])
     consts = layer_constants(big)
     assert consts.q_pairs == 15
     assert consts.c_l == pytest.approx(4.0 / 35.0, abs=1e-15)
@@ -354,9 +355,11 @@ def test_layer_constants_ignore_weights_and_allow_override():
 
 
 def test_layer_constants_validation():
-    empty = HypergraphLayer(4, ())
+    empty = oracles.layer(4, [])
     with pytest.raises(ValueError, match="no hyperedges"):
         layer_constants(empty)
+    with pytest.raises(ValueError, match="m_override must be positive, got 0"):
+        layer_constants(oracles.layer(3, [[0, 1]]), m_override=0)
 
 
 def test_latent_state_validation():
@@ -456,13 +459,13 @@ def scalar_objective(mh, state, consts):
         for i in range(ua.shape[0]):
             for j in range(ub.shape[0]):
                 total -= float(ua[i] @ wc @ ub[j])
-        for i, j, weight in s.edges:
+        for i, j, weight in zip(s.rows, s.cols, s.weights):
             total += weight * math.log(float(ua[i] @ wc @ ub[j]))
     return total
 
 
 def test_surrogate_scalar_example():
-    layer = HypergraphLayer(3, (make_hyperedge([0, 1]),))
+    layer = oracles.layer(3, [[0, 1]])
     mh = MultiHypergraph((layer,))
     consts = (layer_constants(layer),)
     state = LatentState.stack([LatentState((np.ones((3, 1)),), (np.array([[1.0]]),), {})])
@@ -482,9 +485,8 @@ def test_surrogate_matches_scalar_oracle():
             for _ in range(rng.integers(2, 6)):
                 size = int(rng.integers(2, 4))
                 seen.add(tuple(sorted(rng.choice(n, size=size, replace=False).tolist())))
-            return HypergraphLayer(
-                n, tuple(make_hyperedge(s, float(rng.integers(1, 4))) for s in sorted(seen))
-            )
+            rows = sorted(seen)
+            return oracles.layer(n, rows, [float(rng.integers(1, 4)) for _ in rows])
 
         la, lb = rand_layer(n1), rand_layer(n2)
         pairs = {(int(rng.integers(n1)), int(rng.integers(n2))) for _ in range(3)}
@@ -507,7 +509,7 @@ def test_surrogate_matches_scalar_oracle():
 
 
 def test_surrogate_degenerate_state_errors():
-    layer = HypergraphLayer(3, (make_hyperedge([0, 1]),))
+    layer = oracles.layer(3, [[0, 1]])
     mh = MultiHypergraph((layer,))
     consts = (layer_constants(layer),)
     state = LatentState.stack([LatentState((np.zeros((3, 1)),), (np.array([[1.0]]),), {})])

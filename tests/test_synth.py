@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperblock import synth
-from hyperblock.core import HypergraphLayer, InterEdgeSet, MultiHypergraph, make_hyperedge
+from hyperblock.core import InterEdgeSet, MultiHypergraph
 from hyperblock.likelihood import LatentState
 from hyperblock.synth import (
     SynthConfig,
@@ -21,6 +21,7 @@ from hyperblock.synth import (
     remove_inter_edges,
     sample_from_model,
 )
+import oracles
 from oracles import community_aligned_pairs
 
 
@@ -32,9 +33,7 @@ def labeled_source(num_nodes=12, num_edges=30, labeled=None, seed=0):
         seen.add(tuple(sorted(rng.choice(num_nodes, size=size, replace=False).tolist())))
     nodes = range(num_nodes) if labeled is None else labeled
     truth = {i: i % 2 for i in nodes}
-    return HypergraphLayer(
-        num_nodes, tuple(make_hyperedge(s) for s in sorted(seen)), truth
-    )
+    return oracles.layer(num_nodes, sorted(seen), truth=truth)
 
 
 # -- configuration -----------------------------------------------------------
@@ -104,7 +103,7 @@ def test_build_views_inter_edges_community_aligned():
     s = mh.inter_edges[0]
     assert s.num_edges == 10
     truth = source.ground_truth
-    for i, j, w in s.edges:
+    for i, j, w in zip(s.rows, s.cols, s.weights):
         assert w == 1.0
         assert truth[i] == truth[j]
 
@@ -118,7 +117,7 @@ def test_build_views_noise_pairs_cross_community():
     s = mh.inter_edges[0]
     assert s.num_edges == 15
     truth = source.ground_truth
-    crossings = sum(1 for i, j, _ in s.edges if truth[i] != truth[j])
+    crossings = sum(1 for i, j in zip(s.rows, s.cols) if truth[i] != truth[j])
     assert crossings == 5
 
 
@@ -127,7 +126,7 @@ def test_build_views_budget_and_truth_errors():
     # 3 even and 3 odd nodes: 9 + 9 same-community ordered pairs
     with pytest.raises(ValueError, match="exceeds the 18 available"):
         build_views(source, SynthConfig(num_layers=2, inter_edge_count=19))
-    bare = HypergraphLayer(source.num_nodes, source.hyperedges)
+    bare = source.with_ground_truth(None)
     with pytest.raises(ValueError, match="ground truth"):
         build_views(bare, SynthConfig(num_layers=2))
 
@@ -136,7 +135,7 @@ def test_build_views_skips_unlabeled_nodes():
     source = labeled_source(num_nodes=12, labeled=range(6))
     cfg = SynthConfig(sample_fraction=0.9, num_layers=2, inter_edge_count=8)
     mh = build_views(source, cfg)
-    for i, j, _ in mh.inter_edges[0].edges:
+    for i, j in zip(mh.inter_edges[0].rows, mh.inter_edges[0].cols):
         assert i < 6 and j < 6
 
 
@@ -147,7 +146,7 @@ def test_build_views_keeps_labels_beyond_float_precision_apart():
     source = source.with_ground_truth({i: 2**53 + i % 2 for i in range(6)})
     s = build_views(source, SynthConfig(num_layers=2, inter_edge_count=18)).inter_edges[0]
     assert s.num_edges == 18
-    assert all((i - j) % 2 == 0 for i, j, _ in s.edges)
+    assert all((i - j) % 2 == 0 for i, j in zip(s.rows, s.cols))
     with pytest.raises(ValueError, match="exceeds the 18 available"):
         build_views(source, SynthConfig(num_layers=2, inter_edge_count=19))
 
@@ -162,7 +161,7 @@ def test_build_views_noise_beyond_the_cross_pairs_is_an_error():
         build_views(source, cfg)
     cfg = SynthConfig(num_layers=2, inter_edge_count=20, noise_fraction=0.5)
     s = build_views(source, cfg).inter_edges[0]
-    assert sum((i == 5) != (j == 5) for i, j, _ in s.edges) == 10
+    assert sum((i == 5) != (j == 5) for i, j in zip(s.rows, s.cols)) == 10
 
 
 @settings(max_examples=200, deadline=None)
@@ -197,7 +196,7 @@ def test_aligned_inter_edges_match_the_scalar_sampler(labels, data, seed):
         s = synth._aligned_inter_edges(0, 1, codes, budget, noise, np.random.default_rng(seed))
     assert drawn[:budget] == expected[:budget]
     assert sorted(drawn[budget:]) == sorted(expected[budget:])
-    assert s.edges == tuple(sorted((i, j, 1.0) for i, j in expected))
+    assert tuple(zip(s.rows, s.cols, s.weights)) == tuple(sorted((i, j, 1.0) for i, j in expected))
 
 
 def test_build_views_deterministic():
@@ -213,8 +212,8 @@ def test_build_views_deterministic():
 
 
 def inter_mh(num_edges=10):
-    la = HypergraphLayer(num_edges, (make_hyperedge([0, 1]),))
-    lb = HypergraphLayer(num_edges, (make_hyperedge([2, 3]),))
+    la = oracles.layer(num_edges, [[0, 1]])
+    lb = oracles.layer(num_edges, [[2, 3]])
     edges = tuple((i, i, 1.0) for i in range(num_edges))
     from hyperblock.core import InterEdgeSet
 
@@ -235,8 +234,9 @@ def test_remove_inter_edges_subset_and_layers_untouched():
     mh = inter_mh(10)
     out = remove_inter_edges(mh, 0.4, seed=3)
     assert out.layers == mh.layers
-    original = set(mh.inter_edges[0].edges)
-    assert all(e in original for e in out.inter_edges[0].edges)
+    s, kept = mh.inter_edges[0], out.inter_edges[0]
+    original = set(zip(s.rows, s.cols, s.weights))
+    assert all(e in original for e in zip(kept.rows, kept.cols, kept.weights))
     assert remove_inter_edges(mh, 0.4, seed=3) == out
     with pytest.raises(ValueError, match="ratio"):
         remove_inter_edges(mh, 1.5)
@@ -294,7 +294,7 @@ def test_sample_from_model_inter_edges():
     assert len(mh.inter_edges) == 1
     s = mh.inter_edges[0]
     assert s.num_edges > 0
-    for i, j, w in s.edges:
+    for i, j, w in zip(s.rows, s.cols, s.weights):
         assert (i < 4) == (j < 4)
         assert w == int(w) and w >= 1.0
     silent = one_hot_state(block=4, w_diag=2.0, cross=np.zeros((2, 2)))
@@ -339,7 +339,7 @@ def test_planted_partition_structure():
         assert layer.num_hyperedges > 0
     for s in mh.inter_edges:
         assert s.num_edges == 12
-        for i, j, _ in s.edges:
+        for i, j in zip(s.rows, s.cols):
             assert truth[i] == truth[j]
 
 
@@ -350,7 +350,7 @@ def test_planted_partition_noise_and_determinism():
     truth = mh.layers[0].ground_truth
     s = mh.inter_edges[0]
     assert s.num_edges == 13
-    assert sum(1 for i, j, _ in s.edges if truth[i] != truth[j]) == 3
+    assert sum(1 for i, j in zip(s.rows, s.cols) if truth[i] != truth[j]) == 3
     assert planted_partition(**kw) == mh
 
 
