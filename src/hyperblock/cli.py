@@ -325,7 +325,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_entropy_report(args) -> int:
-    layer = parse_hyperedge_file(args.edges, num_nodes=args.nodes or None)
+    layer = parse_hyperedge_file(args.edges, num_nodes=args.nodes)
     report = entropy_report(
         layer,
         threshold=args.threshold,

@@ -65,13 +65,6 @@ class Hyperedge:
     def size(self) -> int:
         return len(self.nodes)
 
-    @classmethod
-    def _unchecked(cls, nodes: tuple[int, ...], weight: float) -> "Hyperedge":
-        """A Hyperedge from values already validated (a layer's arrays)."""
-        e = cls.__new__(cls)
-        e.__dict__.update(nodes=nodes, weight=weight)
-        return e
-
 
 def make_hyperedge(nodes: Iterable[int], weight: float = 1.0) -> Hyperedge:
     """Build a Hyperedge from unordered node ids, validating uniqueness."""
@@ -332,10 +325,9 @@ class HypergraphLayer(_Frozen):
 
     @cached_property
     def hyperedges(self) -> tuple[Hyperedge, ...]:
-        """The rows as ``Hyperedge`` objects, built on first access; nothing
-        in the library reads them."""
-        # the arrays were validated when the layer was built
-        return tuple(map(Hyperedge._unchecked, self.node_tuples(), self.weights.tolist()))
+        """The rows as ``Hyperedge(nodes, weight)`` objects, built on first
+        access; nothing in the library reads them."""
+        return tuple(map(Hyperedge, self.node_tuples(), self.weights.tolist()))
 
     @property
     def num_hyperedges(self) -> int:
@@ -375,14 +367,14 @@ class HypergraphLayer(_Frozen):
 class InterEdgeSet(_Frozen):
     """Sparse weighted edges between the node sets of two layers.
 
-    ``layer_a < layer_b``; edge k joins node ``rows[k]`` of layer a to node
-    ``cols[k]`` of layer b with weight ``weights[k] > 0``.  The three arrays
-    are read-only and sorted by node pair, with no pair twice; absent pairs
-    mean weight 0.  Sets compare by value.
+    ``0 <= layer_a < layer_b``; edge k joins node ``rows[k]`` of layer a to
+    node ``cols[k]`` of layer b with weight ``weights[k] > 0``.  The three
+    arrays are read-only and sorted by node pair, with no pair twice; absent
+    pairs mean weight 0.  Sets compare by value.
 
-    The constructor takes (i, j, weight) triples already in that canonical
-    form and rejects any other; ``from_arrays`` takes flat arrays in any
-    order, merges duplicate pairs and drops pairs of total weight 0.
+    ``from_arrays`` validates raw input and merges it into that form; the
+    constructor converts (i, j, weight) triples, in any order, into that
+    call.
     """
 
     def __init__(self, layer_a: int, layer_b: int, edges: Iterable[tuple[int, int, float]] = ()):
@@ -391,27 +383,14 @@ class InterEdgeSet(_Frozen):
         rows = np.fromiter((e[0] for e in edges), np.int64, m)
         cols = np.fromiter((e[1] for e in edges), np.int64, m)
         weights = np.fromiter((e[2] for e in edges), float, m)
-        bad = _first_or_none((rows < 0) | (cols < 0))
-        if bad is not None:
-            raise ValueError(f"negative node index in inter-edge ({rows[bad]}, {cols[bad]})")
-        bad = _first_or_none(~(weights > 0.0) | ~np.isfinite(weights))
-        if bad is not None:
-            raise ValueError(f"stored inter-edge weight must be finite and > 0, got {weights[bad]}")
-        rising = (rows[1:] > rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))
-        if not rising.all():
-            raise ValueError("inter-edges must be sorted by node pair and distinct")
-        self._init(layer_a, layer_b, rows, cols, weights)
-
-    def _init(self, layer_a, layer_b, rows, cols, weights) -> None:
-        if layer_a >= layer_b:
-            raise ValueError(f"need layer_a < layer_b, got ({layer_a}, {layer_b})")
-        _read_only(rows, cols, weights)
-        self._set(layer_a=layer_a, layer_b=layer_b, rows=rows, cols=cols, weights=weights)
+        self._set(**vars(self.from_arrays(layer_a, layer_b, rows, cols, weights)))
 
     @classmethod
     def _from_canonical(cls, layer_a, layer_b, rows, cols, weights):
+        """Edges from arrays already in canonical form (not re-checked)."""
+        _read_only(rows, cols, weights)
         s = cls.__new__(cls)
-        s._init(layer_a, layer_b, rows, cols, weights)
+        s._set(layer_a=layer_a, layer_b=layer_b, rows=rows, cols=cols, weights=weights)
         return s
 
     @classmethod
@@ -420,10 +399,13 @@ class InterEdgeSet(_Frozen):
     ) -> "InterEdgeSet":
         """Edges from flat arrays in any order.
 
-        Indices must be non-negative and weights finite and >= 0; duplicate
-        pairs merge by weight summation in input order, and pairs whose
-        total is zero are dropped.
+        Layer indices must satisfy ``0 <= layer_a < layer_b``, node indices
+        be non-negative and weights finite and >= 0; duplicate pairs merge
+        by weight summation in input order, and pairs whose total is zero
+        are dropped.
         """
+        if not 0 <= layer_a < layer_b:
+            raise ValueError(f"need 0 <= layer_a < layer_b, got ({layer_a}, {layer_b})")
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         weights = np.asarray(weights, dtype=float)
@@ -709,6 +691,8 @@ def parse_hyperedge_file(path: str, num_nodes: Optional[int] = None) -> Hypergra
     straight into the layer's flat arrays; a malformed line raises
     ValueError naming ``file:line``.
     """
+    if num_nodes is not None and num_nodes <= 0:
+        raise ValueError(f"num_nodes must be positive, got {num_nodes}")
     tokens = _Tokens.read(path)
     sizes, weights, weight_ok, ids, id_ok = fields = _hyperedge_fields(tokens)
     top = int(ids.max(initial=-1))

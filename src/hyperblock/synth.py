@@ -236,7 +236,6 @@ def sample_from_model(
     state: LatentState,
     max_size: int = 3,
     seed=0,
-    layer_sizes: Optional[Sequence[int]] = None,
 ) -> MultiHypergraph:
     """Exhaustive Poisson draw of a multi-hypergraph from a latent state.
 
@@ -247,8 +246,6 @@ def sample_from_model(
     """
     state.validate()
     sizes = [m.shape[0] for m in state.u]
-    if layer_sizes is not None and list(layer_sizes) != sizes:
-        raise ValueError(f"layer_sizes {list(layer_sizes)} disagree with u rows {sizes}")
     if not 2 <= max_size <= _ENUM_SIZE_LIMIT:
         raise ValueError(f"max_size must be in [2, {_ENUM_SIZE_LIMIT}]")
     if any(n > _ENUM_NODE_LIMIT for n in sizes):

@@ -314,6 +314,17 @@ def test_cli_runtime_errors_exit_1(tmp_path, capsys):
     assert "--inter-edges needs at least one count" in capsys.readouterr().err
 
 
+def test_a_node_count_below_one_exits_1(tmp_path, capsys):
+    # --nodes 0 is a node count, not an unset flag, and no line is at fault
+    edges_path, truth_path = str(tmp_path / "source.txt"), str(tmp_path / "truth.txt")
+    write_hyperedge_file(edges_path, oracles.layer(4, [(0, 1), (2, 3)]))
+    write_ground_truth_file(truth_path, {i: i % 2 for i in range(4)})
+    for argv in (["entropy-report", "--edges", edges_path],
+                 ["synth", "--preset", "views", "--source", edges_path, "--truth", truth_path]):
+        assert main(argv + ["--nodes", "0", "--out", str(tmp_path / "o")]) == 1
+        assert "error: num_nodes must be positive, got 0" in capsys.readouterr().err
+
+
 def test_cli_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

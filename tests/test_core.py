@@ -120,10 +120,75 @@ def test_inter_edge_set_validation():
     assert s.weights.tolist() == [1.0, 2.0]
     with pytest.raises(ValueError):
         InterEdgeSet(1, 0, ())
-    with pytest.raises(ValueError):
-        InterEdgeSet(0, 1, ((0, 1, 1.0), (0, 0, 1.0)))
-    with pytest.raises(ValueError):
-        InterEdgeSet(0, 1, ((0, 0, 0.0),))
+    # triples in any order, and zero weights, convert into from_arrays
+    unsorted = InterEdgeSet(0, 1, ((0, 1, 1.0), (0, 0, 1.0)))
+    assert unsorted == InterEdgeSet.from_arrays(0, 1, [0, 0], [1, 0], [1.0, 1.0])
+    assert unsorted.rows.tolist() == [0, 0] and unsorted.cols.tolist() == [0, 1]
+    zero = InterEdgeSet(0, 1, ((0, 0, 0.0),))
+    assert zero == InterEdgeSet.from_arrays(0, 1, [0], [0], [0.0])
+    assert zero.num_edges == 0
+
+
+def triple_columns(triples):
+    """The rows, cols and weights of (i, j, weight) triples, as arrays."""
+    rows, cols, weights = zip(*triples) if triples else ((), (), ())
+    return np.array(rows, np.int64), np.array(cols, np.int64), np.array(weights, float)
+
+
+@st.composite
+def inter_triples(draw):
+    """(i, j, weight) triples in any order, with repeated pairs and zero weights."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=6))
+    weight = st.one_of(st.sampled_from([0.0, 1.0, 1e16]), st.floats(0.0, 10.0))
+    count = draw(st.integers(0, 20))
+    return [(*draw(st.sampled_from(pairs)), draw(weight)) for _ in range(count)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(inter_triples())
+def test_triples_are_from_arrays_on_their_columns(triples):
+    s = InterEdgeSet(0, 2, triples)
+    expected = InterEdgeSet.from_arrays(0, 2, *triple_columns(triples))
+    assert s == expected
+    for name in ("rows", "cols", "weights"):
+        a, b = getattr(s, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    merged = {}
+    for i, j, w in triples:  # a running sum in input order
+        merged[i, j] = merged[i, j] + w if (i, j) in merged else w
+    kept = sorted(pair for pair, w in merged.items() if w > 0)
+    assert list(zip(s.rows.tolist(), s.cols.tolist())) == kept
+    assert s.weights.tolist() == [merged[pair] for pair in kept]
+
+
+BAD_INTER_INPUT = [
+    ((0, 1), (-1, 0, 1.0)), ((0, 1), (0, -1, 1.0)), ((0, 1), (0, 0, np.nan)),
+    ((0, 1), (0, 0, np.inf)), ((0, 1), (0, 0, -1.0)),
+    ((1, 0), (0, 0, 1.0)), ((0, 0), (0, 0, 1.0)), ((-1, 0), (0, 0, 1.0)),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(inter_triples(), st.sampled_from(BAD_INTER_INPUT), st.data())
+def test_bad_triples_fail_as_from_arrays_does(triples, bad, data):
+    (a, b), triple = bad
+    at = data.draw(st.integers(0, len(triples)))
+    triples = triples[:at] + [triple] + triples[at:]
+    with pytest.raises(ValueError) as from_arrays:
+        InterEdgeSet.from_arrays(a, b, *triple_columns(triples))
+    with pytest.raises(ValueError) as from_triples:
+        InterEdgeSet(a, b, triples)
+    assert str(from_triples.value) == str(from_arrays.value)
+
+
+def test_a_negative_layer_index_is_rejected_in_both_forms():
+    # a set for the pair (-1, 0) would reach a fit as a w_cross keyed
+    # (-1, 0), which couples the last layer to layer 0
+    message = re.escape("need 0 <= layer_a < layer_b, got (-1, 0)")
+    with pytest.raises(ValueError, match=message):
+        InterEdgeSet.from_arrays(-1, 0, [4], [2], [1.0])
+    with pytest.raises(ValueError, match=message):
+        InterEdgeSet(-1, 0, [(4, 2, 1.0)])
 
 
 def test_inter_edge_from_arrays_merges_and_drops_zeros():
@@ -165,6 +230,9 @@ def test_parse_hyperedge_file_errors(tmp_path):
     p.write_text("1.0 0 7\n")
     with pytest.raises(ValueError, match="node id 7 >= declared num_nodes 3"):
         parse_hyperedge_file(str(p), num_nodes=3)
+    for n in (0, -3):  # a node count, not a line, is at fault
+        with pytest.raises(ValueError, match=f"^num_nodes must be positive, got {n}$"):
+            parse_hyperedge_file(str(p), num_nodes=n)
     p.write_text("x 0 1\n")
     with pytest.raises(ValueError, match="bad.txt:1"):
         parse_hyperedge_file(str(p))
@@ -901,16 +969,17 @@ def test_loading_and_fitting_build_no_hyperedge_objects(tmp_path, monkeypatch):
     man.write_text("\n".join(lines + ["inter.edges = inter.txt"]) + "\n")
 
     built = []
-    checked, unchecked = Hyperedge.__post_init__, Hyperedge._unchecked
+    checked = Hyperedge.__post_init__  # every Hyperedge is built through it
     monkeypatch.setattr(Hyperedge, "__post_init__", lambda e: built.append(e) or checked(e))
-    monkeypatch.setattr(
-        Hyperedge, "_unchecked", lambda *args: built.append(args) or unchecked(*args)
-    )
     mh, ks = load_manifest(str(man))
     cfg = InferenceConfig(k_per_layer=ks, restarts=2, max_iters=10, seed=0)
     fit(mh, cfg)
     hyperedge_prediction_cv(mh, cfg, folds=3, seed=0)
     assert built == []
+    layer = mh.layers[0]
+    rows = zip(layer.node_tuples(), layer.weights.tolist())
+    assert layer.hyperedges == tuple(Hyperedge(nodes, weight) for nodes, weight in rows)
+    assert len(built) == 2 * layer.num_hyperedges
 
 
 def test_duplicate_weights_add_in_file_order(tmp_path):

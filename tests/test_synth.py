@@ -270,8 +270,6 @@ def test_sample_from_model_bounds():
         sample_from_model(state, max_size=5)
     with pytest.raises(ValueError, match="max_size"):
         sample_from_model(state, max_size=1)
-    with pytest.raises(ValueError, match="layer_sizes"):
-        sample_from_model(state, layer_sizes=[4])
     big = LatentState((np.ones((31, 1)),), (np.array([[1.0]]),), {})
     with pytest.raises(ValueError, match="at most 30"):
         sample_from_model(big)
