@@ -26,7 +26,6 @@ from .internal_degree import (
 from .likelihood import (
     DegenerateStateError,
     LatentState,
-    LayerConstants,
     RateCarry,
     layer_constants,
     mu,
@@ -76,7 +75,6 @@ __all__ = [
     "entropy_report",
     "DegenerateStateError",
     "LatentState",
-    "LayerConstants",
     "RateCarry",
     "mu",
     "sample_negatives",

@@ -76,6 +76,19 @@ def _write_run_manifest(out_dir: str, command: str, params: dict) -> None:
     )
 
 
+def _flag_params(args, paths: tuple[str, ...]) -> dict:
+    """A subcommand's parsed flags as run-manifest params: all but the
+    output directory and verbosity, with the ``paths`` flags made absolute
+    (an unset one stays as it is)."""
+    params = {
+        name: value for name, value in vars(args).items()
+        if name not in ("command", "func", "out", "verbose")
+    }
+    for name in paths:
+        params[name] = params[name] and os.path.abspath(params[name])
+    return params
+
+
 def _parse_int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v.strip()]
 
@@ -191,11 +204,7 @@ def _cmd_eval_communities(args) -> int:
             "cosine_similarity": cosine_similarity(u[nodes], labels),
         })
     _write_json(os.path.join(out, "metrics.json"), {"layers": per_layer})
-    _write_run_manifest(
-        out, "eval-communities",
-        {"manifest": os.path.abspath(args.manifest), "state": os.path.abspath(args.state),
-         "seed": args.seed},
-    )
+    _write_run_manifest(out, "eval-communities", _flag_params(args, ("manifest", "state")))
     return 0
 
 
@@ -312,15 +321,7 @@ def _cmd_synth(args) -> int:
         k = len(set(truth.values()))
         k_per_layer = [k] * args.layers
     _write_synth_outputs(out, mh, k_per_layer)
-    _write_run_manifest(
-        out, "synth",
-        {"preset": args.preset, "nodes": args.nodes, "communities": args.communities,
-         "layers": args.layers, "c_in": args.c_in, "c_out": args.c_out,
-         "max_size": args.max_size, "inter_edges": args.inter_edges,
-         "noise": args.noise, "sample_fraction": args.sample_fraction,
-         "source": args.source and os.path.abspath(args.source),
-         "truth": args.truth and os.path.abspath(args.truth), "seed": args.seed},
-    )
+    _write_run_manifest(out, "synth", _flag_params(args, ("source", "truth")))
     return 0
 
 
@@ -354,12 +355,7 @@ def _cmd_entropy_report(args) -> int:
         fh.write("entropy\n")
         for v in report.entropies:
             fh.write("%.17g\n" % v)
-    _write_run_manifest(
-        out, "entropy-report",
-        {"edges": os.path.abspath(args.edges), "nodes": args.nodes,
-         "threshold": args.threshold, "raw_nats": args.raw_nats,
-         "base": args.base, "bins": args.bins, "seed": args.seed},
-    )
+    _write_run_manifest(out, "entropy-report", _flag_params(args, ("edges",)))
     return 0
 
 

@@ -399,11 +399,18 @@ class InterEdgeSet(_Frozen):
     ) -> "InterEdgeSet":
         """Edges from flat arrays in any order.
 
-        Layer indices must satisfy ``0 <= layer_a < layer_b``, node indices
-        be non-negative and weights finite and >= 0; duplicate pairs merge
-        by weight summation in input order, and pairs whose total is zero
-        are dropped.
+        Layer indices must be integers (``int`` or numpy integers, not
+        ``bool``) with ``0 <= layer_a < layer_b`` and are stored as ``int``;
+        node indices must be non-negative and weights finite and >= 0;
+        duplicate pairs merge by weight summation in input order, and pairs
+        whose total is zero are dropped.
         """
+        for index in (layer_a, layer_b):
+            if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+                raise ValueError(
+                    f"layer indices must be integers, got ({layer_a!r}, {layer_b!r})"
+                )
+        layer_a, layer_b = int(layer_a), int(layer_b)
         if not 0 <= layer_a < layer_b:
             raise ValueError(f"need 0 <= layer_a < layer_b, got ({layer_a}, {layer_b})")
         rows = np.asarray(rows, dtype=np.int64)

@@ -28,7 +28,6 @@ from .internal_degree import theta_table
 from .likelihood import (
     DegenerateStateError,
     LatentState,
-    LayerConstants,
     RateCarry,
     ThetaIncidence,
     _column_sums,
@@ -201,16 +200,6 @@ def _guarded_ratio(num: np.ndarray, den: np.ndarray, what: str) -> np.ndarray:
     return np.divide(num, den, out=np.zeros_like(num), where=positive)
 
 
-def _with_data(template: sparse.csr_matrix, data: np.ndarray) -> sparse.csr_matrix:
-    """A matrix sharing the template's sparsity structure, holding ``data``.
-
-    A shallow copy: the index arrays are shared and never written.
-    """
-    out = copy.copy(template)
-    out.data = data
-    return out
-
-
 def _csr_pattern(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape) -> sparse.csr_matrix:
     """CSR matrix of entries (rows[k], cols[k], vals[k]), given in row order."""
     indptr = np.zeros(shape[0] + 1, dtype=int)
@@ -232,11 +221,6 @@ def _block_pattern(template: sparse.csr_matrix, copies: int) -> sparse.csr_matri
     return sparse.csr_matrix((np.zeros(copies * nnz), indices, indptr), shape=shape)
 
 
-def _block_product(mat: sparse.spmatrix, x: np.ndarray) -> np.ndarray:
-    """Block-diagonal ``mat`` applied to x of shape (R, n, k): (R, n', k)."""
-    return np.asarray(mat @ x.reshape(-1, x.shape[-1])).reshape(x.shape[0], -1, x.shape[-1])
-
-
 def _dot_last(a: np.ndarray, v: np.ndarray):
     """a @ v as one dot product per restart row of a (a matrix-vector
     product would sum in another order)."""
@@ -247,9 +231,10 @@ class EMEngine:
     """Vectorized sweep machinery bound to one multi-hypergraph.
 
     Precomputes, once and from the data alone, the per-layer
-    contribution-weighted incidences, the closed-form penalty constants and
-    the sparsity structure of every cross-ratio matrix; all restarts share
-    them; ``consts``, one per layer, replaces the penalty constants.  Update
+    contribution-weighted incidences, the closed-form penalty constants c_l
+    and the sparsity structure of every cross-ratio matrix; all restarts
+    share them.  ``consts``, one float per layer, replaces the penalty
+    constants; by default each is ``layer_constants(layer)``.  Update
     methods and the objective are pure functions of the passed-in state, a
     stack of R restarts (see ``LatentState``; one restart is a stack of
     one): a stack advances as a whole, with each sparse product run once
@@ -260,47 +245,42 @@ class EMEngine:
     each rate array once and checks that every rate is positive.
     """
 
-    def __init__(
-        self,
-        mh: MultiHypergraph,
-        consts: Optional[Sequence[LayerConstants]] = None,
-        m_override: Optional[int] = None,
-    ):
+    def __init__(self, mh: MultiHypergraph, consts: Optional[Sequence[float]] = None):
         self.mh = mh
         # each incidence holds its own copy of the table, so none is kept
         self.incidences = [ThetaIncidence(layer, theta_table(layer)) for layer in mh.layers]
-        if consts is not None:
-            self.consts = tuple(consts)
-        else:
-            self.consts = tuple(
-                layer_constants(layer, m_override=m_override) for layer in mh.layers
-            )
+        if consts is None:
+            consts = [layer_constants(layer) for layer in mh.layers]
+        self.consts = tuple(consts)
         # (CSR pattern, its CSC view) per (key, restart count): the incidence
-        # of each layer and the cross-ratio matrix of each inter-edge set
-        # (stored pairs are sorted, so CSR order is storage order); plus
-        # which sets touch a layer and which set joins a layer pair
+        # of each layer, keyed by its index, and the cross-ratio matrix of
+        # each inter-edge set, keyed by its layer pair (stored pairs are
+        # sorted, so CSR order is storage order); plus the sets touching
+        # each layer, with whether the layer is the set's second
         self._patterns: dict[tuple, tuple] = {
-            (("b", l), 1): (inc.b, inc.b.T) for l, inc in enumerate(self.incidences)
+            (l, 1): (inc.b, inc.b.T) for l, inc in enumerate(self.incidences)
         }
-        self._touching: list[list[tuple[int, bool]]] = [[] for _ in mh.layers]
-        self._pair_index = {}
-        for idx, s in enumerate(mh.inter_edges):
+        self._touching: list[list] = [[] for _ in mh.layers]
+        for s in mh.inter_edges:
             shape = (mh.layers[s.layer_a].num_nodes, mh.layers[s.layer_b].num_nodes)
             pattern = _csr_pattern(s.rows, s.cols, s.weights, shape)
-            self._patterns[(("cross", idx), 1)] = (pattern, pattern.T)
-            self._touching[s.layer_a].append((idx, False))
-            self._touching[s.layer_b].append((idx, True))
-            self._pair_index[(s.layer_a, s.layer_b)] = idx
+            self._patterns[((s.layer_a, s.layer_b), 1)] = (pattern, pattern.T)
+            self._touching[s.layer_a].append((s, False))
+            self._touching[s.layer_b].append((s, True))
 
-    def _stacked_matrix(self, key, data: np.ndarray, transposed: bool = False):
-        """The pattern of ``key`` once per restart, holding ``data`` of shape
-        (R, nnz); its CSC transpose when ``transposed``."""
+    def _stacked_product(self, key, data: np.ndarray, x: np.ndarray, transposed: bool = False):
+        """The pattern of ``key`` (its CSC transpose when ``transposed``),
+        holding ``data[r]`` in restart r's diagonal copy, applied to x of
+        shape (R, n, k): shape (R, n', k)."""
         copies = data.shape[0]
         views = self._patterns.get((key, copies))
         if views is None:
             pattern = _block_pattern(self._patterns[(key, 1)][0], copies)
             views = self._patterns[(key, copies)] = (pattern, pattern.T)
-        return _with_data(views[transposed], data.ravel())
+        # a shallow copy: the index arrays are shared and never written
+        mat = copy.copy(views[transposed])
+        mat.data = data.ravel()
+        return np.asarray(mat @ x.reshape(-1, x.shape[-1])).reshape(copies, -1, x.shape[-1])
 
     # -- update rules --------------------------------------------------------
 
@@ -318,31 +298,30 @@ class EMEngine:
         edge_sums = carry.edge_sums(inc, l, u)
         mult = inc.weights / carry.edge_rates(inc, l, u, w)
 
-        weighted = self._stacked_matrix(
-            ("b", l), inc.b.data * np.take(mult, inc.b.indices, axis=1)
+        first = self._stacked_product(
+            l, inc.b.data * np.take(mult, inc.b.indices, axis=1), edge_sums
         )
-        first = _block_product(weighted, edge_sums)
-        second = _per_restart_product(inc.b2, mult, 1)[..., None] * u
+        second = _per_restart_product(inc.b2, mult)[..., None] * u
         num = u * ((first - second) @ w)
 
         col_sums = _column_sums(u)
-        den = self.consts[l].c_l * ((col_sums[:, None, :] @ w) - u @ w)
+        den = self.consts[l] * ((col_sums[:, None, :] @ w) - u @ w)
 
-        for idx, transposed in self._touching[l]:
-            s = self.mh.inter_edges[idx]
+        for s, transposed in self._touching[l]:
+            pair = (s.layer_a, s.layer_b)
+            ratios = carry.cross_ratios(s, state)
+            w_c = state.w_cross[pair]
             # the second layer reads the CSC view of the same matrix: each
             # output row sums its entries in ascending row order of the ratio
-            ratio = self._stacked_matrix(
-                ("cross", idx), carry.cross_ratios(idx, s, state), transposed
-            )
-            w_c = state.w_cross[(s.layer_a, s.layer_b)]
             if not transposed:
                 other = state.u[s.layer_b]
-                num += u * _block_product(ratio, other @ np.swapaxes(w_c, -1, -2))
+                num += u * self._stacked_product(
+                    pair, ratios, other @ np.swapaxes(w_c, -1, -2)
+                )
                 den = den + (w_c @ _column_sums(other)[:, :, None])[:, None, :, 0]
             else:
                 other = state.u[s.layer_a]
-                num += u * _block_product(ratio, other @ w_c)
+                num += u * self._stacked_product(pair, ratios, other @ w_c, transposed)
                 den = den + _column_sums(other)[:, None, :] @ w_c
         return _guarded_ratio(num, den, f"u update of layer {l}")
 
@@ -357,22 +336,21 @@ class EMEngine:
         mult = inc.weights / carry.edge_rates(inc, l, u, w)
 
         first = np.swapaxes(edge_sums, -1, -2) @ (edge_sums * mult[..., None])
-        per_node = _per_restart_product(inc.b2, mult, 1)
+        per_node = _per_restart_product(inc.b2, mult)
         second = np.swapaxes(u, -1, -2) @ (u * per_node[..., None])
         num = 0.5 * w * (first - second)
-        den = self.consts[l].c_l * pairwise_outer(u)
+        den = self.consts[l] * pairwise_outer(u)
         out = _guarded_ratio(num, den, f"w update of layer {l}")
         return 0.5 * (out + np.swapaxes(out, -1, -2))
 
     def updated_w_cross(self, state: LatentState, pair: tuple[int, int]) -> np.ndarray:
-        idx = self._pair_index.get(pair)
-        if idx is None:
+        s = self.mh.inter_for_pair(*pair)
+        if s is None:
             raise ValueError(f"no inter-edge set joins layer pair {pair}")
-        s = self.mh.inter_edges[idx]
         ua, ub = state.u[s.layer_a], state.u[s.layer_b]
         w = state.w_cross[pair]
-        ratio = self._stacked_matrix(("cross", idx), RateCarry().cross_ratios(idx, s, state))
-        num = w * (np.swapaxes(ua, -1, -2) @ _block_product(ratio, ub))
+        spread = self._stacked_product(pair, RateCarry().cross_ratios(s, state), ub)
+        num = w * (np.swapaxes(ua, -1, -2) @ spread)
         den = _column_sums(ua)[:, :, None] * _column_sums(ub)[:, None, :]
         return _guarded_ratio(num, den, f"cross update of pair {pair}")
 
@@ -394,8 +372,8 @@ class EMEngine:
         """
         known = RateCarry() if carry is None else carry
         # every u update reads these: a zero cross rate fails the sweep first
-        for idx, s in enumerate(self.mh.inter_edges):
-            known.cross_ratios(idx, s, state)
+        for s in self.mh.inter_edges:
+            known.cross_ratios(s, state)
         new_u = tuple(self.updated_u(state, l, known) for l in range(self.mh.num_layers))
         # free the old edge sums before the w updates build the new ones
         for part in (known.sums, known.rates, known.cross, known.ratios):
@@ -429,14 +407,14 @@ class EMEngine:
         total = np.zeros(state.u[0].shape[0])
         for l, inc in enumerate(self.incidences):
             u, w = state.u[l], state.w[l]
-            total -= self.consts[l].c_l * pairwise_interaction_sum(u, w)
+            total -= self.consts[l] * pairwise_interaction_sum(u, w)
             total += _dot_last(np.log(carry.edge_rates(inc, l, u, w)), inc.weights)
-        for idx, s in enumerate(self.mh.inter_edges):
+        for s in self.mh.inter_edges:
             ua, ub = state.u[s.layer_a], state.u[s.layer_b]
             w_cross = state.w_cross[(s.layer_a, s.layer_b)]
             sa, sb = _column_sums(ua), _column_sums(ub)
             total -= (sa[:, None, :] @ w_cross @ sb[:, :, None])[:, 0, 0]
-            total += _dot_last(np.log(carry.cross_rates(idx, s, state)), s.weights)
+            total += _dot_last(np.log(carry.cross_rates(s, state)), s.weights)
         return total
 
 
@@ -528,15 +506,6 @@ def _run_batch(engine: EMEngine, mh: MultiHypergraph, cfg: InferenceConfig, rest
     return runs
 
 
-def _run_restart(engine: EMEngine, mh: MultiHypergraph, cfg: InferenceConfig, restart: int):
-    """One restart alone: (state, trace, converged); raises the error that
-    would drop it from a fit."""
-    (run,) = _run_batch(engine, mh, cfg, [restart])
-    if run.error is not None:
-        raise run.error
-    return run.state, tuple(run.trace), run.converged
-
-
 def _run_batches(engine: EMEngine, mh: MultiHypergraph, cfg: InferenceConfig, batches,
                  threads: int):
     """The ``_Run`` lists of the batches, in batch order.
@@ -546,7 +515,7 @@ def _run_batches(engine: EMEngine, mh: MultiHypergraph, cfg: InferenceConfig, ba
     batch order; when one fails, the batches not yet started are cancelled,
     the running ones finish, and the error of the first failed batch in
     batch order is raised.  The engine is shared read-only: it writes its
-    pattern cache (``_stacked_matrix``) only for stacks of two or more
+    pattern cache (``_stacked_product``) only for stacks of two or more
     restarts, and only one-restart batches run side by side.
     """
     if threads == 1:
@@ -584,7 +553,7 @@ def fit(mh: MultiHypergraph, cfg: InferenceConfig) -> FitResult:
     for l, layer in enumerate(mh.layers):
         if layer.num_hyperedges == 0:
             raise ValueError(f"layer {l} has no hyperedges")
-    engine = EMEngine(mh, m_override=cfg.m_override)
+    engine = EMEngine(mh, [layer_constants(layer, cfg.m_override) for layer in mh.layers])
     per_restart = sum(
         (layer.num_nodes + layer.num_hyperedges) * k
         for layer, k in zip(mh.layers, cfg.k_per_layer)

@@ -27,7 +27,6 @@ from .internal_degree import InternalDegreeTable
 __all__ = [
     "DegenerateStateError",
     "LatentState",
-    "LayerConstants",
     "RateCarry",
     "ThetaIncidence",
     "mu",
@@ -115,15 +114,6 @@ class LatentState:
         )
 
 
-@dataclass(frozen=True)
-class LayerConstants:
-    """The closed-form penalty constant of one layer and its inputs."""
-
-    q_pairs: int
-    m_count: int
-    c_l: float
-
-
 def mu(e_size: int) -> float:
     """Number of node pairs inside a hyperedge of the given size."""
     if e_size < 2:
@@ -191,11 +181,13 @@ def sample_negatives(
     return HypergraphLayer.from_arrays(n, nodes, offsets, np.ones(offsets.size - 1))
 
 
-def layer_constants(layer: HypergraphLayer, m_override: Optional[int] = None) -> LayerConstants:
-    """Pair count, edge count and the positive penalty constant of a layer.
+def layer_constants(layer: HypergraphLayer, m_override: Optional[int] = None) -> float:
+    """The positive penalty constant c_l = m * (1/q + 2/(n(n-1))) of a layer.
 
-    The constant is m * (1/q + 2/(n(n-1))) and enters the objective with a
-    minus sign; it depends on hyperedge counts and sizes, never on weights.
+    q is the layer's node-pair count summed over its hyperedges and m its
+    hyperedge count, or ``m_override`` when given.  The constant enters
+    the objective with a minus sign; it depends on hyperedge counts and
+    sizes, never on weights.
     """
     sizes = np.diff(layer.offsets)
     q = int((sizes * (sizes - 1) // 2).sum())
@@ -205,19 +197,18 @@ def layer_constants(layer: HypergraphLayer, m_override: Optional[int] = None) ->
     if m <= 0:
         raise ValueError(f"m_override must be positive, got {m}")
     n = layer.num_nodes
-    c_l = m * (1.0 / q + 2.0 / (n * (n - 1)))
-    return LayerConstants(q_pairs=q, m_count=m, c_l=c_l)
+    return m * (1.0 / q + 2.0 / (n * (n - 1)))
 
 
-def _per_restart_product(mat: sparse.spmatrix, x: np.ndarray, core_ndim: int) -> np.ndarray:
+def _per_restart_product(mat: sparse.spmatrix, x: np.ndarray) -> np.ndarray:
     """``mat @ x[r]`` for every r along the leading restart axis of x.
 
-    ``core_ndim`` is the rank of one restart's operand: 1 for a vector, 2
-    for a matrix.  All restarts go through one sparse product whose
-    columns are theirs side by side, so each restart gets exactly the sums
-    it would get alone.
+    One restart's operand is a vector when x is 2-D and a matrix when x is
+    3-D.  All restarts go through one sparse product whose columns are
+    theirs side by side, so each restart gets exactly the sums it would
+    get alone.
     """
-    if core_ndim == 1:
+    if x.ndim == 2:
         return np.ascontiguousarray(np.asarray(mat @ x.T).T)
     # column c * R + r holds column c of restart r
     r, n, k = x.shape
@@ -275,19 +266,13 @@ class ThetaIncidence:
 
     def edge_sums(self, u: np.ndarray) -> np.ndarray:
         """s_e = sum_{i in e} theta_ie u_i, shape (R, m, K)."""
-        return _per_restart_product(self.bt, u, 2)
+        return _per_restart_product(self.bt, u)
 
-    def edge_rates(
-        self, u: np.ndarray, w: np.ndarray, sums: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def edge_rates(self, u: np.ndarray, w: np.ndarray, sums: np.ndarray) -> np.ndarray:
         """All observed-hyperedge rates at once via the factored contraction,
-        shape (R, m).
-
-        ``sums`` is ``edge_sums(u)`` when the caller already holds it.
-        """
-        s = self.edge_sums(u) if sums is None else sums
-        first = _row_dots(s @ w, s)
-        second = _per_restart_product(self.b2t, _row_dots(u @ w, u), 1)
+        shape (R, m); ``sums`` is ``edge_sums(u)``."""
+        first = _row_dots(sums @ w, sums)
+        second = _per_restart_product(self.b2t, _row_dots(u @ w, u))
         return 0.5 * (first - second)
 
 
@@ -296,13 +281,14 @@ class RateCarry:
     """Rate quantities already computed for one stacked state.
 
     ``sums[l]`` holds layer l's edge sums, ``rates[l]`` its hyperedge rates,
-    ``cross[i]`` the rates of the stored pairs of inter-edge set i and
-    ``ratios[i]`` their weights divided by those rates (the data of the
-    one cross-ratio matrix of the set, whose u updates read it for both
-    layers), each with a leading restart axis; a missing key is not
-    computed yet.  A carry describes one state: the methods below compute
-    what is missing at the state they are given and keep it, so the caller
-    passes a carry only with the state it was filled for.
+    ``cross[(a, b)]`` the rates of the stored pairs of the inter-edge set
+    joining layers a < b and ``ratios[(a, b)]`` their weights divided by
+    those rates (the data of the one cross-ratio matrix of the set, whose
+    u updates read it for both layers), each with a leading restart axis;
+    a missing key is not computed yet.  A carry describes one state: the
+    methods below compute what is missing at the state they are given and
+    keep it, so the caller passes a carry only with the state it was
+    filled for.
     ``EMEngine.sweep`` refills it for the state it returns.
 
     The carry is the one place that computes the rates of observed
@@ -332,7 +318,7 @@ class RateCarry:
 
     def edge_rates(self, inc: ThetaIncidence, l: int, u: np.ndarray, w: np.ndarray):
         if l not in self.rates:
-            rates = self.rates[l] = inc.edge_rates(u, w, sums=self.edge_sums(inc, l, u))
+            rates = self.rates[l] = inc.edge_rates(u, w, self.edge_sums(inc, l, u))
             zero = rates <= 0
             if zero.any():
                 raise DegenerateStateError(
@@ -340,12 +326,12 @@ class RateCarry:
                 )
         return self.rates[l]
 
-    def cross_rates(self, idx: int, s: InterEdgeSet, state: LatentState) -> np.ndarray:
-        """Rates of the stored pairs of ``s``, inter-edge set ``idx``."""
-        if idx not in self.cross:
-            rates = self.cross[idx] = cross_rates(
-                state.u[s.layer_a], state.u[s.layer_b], state.w_cross[(s.layer_a, s.layer_b)],
-                s.rows, s.cols,
+    def cross_rates(self, s: InterEdgeSet, state: LatentState) -> np.ndarray:
+        """Rates of the stored pairs of ``s``, kept under its layer pair."""
+        pair = (s.layer_a, s.layer_b)
+        if pair not in self.cross:
+            rates = self.cross[pair] = cross_rates(
+                state.u[s.layer_a], state.u[s.layer_b], state.w_cross[pair], s.rows, s.cols
             )
             zero = rates <= 0
             if zero.any():
@@ -356,13 +342,14 @@ class RateCarry:
                     f"({s.layer_a}, {s.layer_b})",
                     failing,
                 )
-        return self.cross[idx]
+        return self.cross[pair]
 
-    def cross_ratios(self, idx: int, s: InterEdgeSet, state: LatentState) -> np.ndarray:
+    def cross_ratios(self, s: InterEdgeSet, state: LatentState) -> np.ndarray:
         """S_ij / rate_ij over the stored pairs of ``s``, shape (R, nnz)."""
-        if idx not in self.ratios:
-            self.ratios[idx] = s.weights / self.cross_rates(idx, s, state)
-        return self.ratios[idx]
+        pair = (s.layer_a, s.layer_b)
+        if pair not in self.ratios:
+            self.ratios[pair] = s.weights / self.cross_rates(s, state)
+        return self.ratios[pair]
 
 
 def cross_rates(

@@ -296,6 +296,8 @@ def planted_partition(
     Inter-edges follow the same community-aligned rule as build_views for
     every layer pair.  Ground truth is attached to all layers.
     """
+    if num_nodes < 1:
+        raise ValueError(f"num_nodes must be positive, got {num_nodes}")
     if c_in < 0 or c_out < 0:
         raise ValueError("affinities must be non-negative")
     if max_size < 2:

@@ -25,7 +25,7 @@ from hyperblock.evaluation import (
 )
 from hyperblock.inference import EMEngine, InferenceConfig, fit, initialize
 from hyperblock.internal_degree import SubHyperedgeCounter, theta_table
-from hyperblock.likelihood import LatentState, LayerConstants, lambda_e, mu
+from hyperblock.likelihood import LatentState, lambda_e, mu
 from hyperblock.synth import (
     planted_memberships,
     planted_partition,
@@ -143,16 +143,11 @@ def complete_pairwise(n):
     return HypergraphLayer.from_hyperedges(n, edges)
 
 
-def complete_consts(n):
-    m = n * (n - 1) // 2
-    return LayerConstants(q_pairs=m, m_count=m, c_l=2.0)
-
-
 def test_analytic_fixed_points_survive_a_sweep():
     """Closed-form stationary states move by at most 1e-10 under one sweep."""
     n = 8
     engine = EMEngine(
-        MultiHypergraph((complete_pairwise(n),)), consts=(complete_consts(n),)
+        MultiHypergraph((complete_pairwise(n),)), consts=(2.0,)
     )
     for b in (1.0, 0.7, 3.0):
         alpha = 1.0 / np.sqrt(2.0 * b)
@@ -167,7 +162,7 @@ def test_analytic_fixed_points_survive_a_sweep():
     )
     engine = EMEngine(
         MultiHypergraph((complete_pairwise(na), complete_pairwise(nb)), (inter,)),
-        consts=(complete_consts(na), complete_consts(nb)),
+        consts=(2.0, 2.0),
     )
     alpha = 1.0 / np.sqrt(2.0)
     state = LatentState(
@@ -197,8 +192,7 @@ def test_scalar_updates_match_hand_values():
     la = oracles.layer(2, [[0, 1]])
     lb = oracles.layer(3, [[0, 1, 2]])
     mh = MultiHypergraph((la, lb), (InterEdgeSet(0, 1, ((0, 0, 1.0),)),))
-    dummy = LayerConstants(q_pairs=1, m_count=1, c_l=1.0)
-    engine = EMEngine(mh, consts=(dummy, dummy))
+    engine = EMEngine(mh, consts=(1.0, 1.0))
     for start in (0.3, 1.0, 5.0):
         state = LatentState.stack([LatentState(
             (np.ones((2, 1)), np.ones((3, 1))),

@@ -1,5 +1,6 @@
 """Command-line workflow: data generation, fitting, scoring, prediction."""
 
+import argparse
 import json
 import os
 import platform
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 import scipy
 
-from hyperblock.cli import main
+from hyperblock.cli import build_parser, main
 from hyperblock.core import (
     load_manifest,
     write_ground_truth_file,
@@ -67,6 +68,29 @@ def test_synth_outputs(pipeline):
     assert env["cpus_available"] == len(os.sched_getaffinity(0))
     for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         assert env[name] == os.environ.get(name)
+
+
+def subcommand_flags(command):
+    """The destinations of a subcommand's flags, but help, output directory
+    and verbosity."""
+    sub = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return {action.dest for action in sub.choices[command]._actions} - {"help", "out", "verbose"}
+
+
+def test_run_manifest_records_every_flag(pipeline, tmp_path):
+    _, synth_dir, fit_dir = pipeline
+    edges = os.path.join(synth_dir, "edges_0.txt")
+    assert main(["eval-communities", "--manifest", os.path.join(synth_dir, "manifest.cfg"),
+                 "--state", fit_dir, "--out", str(tmp_path / "eval")]) == 0
+    assert main(["entropy-report", "--edges", edges, "--out", str(tmp_path / "entropy")]) == 0
+    for command, out in (("synth", synth_dir), ("eval-communities", tmp_path / "eval"),
+                         ("entropy-report", tmp_path / "entropy")):
+        params = read_json(os.path.join(out, "run_manifest.json"))["params"]
+        assert set(params) == subcommand_flags(command), command
+    assert params["edges"] == os.path.abspath(edges)
 
 
 def test_fit_outputs(pipeline):
@@ -319,10 +343,14 @@ def test_a_node_count_below_one_exits_1(tmp_path, capsys):
     edges_path, truth_path = str(tmp_path / "source.txt"), str(tmp_path / "truth.txt")
     write_hyperedge_file(edges_path, oracles.layer(4, [(0, 1), (2, 3)]))
     write_ground_truth_file(truth_path, {i: i % 2 for i in range(4)})
-    for argv in (["entropy-report", "--edges", edges_path],
-                 ["synth", "--preset", "views", "--source", edges_path, "--truth", truth_path]):
-        assert main(argv + ["--nodes", "0", "--out", str(tmp_path / "o")]) == 1
-        assert "error: num_nodes must be positive, got 0" in capsys.readouterr().err
+    for argv, nodes in (
+        (["entropy-report", "--edges", edges_path], "0"),
+        (["synth", "--preset", "views", "--source", edges_path, "--truth", truth_path], "0"),
+        (["synth", "--preset", "planted"], "0"),
+        (["synth", "--preset", "planted"], "-5"),
+    ):
+        assert main(argv + ["--nodes", nodes, "--out", str(tmp_path / "o")]) == 1
+        assert f"error: num_nodes must be positive, got {nodes}" in capsys.readouterr().err
 
 
 def test_cli_version(capsys):

@@ -127,6 +127,9 @@ def test_inter_edge_set_validation():
     zero = InterEdgeSet(0, 1, ((0, 0, 0.0),))
     assert zero == InterEdgeSet.from_arrays(0, 1, [0], [0], [0.0])
     assert zero.num_edges == 0
+    # numpy integer layer indices are stored as int
+    s = InterEdgeSet.from_arrays(np.int64(0), np.int32(2), [0], [1], [1.0])
+    assert (type(s.layer_a), type(s.layer_b)) == (int, int)
 
 
 def triple_columns(triples):
@@ -189,6 +192,19 @@ def test_a_negative_layer_index_is_rejected_in_both_forms():
         InterEdgeSet.from_arrays(-1, 0, [4], [2], [1.0])
     with pytest.raises(ValueError, match=message):
         InterEdgeSet(-1, 0, [(4, 2, 1.0)])
+
+
+@pytest.mark.parametrize("a, b", [(0.5, 1), (0, True), (np.float64(0), 1), ("0", 1),
+                                  (0, np.bool_(True))],
+                         ids=["float", "bool", "numpy-float", "str", "numpy-bool"])
+def test_a_non_integer_layer_index_is_rejected_in_both_forms(a, b):
+    # (0.5, 1) was stored and failed later in MultiHypergraph with a
+    # TypeError; (0, True) was stored with layer_b=True
+    message = re.escape(f"layer indices must be integers, got ({a!r}, {b!r})")
+    with pytest.raises(ValueError, match=message):
+        InterEdgeSet.from_arrays(a, b, [0], [1], [1.0])
+    with pytest.raises(ValueError, match=message):
+        InterEdgeSet(a, b, [(0, 1, 1.0)])
 
 
 def test_inter_edge_from_arrays_merges_and_drops_zeros():

@@ -20,18 +20,18 @@ from hyperblock.inference import (
     NonFiniteUpdateError,
     RestartOutcome,
     _guarded_ratio,
-    _run_restart,
+    _run_batch,
     fit,
     initialize,
 )
 from hyperblock.likelihood import (
     DegenerateStateError,
     LatentState,
-    LayerConstants,
     RateCarry,
     _per_restart_product,
     _row_dots,
     cross_rates,
+    layer_constants,
 )
 import oracles
 
@@ -72,19 +72,23 @@ def initialize_with_dead(dead):
     return some_dead
 
 
+def run_restart(engine, mh, cfg, restart):
+    """One restart alone: (state, trace, converged); raises the error that
+    would drop it from a fit."""
+    (run,) = _run_batch(engine, mh, cfg, [restart])
+    if run.error is not None:
+        raise run.error
+    return run.state, tuple(run.trace), run.converged
+
+
 def complete_pairwise(n):
     edges = [make_hyperedge([i, j]) for i in range(n) for j in range(i + 1, n)]
     return HypergraphLayer.from_hyperedges(n, edges)
 
 
-def complete_consts(n):
-    """Penalty constants of a complete pairwise layer, built without sampling.
-
-    Every candidate pair is observed, so negatives cannot exist; the constant
-    is m * (1/m + 2/(n(n-1))) = 2 exactly.
-    """
-    m = n * (n - 1) // 2
-    return LayerConstants(q_pairs=m, m_count=m, c_l=2.0)
+# The penalty constant of a complete pairwise layer: every candidate pair is
+# observed, so q = m and the constant is m * (1/m + 2/(n(n-1))) = 2 exactly.
+COMPLETE_CONST = 2.0
 
 
 # -- initialization ----------------------------------------------------------
@@ -128,7 +132,7 @@ def test_initialize_assortative_shares_diagonals():
 def test_updated_u_scalar_example():
     mh = MultiHypergraph((tiny_layer(),))
     engine = EMEngine(mh)
-    assert engine.consts[0].c_l == pytest.approx(4.0 / 3.0)
+    assert engine.consts[0] == pytest.approx(4.0 / 3.0)
     state = LatentState.stack([LatentState((np.ones((3, 1)),), (np.array([[1.0]]),), {})])
     new_u = engine.updated_u(state, 0)
     assert np.allclose(new_u.ravel(), [3.0 / 8.0, 3.0 / 8.0, 0.0], atol=1e-12)
@@ -149,8 +153,7 @@ def test_updated_w_cross_scalar_example():
     lb = oracles.layer(3, [[0, 1, 2]])
     inter = InterEdgeSet(0, 1, ((0, 0, 1.0),))
     mh = MultiHypergraph((la, lb), (inter,))
-    dummy = LayerConstants(q_pairs=1, m_count=1, c_l=1.0)
-    engine = EMEngine(mh, consts=(dummy, dummy))
+    engine = EMEngine(mh, consts=(1.0, 1.0))
     for start in (0.3, 1.0, 5.0):
         state = LatentState.stack([LatentState(
             (np.ones((2, 1)), np.ones((3, 1))),
@@ -245,7 +248,7 @@ def test_fixed_point_complete_layer():
     # uniform affinity b reproduce themselves exactly under one sweep
     n = 8
     mh = MultiHypergraph((complete_pairwise(n),))
-    engine = EMEngine(mh, consts=(complete_consts(n),))
+    engine = EMEngine(mh, consts=(COMPLETE_CONST,))
     for b in (1.0, 0.7, 3.0):
         alpha = 1.0 / np.sqrt(2.0 * b)
         state = LatentState((np.full((n, 1), alpha),), (np.array([[b]]),), {})
@@ -259,7 +262,7 @@ def test_fixed_point_two_block_memberships():
     # exact stationary point when the uniform affinity matches
     n = 6
     mh = MultiHypergraph((complete_pairwise(n),))
-    engine = EMEngine(mh, consts=(complete_consts(n),))
+    engine = EMEngine(mh, consts=(COMPLETE_CONST,))
     b = 0.5
     alpha = 1.0 / np.sqrt(2.0 * 4.0 * b)  # W = 4b for the all-b 2x2 affinity
     state = LatentState((np.full((n, 2), alpha),), (np.full((2, 2), b),), {})
@@ -276,7 +279,7 @@ def test_fixed_point_joint_cross_layer():
         0, 1, tuple((i, j, sigma) for i in range(na) for j in range(nb))
     )
     mh = MultiHypergraph((complete_pairwise(na), complete_pairwise(nb)), (inter,))
-    engine = EMEngine(mh, consts=(complete_consts(na), complete_consts(nb)))
+    engine = EMEngine(mh, consts=(COMPLETE_CONST, COMPLETE_CONST))
     alpha, beta = 1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)
     gamma = sigma * 2.0
     state = LatentState(
@@ -360,7 +363,7 @@ def test_fit_picks_best_restart():
     cfg = InferenceConfig(k_per_layer=(2, 2), restarts=3, max_iters=20)
     result = fit(mh, cfg)
     engine = EMEngine(mh)
-    finals = [_run_restart(engine, mh, cfg, r)[1][-1][1] for r in range(3)]
+    finals = [run_restart(engine, mh, cfg, r)[1][-1][1] for r in range(3)]
     assert result.best_restart == int(np.argmax(finals))
     assert result.final_objective == pytest.approx(max(finals), rel=1e-12)
 
@@ -404,8 +407,8 @@ def test_fit_skips_one_degenerate_restart(monkeypatch, caplog):
     cfg = InferenceConfig(k_per_layer=(2, 2), restarts=4, max_iters=20)
     engine = EMEngine(mh)
     with pytest.raises(DegenerateStateError):
-        _run_restart(engine, mh, cfg, 1)
-    survivors = {r: _run_restart(engine, mh, cfg, r) for r in (0, 2, 3)}
+        run_restart(engine, mh, cfg, 1)
+    survivors = {r: run_restart(engine, mh, cfg, r) for r in (0, 2, 3)}
     best = max(survivors, key=lambda r: survivors[r][1][-1][1])
     with caplog.at_level(logging.WARNING, logger="hyperblock"):
         result = fit(mh, cfg)
@@ -526,7 +529,7 @@ def test_restart_failing_after_the_ratios_were_carried(monkeypatch):
     mh = random_multi(np.random.default_rng(9))
     cfg = InferenceConfig(k_per_layer=(2, 3), restarts=3, max_iters=8, tol=1e-12, check_every=2)
     engine = EMEngine(mh)
-    alone = {r: _run_restart(engine, mh, cfg, r) for r in (0, 2)}
+    alone = {r: run_restart(engine, mh, cfg, r) for r in (0, 2)}
     real_updated_u = EMEngine.updated_u
     calls = []
 
@@ -540,7 +543,7 @@ def test_restart_failing_after_the_ratios_were_carried(monkeypatch):
 
     monkeypatch.setattr(EMEngine, "updated_u", failing_updated_u)
     runs = inf._run_batch(engine, mh, cfg, [0, 1, 2])
-    assert calls == [[0], [0], [0]]
+    assert calls == [[(0, 1)]] * 3
     assert runs[1].sweeps == 2 and str(runs[1].error) == "injected"
     for r in (0, 2):
         state, trace, converged = alone[r]
@@ -580,10 +583,10 @@ def test_stacked_kernels_match_their_reference_forms(seed, restarts, ka, kb, na,
     # one sparse product for all restarts, per restart as alone
     mat = sparse.random(nb, na, density=0.3, format="csr", random_state=rng)
     vectors = rng.random((restarts, na))
-    assert _per_restart_product(mat, vectors, 1).tobytes() == np.stack(
+    assert _per_restart_product(mat, vectors).tobytes() == np.stack(
         [mat @ v for v in vectors]
     ).tobytes()
-    assert _per_restart_product(mat, ua, 2).tobytes() == np.stack(
+    assert _per_restart_product(mat, ua).tobytes() == np.stack(
         [mat @ m for m in ua]
     ).tobytes()
 
@@ -762,8 +765,8 @@ def test_fit_at_the_batch_bound_matches_each_restart_alone(monkeypatch, caplog):
 
     engine = EMEngine(mh)
     with pytest.raises(DegenerateStateError):
-        _run_restart(engine, mh, cfg, 1)
-    alone = {r: _run_restart(engine, mh, cfg, r) for r in (0, 2)}
+        run_restart(engine, mh, cfg, 1)
+    alone = {r: run_restart(engine, mh, cfg, r) for r in (0, 2)}
     best = max(alone, key=lambda r: alone[r][1][-1][1])
     assert result.best_restart == best
     assert result.objective_trace == alone[best][1]
@@ -807,6 +810,18 @@ def test_fit_rejects_a_bad_config_value_before_engine_setup(monkeypatch, field, 
         fit(MultiHypergraph((tiny_layer(),)), cfg)
 
 
+def test_m_override_reaches_the_fit():
+    mh = random_multi(np.random.default_rng(7))
+    cfg = InferenceConfig(k_per_layer=(2, 2), restarts=2, max_iters=10, m_override=50)
+    result = fit(mh, cfg)
+    state = LatentState.stack([result.state])
+    consts = [layer_constants(layer, cfg.m_override) for layer in mh.layers]
+    # float equality is byte equality here: the fit scored this state with
+    # exactly these constants
+    assert result.final_objective == EMEngine(mh, consts).objective(state)[0]
+    assert result.final_objective != EMEngine(mh).objective(state)[0]
+
+
 def test_fit_on_complete_pairwise_layer():
     # all 10 pairs of 5 nodes are observed, so no unobserved hyperedge exists;
     # the penalty constant is closed-form and the fit needs none
@@ -814,7 +829,7 @@ def test_fit_on_complete_pairwise_layer():
     result = fit(mh, InferenceConfig(k_per_layer=(2,), restarts=2, max_iters=20))
     assert np.isfinite(result.final_objective)
     result.state.validate()
-    assert EMEngine(mh).consts[0].c_l == pytest.approx(2.0, abs=1e-15)
+    assert EMEngine(mh).consts[0] == pytest.approx(2.0, abs=1e-15)
 
 
 def test_assortative_fit_keeps_off_diagonal_zero():

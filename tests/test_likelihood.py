@@ -330,16 +330,12 @@ def test_sample_negatives_exhausts_exactly():
 
 def test_layer_constants_values():
     layer = oracles.layer(3, [[0, 1]])
-    consts = layer_constants(layer)
-    assert consts.q_pairs == 1
-    assert consts.m_count == 1
-    assert consts.c_l == pytest.approx(4.0 / 3.0, abs=1e-15)
+    # one pair: q = m = 1, c = 1 + 2/6 = 4/3
+    assert layer_constants(layer) == pytest.approx(4.0 / 3.0, abs=1e-15)
 
     # one size-6 hyperedge on 7 nodes: q = 15, c = 1/15 + 2/42 = 4/35
     big = oracles.layer(7, [range(6)])
-    consts = layer_constants(big)
-    assert consts.q_pairs == 15
-    assert consts.c_l == pytest.approx(4.0 / 35.0, abs=1e-15)
+    assert layer_constants(big) == pytest.approx(4.0 / 35.0, abs=1e-15)
 
 
 def test_layer_constants_ignore_weights_and_allow_override():
@@ -349,9 +345,9 @@ def test_layer_constants_ignore_weights_and_allow_override():
     layer2 = HypergraphLayer.from_hyperedges(
         6, [make_hyperedge([0, 1], 2.0), make_hyperedge([2, 3, 4], 2.0)]
     )
-    assert layer_constants(layer1).c_l == layer_constants(layer2).c_l
+    assert layer_constants(layer1) == layer_constants(layer2)
     doubled = layer_constants(layer1, m_override=4)
-    assert doubled.c_l == pytest.approx(2 * layer_constants(layer1).c_l)
+    assert doubled == pytest.approx(2 * layer_constants(layer1))
 
 
 def test_layer_constants_validation():
@@ -398,8 +394,9 @@ def test_incidence_rates_match_per_edge_lambda():
     u = rng.random((restarts, n, 3))
     w = rng.random((restarts, 3, 3))
     w = w + np.swapaxes(w, -1, -2)
-    rates = inc.edge_rates(u, w)
-    assert np.array_equal(inc.edge_rates(u[1:2], w[1:2])[0], rates[1])
+    rates = inc.edge_rates(u, w, inc.edge_sums(u))
+    one = u[1:2]
+    assert np.array_equal(inc.edge_rates(one, w[1:2], inc.edge_sums(one))[0], rates[1])
     for eid, e in enumerate(layer.hyperedges):
         theta = compute_theta(layer, e)
         for r in range(restarts):
@@ -447,7 +444,7 @@ def scalar_objective(mh, state, consts):
     total = 0.0
     for l, layer in enumerate(mh.layers):
         u, w = state.u[l], state.w[l]
-        total -= consts[l].c_l * naive_pairwise_sum(u, w)
+        total -= consts[l] * naive_pairwise_sum(u, w)
         for e in layer.hyperedges:
             theta = compute_theta(layer, e)
             lam = naive_lambda_e(e.nodes, theta, u, w)
