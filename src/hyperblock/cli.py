@@ -236,9 +236,11 @@ def _cmd_predict_hyperedges(args) -> int:
 
 
 def _cmd_predict_interedges(args) -> int:
+    ratios = _parse_float_list(args.removal_ratio)
+    if not ratios:
+        raise ValueError("--removal-ratio needs at least one ratio")
     mh, k_per_layer = load_manifest(args.manifest)
     cfg = _inference_config(args, k_per_layer)
-    ratios = _parse_float_list(args.removal_ratio)
     out = args.out
     os.makedirs(out, exist_ok=True)
     reports = []
@@ -306,6 +308,7 @@ def _cmd_synth(args) -> int:
         if not args.source:
             raise ValueError("--source is required for the views preset")
         source = parse_hyperedge_file(args.source, num_nodes=args.nodes)
+        args.nodes = source.num_nodes
         if not args.truth:
             raise ValueError("--truth is required for the views preset")
         truth = parse_ground_truth_file(args.truth, num_nodes=source.num_nodes)

@@ -13,7 +13,6 @@ batch, side by side on the available cores.
 
 from __future__ import annotations
 
-import copy
 import logging
 import os
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
@@ -31,8 +30,8 @@ from .likelihood import (
     RateCarry,
     ThetaIncidence,
     _column_sums,
+    _DiagonalCopies,
     _failing_restarts,
-    _per_restart_product,
     layer_constants,
     pairwise_interaction_sum,
     pairwise_outer,
@@ -200,27 +199,6 @@ def _guarded_ratio(num: np.ndarray, den: np.ndarray, what: str) -> np.ndarray:
     return np.divide(num, den, out=np.zeros_like(num), where=positive)
 
 
-def _csr_pattern(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape) -> sparse.csr_matrix:
-    """CSR matrix of entries (rows[k], cols[k], vals[k]), given in row order."""
-    indptr = np.zeros(shape[0] + 1, dtype=int)
-    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    return sparse.csr_matrix((vals, cols, indptr), shape=shape)
-
-
-def _block_pattern(template: sparse.csr_matrix, copies: int) -> sparse.csr_matrix:
-    """Block-diagonal CSR holding ``copies`` copies of the template's pattern.
-
-    Rows keep the template's entry order, so a product with it sums each
-    row exactly as the template would.
-    """
-    nnz = template.nnz
-    shift = np.arange(copies)[:, None]
-    indptr = np.append((template.indptr[:-1] + nnz * shift).ravel(), copies * nnz)
-    indices = (template.indices + template.shape[1] * shift).ravel()
-    shape = (copies * template.shape[0], copies * template.shape[1])
-    return sparse.csr_matrix((np.zeros(copies * nnz), indices, indptr), shape=shape)
-
-
 def _dot_last(a: np.ndarray, v: np.ndarray):
     """a @ v as one dot product per restart row of a (a matrix-vector
     product would sum in another order)."""
@@ -239,10 +217,12 @@ class EMEngine:
     stack of R restarts (see ``LatentState``; one restart is a stack of
     one): a stack advances as a whole, with each sparse product run once
     for all restarts, and every restart gets bit for bit the values it
-    would get alone.  Products whose values differ per restart use R
-    diagonal copies of the frozen pattern, built once per R.  They read
-    the rates of observed interactions from a ``RateCarry``, which computes
-    each rate array once and checks that every rate is positive.
+    would get alone.  Every sparse product goes through R diagonal copies
+    of its matrix (``_DiagonalCopies``), kept by the matrix's owner: the
+    ``ThetaIncidence`` of each layer, and the engine for each inter-edge
+    set's cross-ratio matrix.  The methods read the rates of observed
+    interactions from a ``RateCarry``, which computes each rate array once
+    and checks that every rate is positive.
     """
 
     def __init__(self, mh: MultiHypergraph, consts: Optional[Sequence[float]] = None):
@@ -252,35 +232,17 @@ class EMEngine:
         if consts is None:
             consts = [layer_constants(layer) for layer in mh.layers]
         self.consts = tuple(consts)
-        # (CSR pattern, its CSC view) per (key, restart count): the incidence
-        # of each layer, keyed by its index, and the cross-ratio matrix of
-        # each inter-edge set, keyed by its layer pair (stored pairs are
-        # sorted, so CSR order is storage order); plus the sets touching
-        # each layer, with whether the layer is the set's second
-        self._patterns: dict[tuple, tuple] = {
-            (l, 1): (inc.b, inc.b.T) for l, inc in enumerate(self.incidences)
-        }
+        # the cross-ratio matrix of each inter-edge set under its layer pair
+        # (stored pairs are sorted and distinct: CSR order is storage order),
+        # and the sets touching each layer, with whether it is their second
+        self._cross: dict[tuple[int, int], _DiagonalCopies] = {}
         self._touching: list[list] = [[] for _ in mh.layers]
         for s in mh.inter_edges:
             shape = (mh.layers[s.layer_a].num_nodes, mh.layers[s.layer_b].num_nodes)
-            pattern = _csr_pattern(s.rows, s.cols, s.weights, shape)
-            self._patterns[((s.layer_a, s.layer_b), 1)] = (pattern, pattern.T)
+            pattern = sparse.csr_matrix((s.weights, (s.rows, s.cols)), shape=shape)
+            self._cross[(s.layer_a, s.layer_b)] = _DiagonalCopies(pattern)
             self._touching[s.layer_a].append((s, False))
             self._touching[s.layer_b].append((s, True))
-
-    def _stacked_product(self, key, data: np.ndarray, x: np.ndarray, transposed: bool = False):
-        """The pattern of ``key`` (its CSC transpose when ``transposed``),
-        holding ``data[r]`` in restart r's diagonal copy, applied to x of
-        shape (R, n, k): shape (R, n', k)."""
-        copies = data.shape[0]
-        views = self._patterns.get((key, copies))
-        if views is None:
-            pattern = _block_pattern(self._patterns[(key, 1)][0], copies)
-            views = self._patterns[(key, copies)] = (pattern, pattern.T)
-        # a shallow copy: the index arrays are shared and never written
-        mat = copy.copy(views[transposed])
-        mat.data = data.ravel()
-        return np.asarray(mat @ x.reshape(-1, x.shape[-1])).reshape(copies, -1, x.shape[-1])
 
     # -- update rules --------------------------------------------------------
 
@@ -298,10 +260,10 @@ class EMEngine:
         edge_sums = carry.edge_sums(inc, l, u)
         mult = inc.weights / carry.edge_rates(inc, l, u, w)
 
-        first = self._stacked_product(
-            l, inc.b.data * np.take(mult, inc.b.indices, axis=1), edge_sums
+        first = inc.b_copies.apply(
+            edge_sums, inc.b.data * np.take(mult, inc.b.indices, axis=1)
         )
-        second = _per_restart_product(inc.b2, mult)[..., None] * u
+        second = inc.b2_copies.apply(mult)[..., None] * u
         num = u * ((first - second) @ w)
 
         col_sums = _column_sums(u)
@@ -315,13 +277,13 @@ class EMEngine:
             # output row sums its entries in ascending row order of the ratio
             if not transposed:
                 other = state.u[s.layer_b]
-                num += u * self._stacked_product(
-                    pair, ratios, other @ np.swapaxes(w_c, -1, -2)
+                num += u * self._cross[pair].apply(
+                    other @ np.swapaxes(w_c, -1, -2), ratios
                 )
                 den = den + (w_c @ _column_sums(other)[:, :, None])[:, None, :, 0]
             else:
                 other = state.u[s.layer_a]
-                num += u * self._stacked_product(pair, ratios, other @ w_c, transposed)
+                num += u * self._cross[pair].apply(other @ w_c, ratios, transposed)
                 den = den + _column_sums(other)[:, None, :] @ w_c
         return _guarded_ratio(num, den, f"u update of layer {l}")
 
@@ -336,7 +298,7 @@ class EMEngine:
         mult = inc.weights / carry.edge_rates(inc, l, u, w)
 
         first = np.swapaxes(edge_sums, -1, -2) @ (edge_sums * mult[..., None])
-        per_node = _per_restart_product(inc.b2, mult)
+        per_node = inc.b2_copies.apply(mult)
         second = np.swapaxes(u, -1, -2) @ (u * per_node[..., None])
         num = 0.5 * w * (first - second)
         den = self.consts[l] * pairwise_outer(u)
@@ -349,7 +311,7 @@ class EMEngine:
             raise ValueError(f"no inter-edge set joins layer pair {pair}")
         ua, ub = state.u[s.layer_a], state.u[s.layer_b]
         w = state.w_cross[pair]
-        spread = self._stacked_product(pair, RateCarry().cross_ratios(s, state), ub)
+        spread = self._cross[pair].apply(ub, RateCarry().cross_ratios(s, state))
         num = w * (np.swapaxes(ua, -1, -2) @ spread)
         den = _column_sums(ua)[:, :, None] * _column_sums(ub)[:, None, :]
         return _guarded_ratio(num, den, f"cross update of pair {pair}")
@@ -514,9 +476,10 @@ def _run_batches(engine: EMEngine, mh: MultiHypergraph, cfg: InferenceConfig, ba
     thread.  With more, a pool of that many threads runs them, started in
     batch order; when one fails, the batches not yet started are cancelled,
     the running ones finish, and the error of the first failed batch in
-    batch order is raised.  The engine is shared read-only: it writes its
-    pattern cache (``_stacked_product``) only for stacks of two or more
-    restarts, and only one-restart batches run side by side.
+    batch order is raised.  The engine is shared read-only: its diagonal
+    copies of one restart exist from construction, only stacks of two or
+    more restarts add copies to the caches, and only one-restart batches
+    run side by side.
     """
     if threads == 1:
         return [_run_batch(engine, mh, cfg, restarts) for restarts in batches]

@@ -14,6 +14,7 @@ only.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
@@ -200,20 +201,49 @@ def layer_constants(layer: HypergraphLayer, m_override: Optional[int] = None) ->
     return m * (1.0 / q + 2.0 / (n * (n - 1)))
 
 
-def _per_restart_product(mat: sparse.spmatrix, x: np.ndarray) -> np.ndarray:
-    """``mat @ x[r]`` for every r along the leading restart axis of x.
+class _DiagonalCopies:
+    """A CSR matrix applied to every restart of a stack in one product.
 
-    One restart's operand is a vector when x is 2-D and a matrix when x is
-    3-D.  All restarts go through one sparse product whose columns are
-    theirs side by side, so each restart gets exactly the sums it would
-    get alone.
+    The R restarts of x go through R diagonal copies of the matrix, one
+    block per restart, applied to x reshaped to (R * rows, ...).  Each copy
+    sums its rows over the matrix's entries in the matrix's order, so
+    restart r gets exactly ``matrix @ x[r]``.  ``views[R]`` keeps the copies
+    and their CSC view, built on first use; ``views[1]`` is the matrix
+    itself, there from construction.  ``pattern``, the copies of a matrix
+    with the same index arrays, lends these copies its index arrays.
     """
-    if x.ndim == 2:
-        return np.ascontiguousarray(np.asarray(mat @ x.T).T)
-    # column c * R + r holds column c of restart r
-    r, n, k = x.shape
-    out = np.asarray(mat @ x.transpose(1, 2, 0).reshape(n, k * r))
-    return np.ascontiguousarray(out.reshape(-1, k, r).transpose(2, 0, 1))
+
+    def __init__(self, matrix: sparse.csr_matrix, pattern: Optional["_DiagonalCopies"] = None):
+        self.matrix, self._pattern = matrix, pattern
+        self.views = {1: (matrix, matrix.T)}
+
+    def _copies(self, count: int) -> tuple:
+        if count not in self.views:
+            m = self.matrix
+            if self._pattern is not None:
+                block = self._pattern._copies(count)[0]
+                indptr, indices = block.indptr, block.indices
+            else:
+                shift = np.arange(count)[:, None]
+                indptr = np.append((m.indptr[:-1] + m.nnz * shift).ravel(), count * m.nnz)
+                indices = (m.indices + m.shape[1] * shift).ravel()
+            block = sparse.csr_matrix((np.tile(m.data, count), indices, indptr),
+                                      shape=(count * m.shape[0], count * m.shape[1]))
+            self.views[count] = (block, block.T)
+        return self.views[count]
+
+    def apply(self, x: np.ndarray, data: Optional[np.ndarray] = None,
+              transposed: bool = False) -> np.ndarray:
+        """``matrix @ x[r]``, or ``matrix.T @ x[r]`` when ``transposed``, for
+        every restart r of x (a vector or a matrix per restart), with the
+        entries ``data[r]`` in place of the matrix's when given."""
+        count = x.shape[0]
+        mat = self._copies(count)[transposed]
+        if data is not None:
+            mat = copy.copy(mat)  # shares the index arrays, which are never written
+            mat.data = data.ravel()
+        out = mat @ x.reshape(count * x.shape[1], *x.shape[2:])
+        return np.asarray(out).reshape(count, -1, *x.shape[2:])
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -240,10 +270,11 @@ class ThetaIncidence:
     """Contribution-weighted sparse incidence (nodes x hyperedges) of a layer.
 
     Carries the machinery shared by rate evaluation and the EM updates:
-    ``b`` holds the per-(node, edge) contribution, ``b2`` its square, and
-    ``bt``/``b2t`` their transposes, all built once.  Edge sums and rates
-    take u and w stacked along a leading restart axis, as the engine does,
-    and return one row per restart.
+    ``b`` holds the per-(node, edge) contribution and ``b2`` its square,
+    built once; ``b_copies`` and ``b2_copies`` apply them to a restart
+    stack and keep their diagonal copies (``_DiagonalCopies``).  Edge sums
+    and rates take u and w stacked along a leading restart axis, as the
+    engine does, and return one row per restart.
     """
 
     def __init__(self, layer: HypergraphLayer, table: InternalDegreeTable):
@@ -259,20 +290,19 @@ class ThetaIncidence:
         ).tocsr()
         # every node of an edge contributes > 0, so b2 shares b's index arrays
         self.b2 = sparse.csr_matrix((b.data * b.data, b.indices, b.indptr), shape=shape)
-        # transposed views, built once; their products sum each edge's nodes
-        # in ascending order
-        self.bt, self.b2t = self.b.T, self.b2.T
+        self.b_copies = _DiagonalCopies(self.b)
+        self.b2_copies = _DiagonalCopies(self.b2, self.b_copies)
         self.weights = layer.weights
 
     def edge_sums(self, u: np.ndarray) -> np.ndarray:
         """s_e = sum_{i in e} theta_ie u_i, shape (R, m, K)."""
-        return _per_restart_product(self.bt, u)
+        return self.b_copies.apply(u, transposed=True)
 
     def edge_rates(self, u: np.ndarray, w: np.ndarray, sums: np.ndarray) -> np.ndarray:
         """All observed-hyperedge rates at once via the factored contraction,
         shape (R, m); ``sums`` is ``edge_sums(u)``."""
         first = _row_dots(sums @ w, sums)
-        second = _per_restart_product(self.b2t, _row_dots(u @ w, u))
+        second = self.b2_copies.apply(_row_dots(u @ w, u), transposed=True)
         return 0.5 * (first - second)
 
 

@@ -302,6 +302,8 @@ def planted_partition(
         raise ValueError("affinities must be non-negative")
     if max_size < 2:
         raise ValueError("max_size must be >= 2")
+    if not 0.0 <= noise_fraction < 1.0:
+        raise ValueError("noise_fraction must be in [0, 1)")
     candidates = sum(math.comb(num_nodes, s) for s in range(2, max_size + 1))
     if candidates > _PLANTED_CANDIDATE_CAP:
         raise ValueError(

@@ -264,6 +264,7 @@ def test_synth_views_takes_the_node_count_from_the_source(tmp_path):
         ]) == 0
         built, _ = load_manifest(os.path.join(out, "manifest.cfg"))
         assert [layer.num_nodes for layer in built.layers] == [n, n]
+        assert read_json(os.path.join(out, "run_manifest.json"))["params"]["nodes"] == n
 
 
 def test_entropy_report_cli(tmp_path):
@@ -314,7 +315,7 @@ def test_cli_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_cli_runtime_errors_exit_1(tmp_path, capsys):
+def test_cli_runtime_errors_exit_1(pipeline, tmp_path, capsys):
     rc = main(["fit", "--manifest", str(tmp_path / "missing.cfg"),
                "--out", str(tmp_path / "o")])
     assert rc == 1
@@ -336,6 +337,13 @@ def test_cli_runtime_errors_exit_1(tmp_path, capsys):
     ])
     assert rc == 1
     assert "--inter-edges needs at least one count" in capsys.readouterr().err
+    rc = main([
+        "predict-interedges", "--manifest", os.path.join(pipeline[1], "manifest.cfg"),
+        "--removal-ratio", ",", "--out", str(tmp_path / "o4"),
+    ])
+    assert rc == 1
+    assert "--removal-ratio needs at least one ratio" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o4")
 
 
 def test_a_node_count_below_one_exits_1(tmp_path, capsys):

@@ -28,7 +28,7 @@ from hyperblock.likelihood import (
     DegenerateStateError,
     LatentState,
     RateCarry,
-    _per_restart_product,
+    _DiagonalCopies,
     _row_dots,
     cross_rates,
     layer_constants,
@@ -580,15 +580,57 @@ def test_stacked_kernels_match_their_reference_forms(seed, restarts, ka, kb, na,
     else:
         np.testing.assert_allclose(rates, gathered, rtol=1e-15, atol=0)
 
-    # one sparse product for all restarts, per restart as alone
-    mat = sparse.random(nb, na, density=0.3, format="csr", random_state=rng)
-    vectors = rng.random((restarts, na))
-    assert _per_restart_product(mat, vectors).tobytes() == np.stack(
-        [mat @ v for v in vectors]
-    ).tobytes()
-    assert _per_restart_product(mat, ua).tobytes() == np.stack(
-        [mat @ m for m in ua]
-    ).tobytes()
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    restarts=st.integers(1, 4),
+    rows=st.integers(1, 12),
+    cols=st.integers(1, 12),
+    density=st.sampled_from([0.0, 0.1, 0.4, 1.0]),
+    k=st.sampled_from([None, 1, 3]),
+    transposed=st.booleans(),
+    per_restart=st.booleans(),
+    stacks=st.lists(st.integers(1, 4), max_size=3),
+)
+def test_diagonal_copies_match_each_restart_alone(seed, restarts, rows, cols, density, k,
+                                                  transposed, per_restart, stacks):
+    # templates with empty rows and columns, vector (k None) and matrix
+    # operands, shared or per-restart entries; stacks of other sizes first
+    # fill the cache
+    rng = np.random.default_rng(seed)
+    mat = sparse.random(rows, cols, density=density, format="csr", random_state=rng)
+    copies = _DiagonalCopies(mat)
+    inner = rows if transposed else cols
+    for other in stacks:
+        copies.apply(np.zeros((other, inner)), None, transposed)
+    x = rng.random((restarts, inner) if k is None else (restarts, inner, k))
+    data = rng.random((restarts, mat.nnz)) if per_restart else None
+
+    def alone(r):
+        one = sparse.csr_matrix(
+            (mat.data if data is None else data[r], mat.indices, mat.indptr), shape=mat.shape
+        )
+        return (one.T if transposed else one) @ x[r]
+
+    stacked = copies.apply(x, data, transposed)
+    assert stacked.shape == (restarts, *np.shape(alone(0)))
+    assert stacked.tobytes() == np.stack([alone(r) for r in range(restarts)]).tobytes()
+    # a product with per-restart entries leaves the cached copies as they were
+    assert copies.views[1][0] is mat
+    for block, view in copies.views.values():
+        tiled = np.tile(mat.data, block.shape[0] // rows).tobytes()
+        assert block.data.tobytes() == view.data.tobytes() == tiled
+
+
+def test_b2_copies_share_the_index_arrays_of_b_copies():
+    mh = random_multi(np.random.default_rng(3))
+    inc = EMEngine(mh).incidences[0]
+    u = np.random.default_rng(0).random((3, inc.b.shape[0], 2))
+    inc.edge_rates(u, np.eye(2)[None].repeat(3, 0), inc.edge_sums(u))
+    (b, _), (b2, _) = inc.b_copies.views[3], inc.b2_copies.views[3]
+    assert np.shares_memory(b2.indices, b.indices) and np.shares_memory(b2.indptr, b.indptr)
+    assert b2.data.tobytes() == (b.data * b.data).tobytes()
 
 
 def fit_every_layout(mh, cfg):
@@ -737,6 +779,31 @@ def test_threaded_fit_leaves_no_thread_behind(monkeypatch):
     with pytest.raises(RuntimeError, match="injected"):
         fit(mh, cfg)
     assert threading.active_count() == before
+
+
+def test_threaded_fit_leaves_only_one_restart_copies_cached(monkeypatch):
+    # batches run side by side only with one restart each, so they read the
+    # copies that exist from construction and add none
+    import hyperblock.inference as inf
+
+    real_run_batches = inf._run_batches
+    calls = []
+
+    def run_batches(engine, mh, cfg, batches, threads):
+        calls.append((engine, threads))
+        return real_run_batches(engine, mh, cfg, batches, threads)
+
+    monkeypatch.setattr(inf, "_run_batches", run_batches)
+    monkeypatch.setattr(inf, "_BATCH_ENTRIES", 1)
+    monkeypatch.setattr(inf, "_cores", lambda: 2)
+    mh = random_multi(np.random.default_rng(4))
+    fit(mh, InferenceConfig(k_per_layer=(2, 2), restarts=4, max_iters=5))
+    ((engine, threads),) = calls
+    assert threads == 2
+    caches = [inc.b_copies for inc in engine.incidences]
+    caches += [inc.b2_copies for inc in engine.incidences] + list(engine._cross.values())
+    assert len(caches) == 5
+    assert all(list(cache.views) == [1] for cache in caches)
 
 
 def test_fit_at_the_batch_bound_matches_each_restart_alone(monkeypatch, caplog):

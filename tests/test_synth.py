@@ -350,6 +350,9 @@ def test_planted_partition_noise_and_determinism():
     assert s.num_edges == 13
     assert sum(1 for i, j in zip(s.rows, s.cols) if truth[i] != truth[j]) == 3
     assert planted_partition(**kw) == mh
+    for noise in (-0.5, 1.0, 2.0):
+        with pytest.raises(ValueError, match=r"noise_fraction must be in \[0, 1\)"):
+            planted_partition(**{**kw, "noise_fraction": noise})
 
 
 def test_planted_partition_errors():
